@@ -17,8 +17,7 @@ offsets, which is what the corrected policy must overcome.
 import numpy as np
 
 from benchmarks.conftest import fmt, report, run_seeded
-from repro.core import (CampaignSpec, FederationManager,
-                        experiments_to_target)
+from repro.core import CampaignSpec, FederationManager
 from repro.core.metrics import reduction_fraction
 from repro.labsci import PerovskiteLandscape
 
@@ -57,7 +56,8 @@ def _run(seed: int, config: dict):
                         max_experiments=JOINER_BUDGET)
     proc = fed.sim.process(orch.run_campaign(spec))
     result = fed.sim.run(until=proc)
-    needed = experiments_to_target(result, TARGET) or JOINER_BUDGET
+    needed = result.report(target=TARGET).experiments_to_target \
+        or JOINER_BUDGET
     return {"needed": needed, "traces": list(kb.reasoning_traces())}
 
 

@@ -17,8 +17,7 @@ federated) is the claim under test.
 """
 
 from benchmarks.conftest import fmt, report
-from repro.core import (CampaignSpec, FederationManager, speedup,
-                        time_to_target)
+from repro.core import CampaignSpec, FederationManager, speedup
 from repro.labsci import QuantumDotLandscape
 
 TARGET = 0.40
@@ -90,7 +89,7 @@ def test_e10_discovery_acceleration(bench_once):
     times = {}
     rows = []
     for arm, result in results.items():
-        t = time_to_target(result, TARGET)
+        t = result.report(target=TARGET).time_to_target
         times[arm] = t
         rows.append([arm,
                      fmt((t or result.duration) / DAY, 2),

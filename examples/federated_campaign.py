@@ -12,8 +12,7 @@ site-specific calibration offsets, which the transfer adapter corrects.
 Run:  python examples/federated_campaign.py
 """
 
-from repro.core import (CampaignSpec, FederationManager,
-                        experiments_to_target)
+from repro.core import CampaignSpec, FederationManager
 from repro.labsci import PerovskiteLandscape
 
 TARGET = 0.35
@@ -46,7 +45,8 @@ def run_joiner(policy: str) -> int:
                         max_experiments=JOINER_BUDGET)
     proc = fed.sim.process(orch.run_campaign(spec))
     result = fed.sim.run(until=proc)
-    return experiments_to_target(result, TARGET) or JOINER_BUDGET
+    return result.report(target=TARGET).experiments_to_target \
+        or JOINER_BUDGET
 
 
 def main() -> None:

@@ -14,7 +14,8 @@
   experimental workflows.
 - :mod:`repro.core.report` — the canonical :class:`CampaignReport`
   result type (every entry point's plain-data return shape).
-- :mod:`repro.core.metrics` — speedup / time-to-target accounting.
+- :mod:`repro.core.metrics` — the speedup / reduction arithmetic
+  behind the report's arm comparisons.
 """
 
 from repro.core.campaign import CampaignResult, CampaignSpec, ExperimentRecord
@@ -22,8 +23,7 @@ from repro.core.faulttol import FaultTolerantExecutor
 from repro.core.federation import FederationManager, LabSite
 from repro.core.knowledge import KnowledgeBase
 from repro.core.manual import ManualOrchestrator
-from repro.core.metrics import (CampaignMetrics, experiments_to_target,
-                                speedup, time_to_target)
+from repro.core.metrics import speedup
 from repro.core.orchestrator import HierarchicalOrchestrator
 from repro.core.report import CampaignReport
 from repro.core.verification import (PhysicsConstraintVerifier,
@@ -32,7 +32,6 @@ from repro.core.verification import (PhysicsConstraintVerifier,
 from repro.core.workflow import WorkflowDAG, WorkflowStep
 
 __all__ = [
-    "CampaignMetrics",
     "CampaignReport",
     "CampaignResult",
     "CampaignSpec",
@@ -49,7 +48,5 @@ __all__ = [
     "VerificationStack",
     "WorkflowDAG",
     "WorkflowStep",
-    "experiments_to_target",
     "speedup",
-    "time_to_target",
 ]

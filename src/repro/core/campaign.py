@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -113,15 +112,3 @@ class CampaignResult:
         return CampaignReport.from_result(self, tenant=tenant,
                                           sim_seconds=sim_seconds,
                                           target=target)
-
-    def summary(self) -> dict[str, Any]:
-        """Deprecated: use ``result.report().summary()``.
-
-        Thin wrapper kept for old call sites; the canonical summary
-        assembly lives in :class:`~repro.core.report.CampaignReport`.
-        """
-        warnings.warn(
-            "CampaignResult.summary() is deprecated; build a "
-            "CampaignReport (result.report().summary()) instead",
-            DeprecationWarning, stacklevel=2)
-        return self.report().summary()

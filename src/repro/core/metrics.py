@@ -1,13 +1,8 @@
-"""Campaign comparison metrics used throughout the benchmarks.
+"""Arm-comparison arithmetic: the M8 speedup and the M9 reduction.
 
-The primary API is :class:`CampaignMetrics` — derive one per campaign
-from a :class:`~repro.core.report.CampaignReport` via
-:meth:`~repro.core.report.CampaignReport.metrics` and compare arms with
-:meth:`~CampaignMetrics.speedup_vs` / :meth:`~CampaignMetrics.reduction_vs`.
-The original module-level functions remain as thin delegating wrappers,
-so existing call sites keep working unchanged, and
-:meth:`CampaignMetrics.from_result` survives as a deprecated wrapper
-over the report path.
+Campaign-level comparisons go through
+:meth:`~repro.core.report.CampaignReport.speedup_vs` and
+:meth:`~repro.core.report.CampaignReport.reduction_vs`, which call these.
 
 All comparisons are ``None``-propagating: a campaign that never reached
 its target yields ``None`` (reported as "DNF") rather than a fabricated
@@ -16,96 +11,7 @@ ratio.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from typing import Optional
-
-from repro.core.campaign import CampaignResult
-
-
-@dataclass(frozen=True)
-class CampaignMetrics:
-    """Derived per-campaign quantities, computed once from a result.
-
-    Attributes
-    ----------
-    time_to_target:
-        Sim-seconds from campaign start until the target was first met
-        (``None`` when the campaign never reached it, or no target given).
-    experiments_to_target:
-        Number of executed experiments until the target was first met.
-    duration:
-        Total campaign time on the simulated clock.
-    n_experiments:
-        Executed experiment count.
-    best_value:
-        Best objective the campaign achieved.
-    target:
-        The target these metrics were computed against (``None`` when the
-        caller supplied none and the spec carried none).
-    """
-
-    time_to_target: Optional[float]
-    experiments_to_target: Optional[int]
-    duration: float
-    n_experiments: int
-    best_value: Optional[float]
-    target: Optional[float] = None
-
-    @classmethod
-    def from_result(cls, result: CampaignResult,
-                    target: Optional[float] = None) -> "CampaignMetrics":
-        """Deprecated: use ``result.report(target=...).metrics()``.
-
-        The derived-metric computation now lives in
-        :meth:`repro.core.report.CampaignReport.from_result`; this
-        wrapper delegates there and keeps old call sites working.
-        """
-        warnings.warn(
-            "CampaignMetrics.from_result() is deprecated; build a "
-            "CampaignReport (result.report(target=...).metrics()) instead",
-            DeprecationWarning, stacklevel=2)
-        return _metrics_for(result, target)
-
-    # -- arm-vs-arm comparisons -------------------------------------------
-
-    def speedup_vs(self, baseline: "CampaignMetrics | float | None",
-                   ) -> Optional[float]:
-        """baseline time-to-target / ours — the M8-style "3x" metric."""
-        base = (baseline.time_to_target
-                if isinstance(baseline, CampaignMetrics) else baseline)
-        return speedup(base, self.time_to_target)
-
-    def reduction_vs(self, baseline: "CampaignMetrics | float | None",
-                     ) -> Optional[float]:
-        """1 - ours/baseline in experiments — the M9 ">30% fewer" metric."""
-        base = (baseline.experiments_to_target
-                if isinstance(baseline, CampaignMetrics) else baseline)
-        return reduction_fraction(base, self.experiments_to_target)
-
-
-def _metrics_for(result: CampaignResult,
-                 target: Optional[float]) -> "CampaignMetrics":
-    """Shared (non-warning) report-path computation for the wrappers."""
-    from repro.core.report import CampaignReport
-    return CampaignReport.from_result(result, target=target).metrics()
-
-
-# -- module-level wrappers (legacy surface, delegate to the report path) ----
-
-def time_to_target(result: CampaignResult,
-                   target: float) -> Optional[float]:
-    """Sim-seconds from campaign start until the target was first met.
-
-    ``None`` when the campaign never reached it.
-    """
-    return _metrics_for(result, target).time_to_target
-
-
-def experiments_to_target(result: CampaignResult,
-                          target: float) -> Optional[int]:
-    """Number of executed experiments until the target was first met."""
-    return _metrics_for(result, target).experiments_to_target
 
 
 def speedup(baseline_time: Optional[float],

@@ -1,12 +1,6 @@
 """The canonical campaign result type: :class:`CampaignReport`.
 
-Before this module existed the repo had three divergent result shapes —
-``CampaignResult.summary()`` (a loose dict for printing),
-``CampaignMetrics.from_result`` (derived comparison quantities), and
-``BuiltTestbed.run_summary`` (a picklable dict for the scale-out layer).
-Each was assembled by hand at its call site, and none agreed on keys.
-
-:class:`CampaignReport` collapses them into one typed, frozen dataclass:
+:class:`CampaignReport` is one typed, frozen dataclass per campaign:
 
 - built once from a :class:`~repro.core.campaign.CampaignResult` via
   :meth:`CampaignReport.from_result` (every derived quantity — validity,
@@ -14,27 +8,20 @@ Each was assembled by hand at its call site, and none agreed on keys.
 - **plain data** throughout, so a report can be pickled across process
   boundaries and digested by
   :func:`repro.scale.hashing.decision_hash` unchanged;
-- :meth:`to_dict` is the stable wire/JSON form (a superset of the old
-  ``run_summary`` keys, including the per-experiment ``decisions`` rows
-  that pin the full decision sequence);
-- :meth:`summary` reproduces the old ``CampaignResult.summary()`` shape
-  for printing;
-- :meth:`metrics` yields a :class:`~repro.core.metrics.CampaignMetrics`
-  for arm-vs-arm comparisons.
-
-The three legacy entry points still work as thin delegating wrappers
-that emit :class:`DeprecationWarning`.
+- :meth:`to_dict` is the stable wire/JSON form, including the
+  per-experiment ``decisions`` rows that pin the full decision sequence;
+- :meth:`summary` is the compact printable dict;
+- :meth:`speedup_vs` / :meth:`reduction_vs` compare two arms (the M8
+  speedup and the M9 experiment reduction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from repro.core.campaign import CampaignResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.metrics import CampaignMetrics
+from repro.core.metrics import reduction_fraction, speedup
 
 #: ``to_dict`` schema version; bump when keys change incompatibly.
 REPORT_SCHEMA = 1
@@ -155,9 +142,8 @@ class CampaignReport:
     def to_dict(self) -> dict[str, Any]:
         """Stable plain-data form (wire/JSON/decision-hash shape).
 
-        A strict superset of the legacy ``BuiltTestbed.run_summary``
-        keys; ``decisions`` rows are unchanged from that shape so
-        decision hashes stay sensitive to the full experiment sequence.
+        The ``decisions`` rows keep decision hashes sensitive to the full
+        experiment sequence, not just the winner.
         """
         return {
             "schema": REPORT_SCHEMA,
@@ -181,8 +167,8 @@ class CampaignReport:
         }
 
     def summary(self) -> dict[str, Any]:
-        """The compact printable dict ``CampaignResult.summary`` used to
-        hand-roll (same keys, same rounding)."""
+        """Compact printable dict: rounded headline numbers plus the
+        component counters."""
         return {
             "campaign": self.campaign,
             "experiments": self.n_experiments,
@@ -195,11 +181,23 @@ class CampaignReport:
             **self.counters,
         }
 
-    def metrics(self) -> "CampaignMetrics":
-        """Arm-comparison quantities (speedup_vs / reduction_vs)."""
-        from repro.core.metrics import CampaignMetrics
-        return CampaignMetrics(
-            time_to_target=self.time_to_target,
-            experiments_to_target=self.experiments_to_target,
-            duration=self.duration, n_experiments=self.n_experiments,
-            best_value=self.best_value, target=self.target)
+    # -- arm-vs-arm comparisons -------------------------------------------
+
+    def speedup_vs(self, baseline: "CampaignReport | float | None",
+                   ) -> Optional[float]:
+        """Baseline time-to-target over ours — the M8-style "3x" metric.
+
+        ``baseline`` is another report or a raw time in sim-seconds;
+        ``None`` on either side (never reached the target) gives ``None``.
+        """
+        base = (baseline.time_to_target
+                if isinstance(baseline, CampaignReport) else baseline)
+        return speedup(base, self.time_to_target)
+
+    def reduction_vs(self, baseline: "CampaignReport | float | None",
+                     ) -> Optional[float]:
+        """1 - ours/baseline in experiments-to-target — the M9 ">30%
+        fewer" metric; ``baseline`` is a report or a raw count."""
+        base = (baseline.experiments_to_target
+                if isinstance(baseline, CampaignReport) else baseline)
+        return reduction_fraction(base, self.experiments_to_target)

@@ -23,14 +23,16 @@ space thousands of times per decision, so the space carries a vectorized
   vectorized RNG call per dimension, in declared dimension order**
   (continuous: ``rng.uniform(low, high, size=n)``; discrete:
   ``rng.integers(n_choices, size=n)``).  This per-dim column draw order
-  is the *canonical draw-order contract* for batched sampling: any
-  consumer that wants to reproduce a batched draw stream must consume
-  the generator in exactly this order.  It deliberately differs from
-  the scalar :meth:`sample` stream (which interleaves dims per point) —
-  the two agree in distribution (per-dim marginals are identical, and
-  the ``bo_ask`` perf workload KS-checks that), not in the exact
-  variates, which is why seeded decision hashes moved exactly once when
-  the batch path landed (see DESIGN.md);
+  is the space's one *draw-order contract*: any consumer that wants to
+  reproduce a draw stream must consume the generator in exactly this
+  order.  :meth:`ParameterSpace.sample` is its one-row case
+  (``decode_batch(sample_batch(rng, 1))[0]``); with one row per call it
+  consumes the stream exactly as the old scalar per-dim loop did
+  (frozen as :func:`repro.perf.legacy_ask.legacy_sample`, the property
+  tests' oracle).  ``n`` calls to :meth:`~ParameterSpace.sample` do
+  *not* equal one ``sample_batch(rng, n)``: the batch fills each column
+  before moving to the next dim, so the two agree in distribution, not
+  in variates (see DESIGN.md);
 - :meth:`encode_batch` (from dicts) and :meth:`encode_raw_batch` (from
   a raw matrix) produce the surrogate encoding bit-identically to
   row-wise :meth:`encode`; :meth:`decode_batch` turns raw rows back
@@ -116,6 +118,12 @@ class ParameterSpace:
         self.continuous = tuple(d for d in dims if isinstance(d, ContinuousDim))
         self.discrete = tuple(d for d in dims if isinstance(d, DiscreteDim))
         self._by_name: dict[str, Any] = {d.name: d for d in self.dims}
+        # Declared-order names and choice tuples (``None`` for continuous
+        # dims) for the row-wise decode.
+        self._names: tuple[str, ...] = tuple(names)
+        self._choices: tuple[Optional[tuple[str, ...]], ...] = tuple(
+            None if isinstance(d, ContinuousDim) else d.choices
+            for d in self.dims)
         # Per-dim (start, width) column spans in the encoded vector, in
         # declared order, so batch encoders scatter without re-deriving
         # offsets per row.
@@ -166,19 +174,13 @@ class ParameterSpace:
     # -- sampling and counting -------------------------------------------------------
 
     def sample(self, rng: np.random.Generator) -> dict[str, Any]:
-        """Uniform random point in the space (scalar path).
+        """Uniform random point in the space: :meth:`sample_batch`'s
+        one-row case, one variate per dimension in declared order.
 
-        Consumes the generator one variate per dimension per point; the
-        batched :meth:`sample_batch` deliberately uses a different (per-dim
-        column) consumption order — see the module docstring.
+        ``n`` calls do not reproduce one ``sample_batch(rng, n)`` — see
+        the module docstring.
         """
-        out: dict[str, Any] = {}
-        for d in self.dims:
-            if isinstance(d, ContinuousDim):
-                out[d.name] = float(rng.uniform(d.low, d.high))
-            else:
-                out[d.name] = str(rng.choice(list(d.choices)))
-        return out
+        return self.decode_batch(self.sample_batch(rng, 1))[0]
 
     # -- batched raw-matrix fast path ----------------------------------------------
 
@@ -186,12 +188,9 @@ class ParameterSpace:
         """Draw ``n`` uniform points as a raw ``(n, len(self))`` matrix.
 
         One vectorized RNG call per dimension, in declared dim order (the
-        canonical draw-order contract): continuous dims fill their column
-        with ``rng.uniform(low, high, size=n)``, discrete dims with
-        ``rng.integers(n_choices, size=n)`` choice indices.  Per-dim
-        marginals match the scalar :meth:`sample`; the exact variate
-        stream does not (the ``bo_ask`` perf workload witnesses the
-        distributional agreement).
+        draw-order contract): continuous dims fill their column with
+        ``rng.uniform(low, high, size=n)``, discrete dims with
+        ``rng.integers(n_choices, size=n)`` choice indices.
         """
         raw = np.empty((n, len(self.dims)), dtype=np.float64)
         for j, d in enumerate(self.dims):
@@ -202,17 +201,17 @@ class ParameterSpace:
         return raw
 
     def decode_batch(self, raw: np.ndarray) -> list[dict[str, Any]]:
-        """Raw matrix rows back into parameter dicts (declared key order)."""
+        """Raw matrix rows back into parameter dicts (declared key order).
+
+        Continuous values come back as Python ``float``, discrete indices
+        as their choice strings.  Decodes row by row over one
+        ``tolist()``, which keeps :meth:`sample`'s one-row case cheap.
+        """
         raw = np.atleast_2d(np.asarray(raw, dtype=np.float64))
-        columns: list[list[Any]] = []
-        for j, d in enumerate(self.dims):
-            if isinstance(d, ContinuousDim):
-                columns.append([float(v) for v in raw[:, j]])
-            else:
-                choices = d.choices
-                columns.append([choices[int(v)] for v in raw[:, j]])
-        names = [d.name for d in self.dims]
-        return [dict(zip(names, point)) for point in zip(*columns)]
+        names, choices = self._names, self._choices
+        return [{name: v if options is None else options[int(v)]
+                 for name, options, v in zip(names, choices, row)}
+                for row in raw.tolist()]
 
     def raw_point(self, params: Mapping[str, Any]) -> np.ndarray:
         """One parameter dict as a raw row (continuous values + choice indices)."""
@@ -352,13 +351,11 @@ class Landscape:
     ) -> dict[str, np.ndarray]:
         """Columnar truth for many points: property name -> ``(n,)`` array.
 
-        The base implementation loops :meth:`evaluate`; vectorized
-        landscapes override it.  Either way ``evaluate_batch(ps)[k][i] ==
-        evaluate(ps[i])[k]``.
+        Concrete landscapes implement this with a vectorized body that
+        keeps ``evaluate_batch(ps)[k][i] == evaluate(ps[i])[k]`` bit for
+        bit.
         """
-        rows = [self.evaluate(p) for p in params_seq]
-        return {name: np.asarray([r[name] for r in rows], dtype=np.float64)
-                for name in self.properties}
+        raise NotImplementedError
 
     def objective_value(self, params: Mapping[str, Any]) -> float:
         """The optimization objective (already sign-adjusted: higher=better)."""

@@ -25,7 +25,6 @@ keep working — the builder is sugar, not a fork.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -419,20 +418,6 @@ class BuiltTestbed:
         return CampaignReport.from_result(result,
                                           sim_seconds=float(self.sim.now),
                                           target=spec.target)
-
-    def run_summary(self, spec: CampaignSpec,
-                    site: Optional[str] = None) -> dict:
-        """Deprecated: use ``run_report(spec, site).to_dict()``.
-
-        The report dict is a strict superset of the old summary shape
-        (same ``decisions`` rows; extra derived fields like
-        ``correctness`` and ``duration_s``).
-        """
-        warnings.warn(
-            "BuiltTestbed.run_summary() is deprecated; use "
-            "run_report(spec, site).to_dict() instead",
-            DeprecationWarning, stacklevel=2)
-        return self.run_report(spec, site).to_dict()
 
     def as_service(self, *, sites: Optional[list] = None,
                    **kwargs: Any) -> "CampaignService":

@@ -4,8 +4,7 @@ federation builder, and the campaign/metrics accounting."""
 import pytest
 
 from repro.core import (CampaignResult, CampaignSpec, ExperimentRecord,
-                        FederationManager, experiments_to_target, speedup,
-                        time_to_target)
+                        FederationManager, speedup)
 from repro.core.metrics import reduction_fraction
 from repro.labsci import QuantumDotLandscape
 
@@ -62,15 +61,17 @@ def make_result(objectives, dt=10.0):
 
 def test_time_and_experiments_to_target():
     r = make_result([0.1, 0.3, 0.6, 0.9])
-    assert time_to_target(r, 0.5) == pytest.approx(30.0)
-    assert experiments_to_target(r, 0.5) == 3
-    assert time_to_target(r, 0.95) is None
-    assert experiments_to_target(r, 0.95) is None
+    hit = r.report(target=0.5)
+    assert hit.time_to_target == pytest.approx(30.0)
+    assert hit.experiments_to_target == 3
+    miss = r.report(target=0.95)
+    assert miss.time_to_target is None
+    assert miss.experiments_to_target is None
 
 
 def test_invalid_records_do_not_count_toward_target():
     r = make_result([0.1, None, 0.6])
-    assert experiments_to_target(r, 0.5) == 3
+    assert r.report(target=0.5).experiments_to_target == 3
 
 
 def test_speedup_and_reduction():
@@ -83,14 +84,14 @@ def test_speedup_and_reduction():
 
 def test_campaign_metrics_from_result():
     r = make_result([0.1, 0.3, 0.6, 0.9])
-    m = r.report(target=0.5).metrics()
+    m = r.report(target=0.5)
     assert m.time_to_target == pytest.approx(30.0)
     assert m.experiments_to_target == 3
     assert m.duration == r.duration
     assert m.n_experiments == 4
     assert m.best_value == r.best_value
     assert m.target == 0.5
-    dnf = r.report(target=0.95).metrics()
+    dnf = r.report(target=0.95)
     assert dnf.time_to_target is None and dnf.experiments_to_target is None
 
 
@@ -98,18 +99,18 @@ def test_campaign_metrics_target_defaults_to_spec():
     r = make_result([0.1, 0.9])
     r.spec = CampaignSpec(name="m", objective_key="o", target=0.5,
                           max_experiments=2)
-    m = r.report().metrics()
+    m = r.report()
     assert m.target == 0.5 and m.experiments_to_target == 2
 
 
 def test_campaign_metrics_comparisons():
-    slow = make_result([0.1, 0.2, 0.3, 0.6]).report(target=0.5).metrics()
-    fast = make_result([0.6]).report(target=0.5).metrics()
+    slow = make_result([0.1, 0.2, 0.3, 0.6]).report(target=0.5)
+    fast = make_result([0.6]).report(target=0.5)
     assert fast.speedup_vs(slow) == pytest.approx(4.0)
     assert fast.reduction_vs(slow) == pytest.approx(0.75)
     # Raw-number baselines and DNF propagation.
     assert fast.speedup_vs(20.0) == pytest.approx(2.0)
-    dnf = make_result([0.1]).report(target=0.5).metrics()
+    dnf = make_result([0.1]).report(target=0.5)
     assert dnf.speedup_vs(slow) is None
     assert fast.speedup_vs(dnf) is None
     assert fast.reduction_vs(None) is None

@@ -1,12 +1,12 @@
-"""CampaignReport: the unified result type and its deprecated wrappers."""
+"""CampaignReport: the unified result type and its arm comparisons."""
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from repro.core.campaign import (CampaignResult, CampaignSpec,
                                  ExperimentRecord)
-from repro.core.metrics import CampaignMetrics
 from repro.core.report import REPORT_SCHEMA, CampaignReport
 from repro.scale.hashing import decision_hash
 
@@ -91,41 +91,12 @@ def test_summary_matches_legacy_shape_and_rounding():
                  "stop_reason": "budget-exhausted", "planned": 4}
 
 
-def test_metrics_view_supports_arm_comparisons():
-    m = CampaignReport.from_result(_result(target=0.5)).metrics()
-    assert isinstance(m, CampaignMetrics)
-    assert m.time_to_target == pytest.approx(250.0)
-    assert m.experiments_to_target == 3
-    baseline = CampaignMetrics(time_to_target=750.0,
-                               experiments_to_target=9, duration=900.0,
-                               n_experiments=9, best_value=0.6)
-    assert m.speedup_vs(baseline) == pytest.approx(3.0)
-    assert m.reduction_vs(baseline) == pytest.approx(1.0 - 3.0 / 9.0)
-
-
-# -- deprecated wrappers -------------------------------------------------------
-
-def test_result_summary_warns_and_matches_report():
-    result = _result()
-    with pytest.warns(DeprecationWarning, match="CampaignResult.summary"):
-        legacy = result.summary()
-    assert legacy == result.report().summary()
-
-
-def test_metrics_from_result_warns_and_matches_report():
-    result = _result(target=0.5)
-    with pytest.warns(DeprecationWarning, match="from_result"):
-        legacy = CampaignMetrics.from_result(result, target=0.5)
-    assert legacy == result.report(target=0.5).metrics()
-
-
-def test_module_level_metric_helpers_stay_silent():
-    from repro.core.metrics import experiments_to_target, time_to_target
-    result = _result(target=0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        assert time_to_target(result, 0.5) == pytest.approx(250.0)
-        assert experiments_to_target(result, 0.5) == 3
+def test_report_supports_arm_comparisons():
+    rep = CampaignReport.from_result(_result(target=0.5))
+    baseline = replace(rep, time_to_target=750.0, experiments_to_target=9)
+    assert rep.speedup_vs(baseline) == pytest.approx(3.0)
+    assert rep.reduction_vs(baseline) == pytest.approx(1.0 - 3.0 / 9.0)
+    assert rep.reduction_vs(6) == pytest.approx(0.5)
 
 
 def test_report_method_stays_silent():

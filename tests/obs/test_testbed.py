@@ -111,7 +111,7 @@ def test_external_simulator_is_used():
     assert built.sim is sim
 
 
-def test_run_report_is_canonical_and_run_summary_warns():
+def test_run_report_is_canonical():
     spec = CampaignSpec(name="rep", objective_key="plqy", max_experiments=5)
     built = (Testbed(seed=6)
              .site("site-0", landscape=QuantumDotLandscape(seed=7))
@@ -123,9 +123,7 @@ def test_run_report_is_canonical_and_run_summary_warns():
     rebuilt = (Testbed(seed=6)
                .site("site-0", landscape=QuantumDotLandscape(seed=7))
                .build())
-    with pytest.warns(DeprecationWarning, match="run_summary"):
-        summary = rebuilt.run_summary(spec)
-    assert summary == report.to_dict()
+    assert rebuilt.run_report(spec).to_dict() == report.to_dict()
 
 
 def test_site_builder_has_no_magic_forwarding():

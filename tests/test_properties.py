@@ -10,6 +10,7 @@ from repro.core.metrics import reduction_fraction, speedup
 from repro.data import DataRecord, fair_score
 from repro.data.schema import _UNIT_CONVERSIONS, SchemaError, convert_unit
 from repro.labsci import ContinuousDim, DiscreteDim, ParameterSpace
+from repro.perf.legacy_ask import legacy_sample
 from repro.sim import PriorityStore, Simulator
 
 # -- topic matching --------------------------------------------------------------
@@ -56,18 +57,23 @@ def test_property_unit_conversion_round_trips(unit, value):
 
 # -- parameter spaces ------------------------------------------------------------------
 
+_bounds = (st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+           .map(sorted).filter(lambda b: b[0] < b[1]))
+
+
 @st.composite
 def _spaces(draw):
-    n_cont = draw(st.integers(1, 3))
-    n_disc = draw(st.integers(0, 2))
+    """1-6 dims, continuous and discrete interleaved in any declared order
+    (the domain spaces declare their discrete dims first)."""
+    kinds = draw(st.lists(st.one_of(_bounds, st.integers(2, 64)),
+                          min_size=1, max_size=6))
     dims = []
-    for i in range(n_cont):
-        lo = draw(st.floats(-100, 100, allow_nan=False))
-        width = draw(st.floats(0.1, 100, allow_nan=False))
-        dims.append(ContinuousDim(f"c{i}", lo, lo + width))
-    for i in range(n_disc):
-        k = draw(st.integers(2, 4))
-        dims.append(DiscreteDim(f"d{i}", tuple(f"v{j}" for j in range(k))))
+    for i, kind in enumerate(kinds):
+        if isinstance(kind, int):
+            dims.append(DiscreteDim(f"x{i}",
+                                    tuple(f"v{j}" for j in range(kind))))
+        else:
+            dims.append(ContinuousDim(f"x{i}", *kind))
     return ParameterSpace(dims)
 
 
@@ -80,12 +86,29 @@ def test_property_samples_encode_into_unit_box(space, seed):
     v = space.encode(p)
     assert v.shape == (space.encoded_size,)
     assert np.all(v >= 0.0) and np.all(v <= 1.0)
-    # discrete one-hot blocks sum to 1 each
-    offset = len(space.continuous)
-    for d in space.discrete:
-        block = v[offset:offset + len(d.choices)]
-        assert block.sum() == pytest.approx(1.0)
-        offset += len(d.choices)
+    # each discrete one-hot block sums to 1, wherever its dim is declared
+    offset = 0
+    for d in space.dims:
+        if isinstance(d, DiscreteDim):
+            block = v[offset:offset + len(d.choices)]
+            assert block.sum() == pytest.approx(1.0)
+            offset += len(d.choices)
+        else:
+            offset += 1
+
+
+@given(_spaces(), st.integers(0, 2**32 - 1), st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_property_sample_replays_scalar_oracle(space, seed, k):
+    """``sample`` (``sample_batch``'s one-row case) consumes the stream
+    exactly as the frozen per-dim scalar loop: same dicts, key order and
+    value types, and the same generator state afterwards."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(k):
+        got, want = space.sample(rng), legacy_sample(space, twin)
+        assert list(got.items()) == list(want.items())
+        assert list(map(type, got.values())) == list(map(type, want.values()))
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @given(_spaces(), st.integers(0, 2**31 - 1))
