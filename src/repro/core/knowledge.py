@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.methods.transfer import TransferAdapter
+from repro.net.transport import Network, NetworkError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.labsci.landscapes import ParameterSpace
-    from repro.net.transport import Network
     from repro.sim.kernel import Simulator
 
 POLICIES = ("none", "raw", "corrected")
@@ -122,7 +122,7 @@ class KnowledgeBase:
         try:
             path = self.network.route(src, peer.site)
             delay = self.network.sample_delay(path, self.observation_bytes)
-        except Exception:
+        except NetworkError:
             return  # unreachable peer: the donation is simply lost
         self.sim.schedule_callback(delay, deliver)
 

@@ -125,12 +125,17 @@ class FaultInjector:
     # -- aggregate view --------------------------------------------------------------------
 
     def blocked_edges(self, topology) -> set[tuple[str, str]]:
-        """All edges currently unusable (down links + links of down sites)."""
+        """All edges currently unusable (down links + links of down sites).
+
+        Built from the active faults alone, so its cost does not grow with
+        the topology; down sites the topology does not know are skipped.
+        """
         blocked = {e for e in list(self._down_links)
                    if self.link_down(*e)}
-        for a, b, _link in topology.links():
-            if self.site_down(a) or self.site_down(b):
-                blocked.add(_edge(a, b))
+        for name in list(self._down_sites):
+            if self.site_down(name) and topology.has_site(name):
+                blocked.update(_edge(name, peer)
+                               for peer in topology.neighbors(name))
         return blocked
 
     def any_active(self) -> bool:

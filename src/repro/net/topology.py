@@ -3,8 +3,14 @@
 A :class:`Site` is an administrative domain (a laboratory, user facility,
 or HPC center).  Sites are vertices of a :class:`Topology`; physical WAN
 links carry latency/bandwidth/jitter/loss parameters.  Routing follows the
-latency-shortest path, recomputed against the currently-alive subgraph so
-fault injection transparently reroutes traffic.
+latency-shortest path through the currently-alive subgraph, so fault
+injection transparently reroutes traffic.
+
+A path is a pure function of the graph, the blocked edge set, ``src`` and
+``dst``.  :meth:`Topology.path` therefore memoizes paths per ``(src, dst)``
+for the blocked set it last saw: a different blocked set, ``add_site`` or
+``connect`` empties the memo, and a cached path equals the one a fresh
+computation would return.
 """
 
 from __future__ import annotations
@@ -106,6 +112,8 @@ class Topology:
     def __init__(self) -> None:
         self._graph = nx.Graph()
         self._sites: dict[str, Site] = {}
+        self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._paths_blocked: frozenset[tuple[str, str]] = frozenset()
 
     # -- construction -------------------------------------------------------
 
@@ -114,6 +122,7 @@ class Topology:
             raise ValueError(f"duplicate site {site.name!r}")
         self._sites[site.name] = site
         self._graph.add_node(site.name)
+        self._paths.clear()
         return site
 
     def connect(self, a: str, b: str, link: Optional[Link] = None) -> Link:
@@ -124,6 +133,7 @@ class Topology:
             raise ValueError("cannot connect a site to itself")
         link = link or Link()
         self._graph.add_edge(a, b, link=link, weight=link.latency_s)
+        self._paths.clear()
         return link
 
     # -- queries --------------------------------------------------------------
@@ -153,16 +163,31 @@ class Topology:
 
         ``blocked`` is an iterable of edges to exclude (fault injection).
         Raises :class:`networkx.NetworkXNoPath` when disconnected.
+
+        The path is a pure function of the graph, ``blocked``, ``src`` and
+        ``dst``, so it is memoized per ``(src, dst)`` for the blocked set
+        of the last call; a call with a different blocked set, or a later
+        :meth:`add_site` / :meth:`connect`, empties the memo.  Failures are
+        not cached, and every call returns a fresh list.
         """
         if src == dst:
             return [src]
+        blocked = frozenset(blocked or ())
+        if blocked != self._paths_blocked:
+            self._paths.clear()
+            self._paths_blocked = blocked
+        hit = self._paths.get((src, dst))
+        if hit is not None:
+            return list(hit)
         graph = self._graph
         if blocked:
             graph = graph.copy()
-            for a, b in blocked:
+            for a, b in sorted(blocked):
                 if graph.has_edge(a, b):
                     graph.remove_edge(a, b)
-        return nx.shortest_path(graph, src, dst, weight="weight")
+        path = nx.shortest_path(graph, src, dst, weight="weight")
+        self._paths[src, dst] = tuple(path)
+        return path
 
     def path_links(self, path: list[str]) -> list[Link]:
         """The links along a node path."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+import networkx as nx
 import numpy as np
 
 from repro.net.faults import FaultInjector
@@ -97,7 +98,7 @@ class Network:
         blocked = self.faults.blocked_edges(self.topology)
         try:
             return self.topology.path(src, dst, blocked=blocked)
-        except Exception as exc:
+        except nx.NetworkXException as exc:  # no path, or an unknown site
             raise Unreachable(f"no path {src} -> {dst}: {exc}") from exc
 
     def sample_delay(self, path: list[str], size_bytes: float) -> float:

@@ -116,3 +116,20 @@ def test_reasoning_traces_collected(sim, testbed_network, space):
     traces = kb.reasoning_traces()
     assert len(traces) == 2
     assert any("BO argmax" in t for t in traces)
+
+
+def test_ship_drops_only_network_failures(sim, testbed_network, space,
+                                          monkeypatch):
+    kb, _ = make_kb(sim, testbed_network, space, "raw")
+    testbed_network.faults.fail_site("site-2")
+    kb.publish("site-0", {"x": 0.5}, 0.7)
+    sim.run(until=1.0)
+    assert kb.total_donations_at("site-1") == 1
+    assert kb.total_donations_at("site-2") == 0  # unreachable: dropped
+
+    def broken_path(*args, **kwargs):
+        raise RuntimeError("routing bug")
+
+    monkeypatch.setattr(testbed_network.topology, "path", broken_path)
+    with pytest.raises(RuntimeError, match="routing bug"):
+        kb.publish("site-0", {"x": 0.1}, 0.2)

@@ -196,3 +196,22 @@ def test_fault_injector_any_active(sim):
     assert not faults.any_active()
     faults.fail_link("a", "b", duration=1.0)
     assert faults.any_active()
+
+
+def test_unknown_site_is_unreachable():
+    _, net, _ = make_net()
+    with pytest.raises(Unreachable):
+        net.route("a", "ghost")
+    with pytest.raises(Unreachable):
+        net.route("ghost", "b")
+
+
+def test_routing_bug_is_not_reported_as_unreachable(monkeypatch):
+    _, net, _ = make_net()
+
+    def broken_path(*args, **kwargs):
+        raise RuntimeError("routing bug")
+
+    monkeypatch.setattr(net.topology, "path", broken_path)
+    with pytest.raises(RuntimeError, match="routing bug"):
+        net.route("a", "b")

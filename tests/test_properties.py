@@ -1,5 +1,6 @@
 """Cross-cutting property-based tests (hypothesis) on core invariants."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,8 +11,10 @@ from repro.core.metrics import reduction_fraction, speedup
 from repro.data import DataRecord, fair_score
 from repro.data.schema import _UNIT_CONVERSIONS, SchemaError, convert_unit
 from repro.labsci import ContinuousDim, DiscreteDim, ParameterSpace
+from repro.net import (FaultInjector, Link, Network, Site, Topology,
+                       Unreachable)
 from repro.perf.legacy_ask import legacy_sample
-from repro.sim import PriorityStore, Simulator
+from repro.sim import PriorityStore, RngRegistry, Simulator
 
 # -- topic matching --------------------------------------------------------------
 
@@ -180,3 +183,110 @@ def test_property_priority_store_yields_sorted(items):
     sim.process(consumer())
     sim.run()
     assert got == sorted(items)
+
+
+# -- routing under faults ------------------------------------------------------------------
+
+_LATENCIES = (0.01, 0.02, 0.03)  # few distinct weights: equal-cost ties are common
+_GHOST = "ghost"  # a site name the topology does not know
+
+
+@st.composite
+def _topologies(draw):
+    """3-10 sites: a spanning chain plus random chords, connected in a
+    drawn order (adjacency order decides equal-cost ties)."""
+    n = draw(st.integers(3, 10))
+    names = [f"s{i}" for i in range(n)]
+    edges = [(names[i], names[i + 1]) for i in range(n - 1)]
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    edges += [(a, b) for a, b in draw(st.lists(pairs, max_size=2 * n))
+              if a != b]
+    topo = Topology()
+    for name in names:
+        topo.add_site(Site.make(name))
+    for a, b in draw(st.permutations(edges)):
+        topo.connect(a, b, Link(latency_s=draw(st.sampled_from(_LATENCIES))))
+    return topo
+
+
+def _fault_steps(names):
+    site = st.sampled_from(names + [_GHOST])
+    duration = st.one_of(st.none(), st.sampled_from((1.0, 2.5, 5.0)))
+    group = st.lists(site, min_size=1, max_size=3)
+    return st.one_of(
+        st.tuples(st.just("fail_link"), site, site, duration),
+        st.tuples(st.just("fail_site"), site, duration),
+        st.tuples(st.just("restore_link"), site, site),
+        st.tuples(st.just("restore_site"), site),
+        st.tuples(st.just("degrade_link"), site, site, duration),
+        st.tuples(st.just("partition"), group, group, duration),
+        st.tuples(st.just("heal_partitions")),
+        st.tuples(st.just("advance"), st.sampled_from((0.5, 1.0, 2.5, 5.0))),
+    )
+
+
+def _apply(sim, faults, step):
+    op, *args = step
+    if op == "advance":
+        sim.run(until=sim.now + args[0])
+    elif op == "degrade_link":
+        a, b, duration = args
+        faults.degrade_link(a, b, extra_loss=0.5, duration=duration)
+    else:
+        getattr(faults, op)(*args)
+
+
+def _oracle_blocked(faults, topo):
+    """Full scan: every down link plus every link touching a down site."""
+    blocked = {e for e in list(faults._down_links) if faults.link_down(*e)}
+    for a, b, _link in topo.links():
+        if faults.site_down(a) or faults.site_down(b):
+            blocked.add((a, b))
+    return blocked
+
+
+def _oracle_route(faults, topo, src, dst):
+    """Recompute from scratch on the topology's own graph, no memo."""
+    if faults.site_down(src) or faults.site_down(dst) \
+            or faults.partitioned(src, dst):
+        raise Unreachable(f"{src} -> {dst}")
+    blocked = _oracle_blocked(faults, topo)
+    if src == dst:
+        return [src]
+    graph = topo._graph
+    if blocked:
+        graph = graph.copy()
+        for a, b in sorted(blocked):
+            if graph.has_edge(a, b):
+                graph.remove_edge(a, b)
+    try:
+        return nx.shortest_path(graph, src, dst, weight="weight")
+    except nx.NetworkXException as exc:
+        raise Unreachable(f"{src} -> {dst}") from exc
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_property_route_matches_recomputing_oracle(data):
+    """Memoized routes and the O(active-faults) blocked set equal a
+    from-scratch recomputation after every step of a generated fault
+    script, for every pair of sites (and the ghost)."""
+    topo = data.draw(_topologies())
+    names = [s.name for s in topo.sites()]
+    script = data.draw(st.lists(_fault_steps(names), min_size=1, max_size=20))
+    sim = Simulator()
+    faults = FaultInjector(sim)
+    net = Network(sim, topo, RngRegistry(0).stream("net"), faults)
+    endpoints = names + [_GHOST]
+    for step in [("advance", 0.0)] + script:
+        _apply(sim, faults, step)
+        assert faults.blocked_edges(topo) == _oracle_blocked(faults, topo)
+        for src in endpoints:
+            for dst in endpoints:
+                try:
+                    want = _oracle_route(faults, topo, src, dst)
+                except Unreachable:
+                    with pytest.raises(Unreachable):
+                        net.route(src, dst)
+                else:
+                    assert net.route(src, dst) == want, (step, src, dst)
