@@ -1,12 +1,12 @@
 """Console entry point: ``python -m repro.analysis [paths...]``.
 
-Two modes share the binary:
+One pass runs both rule families: the per-file determinism rules
+(D000-D006) on every scanned file outside ``[tool.detlint] exclude``,
+and the whole-program contract rules (C001-C004) on the program paths,
+with ``--refs`` trees as read-side evidence.  The incremental fact cache
+and the baseline ratchet cover both.
 
-* default — detlint, the per-file determinism linter (rules D001-D006);
-* ``--contracts`` — the whole-program contract analyzer (rules
-  C001-C004) with its incremental cache and baseline ratchet.
-
-Exit status: 0 — clean (no unsuppressed / no new-vs-baseline findings);
+Exit status: 0 — clean (no unsuppressed finding outside the baseline);
 1 — findings; 2 — usage error (unknown rule code, no such path).
 """
 
@@ -18,22 +18,24 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.engine import DetlintConfig, lint_paths, load_config
-from repro.analysis.rules import ALL_RULES
+from repro.analysis.contracts import (DEFAULT_BASELINE, DEFAULT_CACHE, RULES,
+                                      Baseline, DetlintConfig, analyze,
+                                      enabled_codes, load_config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="detlint — determinism linter for AISLE sim code "
-                    "(rules D001-D006); --contracts switches to the "
-                    "whole-program contract analyzer (rules C001-C004)")
+        description="Static analysis for AISLE: determinism rules "
+                    "(D000-D006) and whole-program contract rules "
+                    "(C001-C004) in one pass")
     parser.add_argument("paths", nargs="*", default=None,
-                        help="files or directories to analyze "
-                             "(default: src)")
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="write the machine-readable report to FILE "
-                             "('-' for stdout)")
+                        help="the program the C-rules judge (default: src)")
+    parser.add_argument("--refs", metavar="PATH", action="append",
+                        default=None,
+                        help="read-side evidence trees: C-rules read "
+                             "them, D-rules lint them (default: tests "
+                             "benchmarks examples, when present)")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule codes to run "
                              "(default: all)")
@@ -46,40 +48,28 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also print pragma-suppressed findings")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
-
-    group = parser.add_argument_group(
-        "contract analysis (whole-program mode)")
-    group.add_argument("--contracts", action="store_true",
-                       help="run the cross-module contract rules "
-                            "(C001-C004) instead of detlint")
-    group.add_argument("--format", choices=("text", "json", "sarif"),
-                       default="text",
-                       help="report format for --contracts "
-                            "(default: text)")
-    group.add_argument("--output", metavar="FILE", default=None,
-                       help="write the --format report to FILE "
-                            "('-' for stdout; json/sarif default to '-')")
-    group.add_argument("--refs", metavar="PATH", action="append",
-                       default=None,
-                       help="extra read-only trees consulted for metric "
-                            "read sites (default: tests benchmarks "
-                            "examples, when present)")
-    group.add_argument("--baseline", metavar="FILE", default=None,
-                       help="ratchet file of tolerated findings "
-                            "(default: analysis_baseline.json when it "
-                            "exists)")
-    group.add_argument("--no-baseline", action="store_true",
-                       help="ignore any baseline: every finding fails "
-                            "the run")
-    group.add_argument("--update-baseline", action="store_true",
-                       help="rewrite the baseline from the current "
-                            "findings (keeps existing notes) and exit 0")
-    group.add_argument("--cache", metavar="FILE", default=None,
-                       help="incremental fact-cache location "
-                            "(default: .contracts_cache.json)")
-    group.add_argument("--no-cache", action="store_true",
-                       help="reparse everything; do not read or write "
-                            "the cache")
+    parser.add_argument("--format", choices=("text", "json", "sarif"),
+                        default="text", help="report format (default: text)")
+    parser.add_argument("--output", metavar="FILE", default=None,
+                        help="write the json/sarif report to FILE ('-' "
+                             "for stdout, the default); with text, FILE "
+                             "gets the JSON report")
+    parser.add_argument("--baseline", metavar="FILE", default=None,
+                        help="ratchet file of tolerated findings "
+                             "(default: analysis_baseline.json when it "
+                             "exists)")
+    parser.add_argument("--no-baseline", action="store_true",
+                        help="ignore any baseline: every finding fails "
+                             "the run")
+    parser.add_argument("--update-baseline", action="store_true",
+                        help="rewrite the baseline from the current "
+                             "findings (keeps existing notes) and exit 0")
+    parser.add_argument("--cache", metavar="FILE", default=None,
+                        help="incremental fact-cache location "
+                             "(default: .contracts_cache.json)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="reparse everything; do not read or write "
+                             "the cache")
     return parser
 
 
@@ -89,148 +79,88 @@ def _codes(raw: Optional[str]) -> tuple[str, ...]:
     return tuple(c.strip().upper() for c in raw.split(",") if c.strip())
 
 
-def _contracts_main(args: argparse.Namespace) -> int:
-    from repro.analysis.contracts import (DEFAULT_BASELINE, DEFAULT_CACHE,
-                                          Baseline, ContractReport,
-                                          build_project, run_contract_rules)
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+
+    if args.list_rules:
+        for code, (title, hint) in RULES.items():
+            print(f"{code}  {title}")
+            print(f"      hint: {hint}")
+        return 0
 
     paths = args.paths or ["src"]
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
-        print(f"contracts: no such path: {', '.join(missing)}",
+        print(f"analysis: no such path: {', '.join(missing)}",
               file=sys.stderr)
         return 2
-
     if args.refs is None:
         refs = [p for p in ("tests", "benchmarks", "examples")
                 if Path(p).is_dir()]
     else:
         refs = [p for p in args.refs if p]
 
-    cache_path = None if args.no_cache else (args.cache or DEFAULT_CACHE)
-    # detlint: ignore[D002] CLI wall-time display, not simulation logic
-    started = time.perf_counter()
-    try:
-        index = build_project(paths, refs=refs, cache_path=cache_path)
-        findings = run_contract_rules(index, select=_codes(args.select))
-    except ValueError as exc:  # unknown rule code
-        print(f"contracts: {exc}", file=sys.stderr)
-        return 2
-    # detlint: ignore[D002] CLI wall-time display, not simulation logic
-    elapsed = time.perf_counter() - started
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    baseline = None
-    if not args.no_baseline and Path(baseline_path).is_file():
-        baseline = Baseline.load(baseline_path)
-    report = ContractReport(
-        findings=findings, files_scanned=index.files_scanned,
-        cache_hits=index.cache_hits, files_reparsed=index.files_reparsed,
-        baseline=baseline)
-
-    if args.update_baseline:
-        updated = Baseline.from_findings(report.findings,
-                                         previous=baseline)
-        updated.save(baseline_path)
-        print(f"contracts: baseline rewritten with "
-              f"{len(updated.entries)} entr(y/ies) -> {baseline_path}")
-        for fp in updated.unexplained():
-            print(f"contracts: note missing for {fp} — add a "
-                  f"justification before committing", file=sys.stderr)
-        return 0
-
-    payload = None
-    if args.format == "json":
-        payload = report.to_json()
-    elif args.format == "sarif":
-        payload = report.to_sarif()
-    if payload is not None:
-        out = args.output or "-"
-        if out == "-":
-            print(payload)
-        else:
-            Path(out).write_text(payload + "\n", "utf-8")
-    else:
-        new = {f.fingerprint for f in report.new_findings}
-        for finding in report.findings:
-            if finding.suppressed and not args.show_suppressed:
-                continue
-            tag = "" if finding.fingerprint in new or finding.suppressed \
-                else " (baselined)"
-            print(finding.render() + tag)
-        if args.output:
-            Path(args.output).write_text(report.to_json() + "\n", "utf-8")
-
-    for fp in report.stale_baseline:
-        print(f"contracts: stale baseline entry (no longer found): {fp}",
-              file=sys.stderr)
-    if report.baseline is not None:
-        for fp in report.baseline.unexplained():
-            print(f"contracts: baseline entry lacks a note: {fp}",
-                  file=sys.stderr)
-
-    summary = report.to_dict()["summary"]
-    print(f"contracts: {summary['files_scanned']} files "
-          f"({summary['cache_hits']} cached, "
-          f"{summary['files_reparsed']} parsed) in {elapsed:.2f}s, "
-          f"{summary['unsuppressed']} finding(s), "
-          f"{summary['new']} new, "
-          f"{summary['suppressed']} suppressed", file=sys.stderr)
-    return report.exit_code
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-
-    if args.list_rules:
-        from repro.analysis.contracts import CONTRACT_RULES
-        for rule in ALL_RULES:
-            print(f"{rule.code}  {rule.title}")
-            print(f"      hint: {rule.hint}")
-        for code, (title, hint) in sorted(CONTRACT_RULES.items()):
-            print(f"{code}  {title} (--contracts)")
-            print(f"      hint: {hint}")
-        return 0
-
-    if args.contracts:
-        return _contracts_main(args)
-    args.paths = args.paths or ["src"]
-
     config = DetlintConfig() if args.no_config else load_config(Path.cwd())
     if args.select:
         config.select = _codes(args.select)
     if args.ignore:
         config.ignore = config.ignore + _codes(args.ignore)
-
-    missing = [p for p in args.paths if not Path(p).exists()]
-    if missing:
-        print(f"detlint: no such path: {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
     try:
-        report = lint_paths(args.paths, config)
-    except ValueError as exc:  # unknown rule code
-        print(f"detlint: {exc}", file=sys.stderr)
+        enabled_codes(config)
+    except ValueError as exc:
+        print(f"analysis: {exc}", file=sys.stderr)
         return 2
 
-    for finding in report.findings:
-        if finding.suppressed and not args.show_suppressed:
-            continue
-        print(finding.render())
-    for err in report.parse_errors:
-        print(f"detlint: parse error: {err}", file=sys.stderr)
+    baseline_path = args.baseline or DEFAULT_BASELINE
+    # detlint: ignore[D002] CLI wall-time display, not simulation logic
+    started = time.perf_counter()
+    report = analyze(
+        paths, refs=refs, config=config,
+        cache_path=None if args.no_cache else (args.cache or DEFAULT_CACHE),
+        baseline_path=None if args.no_baseline else baseline_path)
+    # detlint: ignore[D002] CLI wall-time display, not simulation logic
+    elapsed = time.perf_counter() - started
 
-    if args.json is not None:
-        payload = report.to_json()
-        if args.json == "-":
+    if args.update_baseline:
+        updated = Baseline.from_findings(report.findings,
+                                         previous=report.baseline)
+        updated.save(baseline_path)
+        print(f"analysis: baseline rewritten with "
+              f"{len(updated.entries)} entr(y/ies) -> {baseline_path}")
+        for fp in updated.unexplained():
+            print(f"analysis: note missing for {fp} — add a "
+                  f"justification before committing", file=sys.stderr)
+        return 0
+
+    if args.format == "text":
+        text = report.to_text(show_suppressed=args.show_suppressed)
+        if text:
+            print(text)
+        if args.output:
+            Path(args.output).write_text(report.to_json() + "\n", "utf-8")
+    else:
+        payload = report.to_json() if args.format == "json" \
+            else report.to_sarif()
+        if (args.output or "-") == "-":
             print(payload)
         else:
-            Path(args.json).write_text(payload + "\n", "utf-8")
+            Path(args.output).write_text(payload + "\n", "utf-8")
+
+    for fp in report.stale_baseline:
+        print(f"analysis: stale baseline entry (no longer found): {fp}",
+              file=sys.stderr)
+    if report.baseline is not None:
+        for fp in report.baseline.unexplained():
+            print(f"analysis: baseline entry lacks a note: {fp}",
+                  file=sys.stderr)
 
     summary = report.to_dict()["summary"]
-    print(f"detlint: {summary['files_scanned']} files, "
+    print(f"analysis: {summary['files_scanned']} files "
+          f"({summary['cache_hits']} cached, "
+          f"{summary['files_reparsed']} parsed) in {elapsed:.2f}s, "
           f"{summary['unsuppressed']} finding(s), "
-          f"{summary['suppressed']} suppressed")
+          f"{summary['new']} new, "
+          f"{summary['suppressed']} suppressed", file=sys.stderr)
     return report.exit_code
 
 

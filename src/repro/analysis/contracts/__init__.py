@@ -1,18 +1,24 @@
-"""Whole-program contract analysis (rules C001–C004).
+"""The analyzer: both rule families in one pass over the tree.
 
-detlint (:mod:`repro.analysis.rules`) is deliberately per-file; this
-package is the complement: it parses the full ``src/repro`` tree once
-into a :class:`~repro.analysis.contracts.project.ProjectIndex` (with an
-mtime+content-hash incremental cache) and checks the *string contracts*
-that wire the layers together — bus topic literals against bind
-patterns, metric names against their read sites, resilience call sites
-against deadline hygiene, and per-shard classes against the merge
-protocol.  Findings ride the same ``# detlint: ignore[Cxxx]`` pragma
-mechanism, and a committed baseline (``analysis_baseline.json``)
-ratchets the pre-existing debt: CI fails only on *new* findings.
+Each file is parsed once (:func:`~repro.analysis.contracts.facts.extract_facts`)
+into :class:`~repro.analysis.contracts.facts.ModuleFacts` — the per-file
+determinism violations (D001–D006, :mod:`repro.analysis.rules`) next to
+the contract facts — and memoized in an mtime+content-hash cache
+(``.contracts_cache.json``).  The facts are assembled into a
+:class:`~repro.analysis.contracts.project.ProjectIndex` over which
+:func:`~repro.analysis.contracts.rules.run_rules` reports the D-findings
+per file and checks the *string contracts* that wire the layers together
+(C001–C004) — bus topic literals against bind patterns, metric names
+against their read sites, resilience call sites against deadline
+hygiene, and per-shard classes against the merge protocol.
 
-Entry points: ``python -m repro.analysis --contracts`` (CLI) or
-:func:`analyze_contracts` (library).
+Both families share one :class:`Finding`, one ``# detlint: ignore[...]``
+pragma rule, one :class:`Report` (text/JSON/SARIF) and one committed
+baseline (``analysis_baseline.json``) that ratchets pre-existing debt:
+CI fails only on *new* findings.
+
+Entry points: ``python -m repro.analysis`` (CLI), :func:`analyze`
+(library) and :func:`lint_source` (the D-rules on one source string).
 """
 
 from __future__ import annotations
@@ -24,36 +30,51 @@ from repro.analysis.contracts.facts import (FACTS_VERSION, ClassFact,
                                             MetricFact, ModuleFacts,
                                             ResilienceFact, TopicFact,
                                             extract_facts)
-from repro.analysis.contracts.project import (DEFAULT_CACHE, ProjectIndex,
-                                              build_project)
+from repro.analysis.contracts.project import (DEFAULT_CACHE, DetlintConfig,
+                                              ProjectIndex, build_project,
+                                              load_config)
 from repro.analysis.contracts.report import (DEFAULT_BASELINE, Baseline,
-                                             ContractReport, to_sarif)
-from repro.analysis.contracts.rules import (CONTRACT_RULES, ContractFinding,
-                                            run_contract_rules,
-                                            template_matches)
+                                             Report, to_sarif)
+from repro.analysis.contracts.rules import (RULES, Finding, enabled_codes,
+                                            run_rules, template_matches)
 
 __all__ = [
     "FACTS_VERSION", "ModuleFacts", "TopicFact", "MetricFact",
     "ResilienceFact", "ClassFact", "extract_facts",
-    "ProjectIndex", "build_project", "DEFAULT_CACHE",
-    "Baseline", "ContractReport", "to_sarif", "DEFAULT_BASELINE",
-    "CONTRACT_RULES", "ContractFinding", "run_contract_rules",
-    "template_matches", "analyze_contracts",
+    "DetlintConfig", "ProjectIndex", "build_project", "load_config",
+    "DEFAULT_CACHE",
+    "Baseline", "Report", "to_sarif", "DEFAULT_BASELINE",
+    "RULES", "Finding", "enabled_codes", "run_rules", "template_matches",
+    "analyze", "lint_source",
 ]
 
 
-def analyze_contracts(paths: Sequence[str | Path],
-                      refs: Sequence[str | Path] = (),
-                      baseline_path: Optional[str | Path] = None,
-                      cache_path: Optional[str | Path] = DEFAULT_CACHE,
-                      select: tuple[str, ...] = ()) -> ContractReport:
-    """One-call contract analysis: index, rules, baseline comparison."""
+def analyze(paths: Sequence[str | Path],
+            refs: Sequence[str | Path] = (),
+            config: Optional[DetlintConfig] = None,
+            cache_path: Optional[str | Path] = DEFAULT_CACHE,
+            baseline_path: Optional[str | Path] = None) -> Report:
+    """One-call analysis: index, both rule families, baseline comparison.
+
+    ``paths`` are the program the C-rules judge; ``refs`` are read-side
+    evidence only.  D-findings cover every scanned file outside
+    ``config.exclude``.
+    """
     index = build_project(paths, refs=refs, cache_path=cache_path)
-    findings = run_contract_rules(index, select=select)
+    findings = run_rules(index, config)
     baseline = None
     if baseline_path is not None and Path(baseline_path).is_file():
         baseline = Baseline.load(baseline_path)
-    return ContractReport(
+    return Report(
         findings=findings, files_scanned=index.files_scanned,
         cache_hits=index.cache_hits, files_reparsed=index.files_reparsed,
         baseline=baseline)
+
+
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    """D-findings for one source string (the C-rules need a whole
+    program); raises ``SyntaxError`` on unparsable input."""
+    facts = extract_facts(source, path, Path(path).stem)
+    d_codes = tuple(code for code in RULES if code.startswith("D"))
+    return run_rules(ProjectIndex(program=[facts]),
+                     DetlintConfig(select=d_codes))

@@ -1,9 +1,13 @@
-"""Per-module fact extraction for the whole-program contract analyzer.
+"""Per-module fact extraction: the analyzer's one pass over each file.
 
 One :class:`ModuleFacts` is the complete, JSON-serializable summary of
-everything the cross-module rules (C001–C004) need to know about one
-source file:
+everything both rule families need to know about one source file, taken
+from a single ``ast.parse``:
 
+- **Determinism violations** — the raw hits of the per-file D-rules
+  (:mod:`repro.analysis.rules`), run on the same tree and
+  :class:`~repro.analysis.rules.ModuleContext`, each tagged with its
+  enclosing ``def`` so its baseline key needs no line number.
 - **Topic sinks** — string literals (and f-string templates) flowing
   into ``bus.publish(...)``/``broker.route(...)`` on the publish side
   and ``broker.bind(...)``/``topic_matches(...)`` on the subscribe side.
@@ -24,9 +28,8 @@ source file:
 - **String occurrences** — every string constant (plus ``Load``-context
   subscript keys), the read-side universe for metric-drift checks.
 - **Pragmas and statement spans** — enough source geometry to apply the
-  ``# detlint: ignore[...]`` mechanism from cached facts without
-  re-reading the file, including first-line pragmas on wrapped
-  multi-line statements.
+  ``# detlint: ignore[...]`` rule (:meth:`ModuleFacts.suppressed`) from
+  cached facts without re-reading the file.
 
 Everything here is syntactic and module-local; the cross-module joins
 live in :mod:`repro.analysis.contracts.rules` over the assembled
@@ -37,17 +40,19 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Optional
 
-from repro.analysis.rules import ModuleContext
+from repro.analysis.rules import (MUTATING_METHODS, SCOPES, ModuleContext,
+                                  Violation, call_terminal, check_module,
+                                  walk_scope)
 
 __all__ = ["FACTS_VERSION", "ModuleFacts", "TopicFact", "MetricFact",
            "ResilienceFact", "ClassFact", "extract_facts", "parse_error_facts"]
 
 #: Bump whenever the extraction output changes shape or semantics — the
 #: incremental cache discards entries recorded under a different version.
-FACTS_VERSION = 4
+FACTS_VERSION = 5
 
 #: A formatted (non-literal) f-string segment: matches any one topic
 #: segment.  Kept as a string marker so facts stay JSON-round-trippable.
@@ -68,11 +73,6 @@ _METRIC_SINKS = frozenset({"counter", "gauge", "histogram"})
 #: ``registry.gauge("x").value`` is a read site, ``.set()`` an emission.
 _METRIC_READS = frozenset({"value", "mean", "summary", "quantile",
                            "percentiles"})
-
-_MUTATING_METHODS = frozenset({
-    "append", "appendleft", "add", "update", "setdefault", "pop", "popitem",
-    "insert", "extend", "extendleft", "remove", "discard", "clear",
-})
 
 _MERGE_PROTOCOL = frozenset({"merge_from", "state", "merge_state", "merge"})
 
@@ -154,7 +154,9 @@ class ModuleFacts:
     instantiated: list[str] = field(default_factory=list)
     strings: dict[str, int] = field(default_factory=dict)
     load_subscripts: list[str] = field(default_factory=list)
-    pragmas: dict[str, Optional[list[str]]] = field(default_factory=dict)
+    violations: list[Violation] = field(default_factory=list)
+    #: line -> codes a pragma suppresses on it (``[]`` = every code).
+    pragmas: dict[str, list[str]] = field(default_factory=dict)
     stmt_spans: list[list[int]] = field(default_factory=list)
     parse_error: Optional[dict[str, Any]] = None
 
@@ -174,8 +176,8 @@ class ModuleFacts:
         out.instantiated = list(data.get("instantiated", ()))
         out.strings = dict(data.get("strings", {}))
         out.load_subscripts = list(data.get("load_subscripts", ()))
-        out.pragmas = {k: (list(v) if v is not None else None)
-                       for k, v in data.get("pragmas", {}).items()}
+        out.violations = [Violation(**d) for d in data.get("violations", ())]
+        out.pragmas = {k: list(v) for k, v in data.get("pragmas", {}).items()}
         out.stmt_spans = [list(span) for span in data.get("stmt_spans", ())]
         out.parse_error = data.get("parse_error")
         return out
@@ -194,15 +196,13 @@ class ModuleFacts:
         return best
 
     def suppressed(self, line: int, code: str) -> bool:
-        """True when a pragma covers ``code`` at ``line`` — on the line,
-        on a comment line directly above, or on the first line of the
-        enclosing wrapped statement."""
-        start = self.stmt_start(line)
-        for cand in (line, line - 1, start, start - 1):
+        """The one pragma rule, for every rule family: a pragma counts
+        on the flagged line, on a comment-only line directly above it,
+        or on the first line of the enclosing wrapped statement and the
+        comment-only line above that."""
+        for cand in (line, self.stmt_start(line)):
             codes = self.pragmas.get(str(cand))
-            if codes is None and str(cand) not in self.pragmas:
-                continue
-            if codes is None or not codes or code in codes:
+            if codes is not None and (not codes or code in codes):
                 return True
         return False
 
@@ -330,14 +330,6 @@ def _resolve_dict_arg(node: ast.expr,
 # -- extraction ----------------------------------------------------------------
 
 
-def _call_terminal(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
-
-
 def _sink_arg(call: ast.Call, index: int, keyword: str) -> Optional[ast.expr]:
     for kw in call.keywords:
         if kw.arg == keyword:
@@ -367,24 +359,11 @@ def _is_while_true(loop: ast.AST) -> bool:
         and isinstance(loop.test, ast.Constant) and loop.test.value is True
 
 
-def _walk_no_functions(root: ast.AST, *, skip_loops: bool = False):
-    stack = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        if skip_loops and isinstance(node, (ast.For, ast.While)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _class_name_candidates(call: ast.Call,
                            ctx: ModuleContext) -> Optional[str]:
     """Resolved (or bare) name when a call looks like instantiation."""
     resolved = ctx.resolve_call(call)
-    terminal = _call_terminal(call)
+    terminal = call_terminal(call)
     if terminal is None or not terminal[:1].isupper():
         return None
     return resolved or terminal
@@ -422,7 +401,7 @@ def _self_mutations(fn: ast.AST) -> dict[str, int]:
     for node in ast.walk(fn):
         if isinstance(node, ast.Call) and isinstance(node.func,
                                                      ast.Attribute) \
-                and node.func.attr in _MUTATING_METHODS:
+                and node.func.attr in MUTATING_METHODS:
             target = node.func.value
             if isinstance(target, ast.Attribute) \
                     and isinstance(target.value, ast.Name) \
@@ -473,10 +452,11 @@ def _extract_class(node: ast.ClassDef, ctx: ModuleContext) -> ClassFact:
     return fact
 
 
-def _harvest_strings(module: ast.Module) -> tuple[dict[str, int], list[str]]:
+def _harvest_strings(nodes: list[ast.AST]) -> tuple[dict[str, int],
+                                                    list[str]]:
     strings: dict[str, int] = {}
     load_subscripts: list[str] = []
-    for node in ast.walk(module):
+    for node in nodes:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             strings[node.value] = strings.get(node.value, 0) + 1
         elif isinstance(node, ast.Subscript) \
@@ -487,24 +467,29 @@ def _harvest_strings(module: ast.Module) -> tuple[dict[str, int], list[str]]:
     return strings, load_subscripts
 
 
-def _harvest_pragmas(source: str) -> dict[str, Optional[list[str]]]:
-    pragmas: dict[str, Optional[list[str]]] = {}
+def _harvest_pragmas(source: str) -> dict[str, list[str]]:
+    """Key each pragma by the line it covers: its own line, or the line
+    below when the pragma sits on a comment-only line."""
+    covered: dict[str, list[str]] = {}
     for line_no, text in enumerate(source.splitlines(), start=1):
         m = _PRAGMA.search(text)
         if m is None:
             continue
-        codes = m.group("codes")
-        pragmas[str(line_no)] = (
-            None if codes is None
-            else [c.strip() for c in codes.split(",") if c.strip()])
-    return pragmas
+        codes = [c.strip() for c in (m.group("codes") or "").split(",")
+                 if c.strip()]
+        key = str(line_no + 1 if text.lstrip().startswith("#") else line_no)
+        if key in covered:     # trailing pragma plus one directly above
+            old = covered[key]
+            codes = sorted({*old, *codes}) if old and codes else []
+        covered[key] = codes
+    return covered
 
 
-def _harvest_stmt_spans(module: ast.Module) -> list[list[int]]:
+def _harvest_stmt_spans(nodes: list[ast.AST]) -> list[list[int]]:
     spans: list[list[int]] = []
     simple = (ast.Expr, ast.Assign, ast.AnnAssign, ast.AugAssign,
               ast.Return, ast.Raise, ast.Assert, ast.Delete)
-    for node in ast.walk(module):
+    for node in nodes:
         if isinstance(node, simple):
             end = getattr(node, "end_lineno", None) or node.lineno
             if end > node.lineno:
@@ -513,7 +498,8 @@ def _harvest_stmt_spans(module: ast.Module) -> list[list[int]]:
 
 
 def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
-    """Parse one file and extract its :class:`ModuleFacts`.
+    """Parse one file once and extract its :class:`ModuleFacts`, D-rule
+    violations included.
 
     Raises ``SyntaxError`` on unparsable input — the project indexer
     converts that into :func:`parse_error_facts` so a broken file is a
@@ -526,17 +512,17 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
 
     functions = _enclosing_functions(tree)
     scope_cache: dict[int, _FunctionScope] = {}
-    read_wrapped = {id(attr.value) for attr in ast.walk(tree)
+    read_wrapped = {id(attr.value) for attr in ctx.nodes
                     if isinstance(attr, ast.Attribute)
                     and attr.attr in _METRIC_READS
                     and isinstance(attr.value, ast.Call)}
 
-    def owner_of(node: ast.AST) -> tuple[str, Optional[ast.AST]]:
+    def owner_of(line: int) -> tuple[str, Optional[ast.AST]]:
         best: tuple[str, Optional[ast.AST]] = ("", None)
         best_size = None
         for qual, fn in functions:
             end = getattr(fn, "end_lineno", fn.lineno)
-            if fn.lineno <= node.lineno <= end:
+            if fn.lineno <= line <= end:
                 size = end - fn.lineno
                 if best_size is None or size < best_size:
                     best, best_size = (qual, fn), size
@@ -550,13 +536,13 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
             scope_cache[key] = _FunctionScope(fn)
         return scope_cache[key]
 
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
-        terminal = _call_terminal(node)
+        terminal = call_terminal(node)
         if terminal is None:
             continue
-        qual, fn = owner_of(node)
+        qual, fn = owner_of(node.lineno)
 
         # -- topic sinks ---------------------------------------------------
         for sinks, bucket in ((_PUBLISH_SINKS, facts.publishes),
@@ -582,7 +568,7 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
                         (isinstance(arg, ast.Name)
                          and "topic" in arg.id.lower())
                         or (isinstance(arg, ast.Call)
-                            and "topic" in (_call_terminal(arg) or "").lower()
+                            and "topic" in (call_terminal(arg) or "").lower()
                             ))
                     if topicish and attr in ("publish", "route"):
                         bucket.append(TopicFact(
@@ -629,13 +615,13 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
                 col=node.col_offset, func=qual, has_deadline=has_deadline))
 
     # -- retry loops -------------------------------------------------------
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if not isinstance(node, (ast.For, ast.While)):
             continue
-        qual, _fn = owner_of(node)
+        qual, _fn = owner_of(node.lineno)
         # A try inside a nested loop belongs to the *innermost* loop —
         # the outer loop would otherwise double-report the same pattern.
-        for sub in _walk_no_functions(node, skip_loops=True):
+        for sub in walk_scope(node, (*SCOPES, ast.For, ast.While)):
             if not isinstance(sub, ast.Try):
                 continue
             for handler in sub.handlers:
@@ -652,13 +638,13 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
 
     # -- classes and instantiations ----------------------------------------
     class_spans: list[tuple[int, int]] = []
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.ClassDef):
             facts.classes.append(_extract_class(node, ctx))
             class_spans.append((node.lineno,
                                 getattr(node, "end_lineno", node.lineno)))
     seen_inst: set[str] = set()
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Call):
             if any(start <= node.lineno <= end
                    for start, end in class_spans):
@@ -668,7 +654,9 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
                 seen_inst.add(cand)
                 facts.instantiated.append(cand)
 
-    facts.strings, facts.load_subscripts = _harvest_strings(tree)
+    facts.strings, facts.load_subscripts = _harvest_strings(ctx.nodes)
+    facts.violations = [replace(v, func=owner_of(v.line)[0])
+                        for v in check_module(tree, ctx)]
     facts.pragmas = _harvest_pragmas(source)
-    facts.stmt_spans = _harvest_stmt_spans(tree)
+    facts.stmt_spans = _harvest_stmt_spans(ctx.nodes)
     return facts

@@ -1,9 +1,26 @@
-"""Project symbol table + incremental fact cache for contract analysis.
+"""File discovery, configuration, the project symbol table and the
+incremental fact cache.
 
-:func:`build_project` walks the program tree (``src/repro`` by default)
-plus optional *reference* roots (tests/benchmarks/examples — read-side
-evidence only), extracts :class:`~repro.analysis.contracts.facts.ModuleFacts`
-per file, and assembles a :class:`ProjectIndex` the C-rules run over.
+:func:`build_project` walks the program tree (``src`` by default) plus
+optional *reference* roots (tests/benchmarks/examples — read-side
+evidence for the C-rules), extracts
+:class:`~repro.analysis.contracts.facts.ModuleFacts` per file, and
+assembles a :class:`ProjectIndex` both rule families run over.
+
+Configuration
+-------------
+``[tool.detlint]`` in ``pyproject.toml`` supplies project defaults for
+both rule families::
+
+    [tool.detlint]
+    exclude = ["tests/"]   # path substrings whose D-findings are skipped
+    select  = []           # empty = all rules
+    ignore  = []           # rule codes disabled globally
+
+``exclude`` only silences D-findings: excluded files are still scanned,
+because the C-rules read them as evidence.  CLI flags override the
+config; ``tomllib`` is used when available (Python 3.11+) and config
+loading degrades to defaults without it.
 
 Incremental cache
 -----------------
@@ -18,8 +35,9 @@ is meant to run on every commit, so facts are memoized in a JSON cache
 - anything else is re-parsed, and the entry is rewritten.
 
 Cache entries also record the facts schema version — bumping
-``FACTS_VERSION`` invalidates every entry at once.  A warm run on the
-~190-file tree stats files and loads one JSON document: well under a
+``FACTS_VERSION`` invalidates every entry at once.  The D-rule
+violations are facts too, so a warm run reparses nothing for either
+rule family: it stats files and loads one JSON document, well under a
 second, which is the budget the pre-commit hook holds it to.
 """
 
@@ -35,7 +53,8 @@ from repro.analysis.contracts.facts import (FACTS_VERSION, ClassFact,
                                             ModuleFacts, extract_facts,
                                             parse_error_facts)
 
-__all__ = ["ProjectIndex", "build_project", "DEFAULT_CACHE"]
+__all__ = ["DetlintConfig", "ProjectIndex", "build_project", "load_config",
+           "DEFAULT_CACHE"]
 
 #: Cache filename (relative to cwd unless an absolute path is given).
 DEFAULT_CACHE = ".contracts_cache.json"
@@ -69,6 +88,50 @@ def _normalize(path: Path) -> Path:
         except ValueError:
             return path
     return path
+
+
+@dataclass
+class DetlintConfig:
+    """Effective configuration after merging pyproject + CLI flags."""
+
+    select: tuple[str, ...] = ()      # empty selects every rule
+    ignore: tuple[str, ...] = ()
+    exclude: tuple[str, ...] = ()
+
+    def excludes_path(self, path: str) -> bool:
+        """True when ``path`` holds an ``exclude`` substring: its
+        D-findings are dropped."""
+        return any(pat in path for pat in self.exclude)
+
+
+def load_config(root: Optional[Path] = None) -> DetlintConfig:
+    """Read ``[tool.detlint]`` from the nearest ``pyproject.toml``.
+
+    Searches ``root`` (default: cwd) and its parents; returns defaults
+    when no file, no table, or no toml parser is available.
+    """
+    try:
+        import tomllib
+    except ImportError:  # pragma: no cover - py3.10 without tomli
+        return DetlintConfig()
+    base = (root or Path.cwd()).resolve()
+    candidates = [base, *base.parents] if base.is_dir() \
+        else [base.parent, *base.parent.parents]
+    for directory in candidates:
+        pyproject = directory / "pyproject.toml"
+        if not pyproject.is_file():
+            continue
+        try:
+            table = tomllib.loads(pyproject.read_text("utf-8"))
+        except (OSError, tomllib.TOMLDecodeError):
+            return DetlintConfig()
+        section = table.get("tool", {}).get("detlint", {})
+        return DetlintConfig(
+            select=tuple(section.get("select", ())),
+            ignore=tuple(section.get("ignore", ())),
+            exclude=tuple(section.get("exclude", ())),
+        )
+    return DetlintConfig()
 
 
 def discover_files(roots: Sequence[Path]) -> list[Path]:

@@ -1,8 +1,9 @@
-"""Contract-analysis reporting: JSON, SARIF 2.1.0, and the baseline ratchet.
+"""The one report: text/JSON/SARIF 2.1.0 output, baseline ratchet, exit code.
 
-The ratchet (``analysis_baseline.json`` at the repo root) makes the
-analyzer adoptable on a tree with pre-existing debt: every finding's
-:attr:`~repro.analysis.contracts.rules.ContractFinding.fingerprint`
+Both rule families share this path.  The ratchet
+(``analysis_baseline.json`` at the repo root) makes the analyzer
+adoptable on a tree with pre-existing debt: every finding's
+:attr:`~repro.analysis.contracts.rules.Finding.fingerprint`
 (rule + file + stable key, *not* line numbers) is compared against the
 committed baseline — **new** findings fail the run, baselined ones are
 reported but tolerated while they burn down.  Every baseline entry must
@@ -17,11 +18,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.contracts.rules import CONTRACT_RULES, ContractFinding
+from repro.analysis.contracts.rules import RULES, Finding
 
-__all__ = ["Baseline", "ContractReport", "to_sarif"]
+__all__ = ["Baseline", "Report", "to_sarif"]
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 BASELINE_VERSION = 1
 
 #: Default committed ratchet file, relative to the working directory.
@@ -46,7 +47,7 @@ class Baseline:
         return cls(entries=entries, path=path.as_posix())
 
     @classmethod
-    def from_findings(cls, findings: Sequence[ContractFinding],
+    def from_findings(cls, findings: Sequence[Finding],
                       notes: Optional[dict[str, str]] = None,
                       previous: Optional["Baseline"] = None) -> "Baseline":
         """Build a baseline from current findings, keeping any notes the
@@ -83,21 +84,21 @@ class Baseline:
 
 
 @dataclass
-class ContractReport:
-    """Everything one ``--contracts`` run learned."""
+class Report:
+    """Everything one analysis run learned."""
 
-    findings: list[ContractFinding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
     cache_hits: int = 0
     files_reparsed: int = 0
     baseline: Optional[Baseline] = None
 
     @property
-    def unsuppressed(self) -> list[ContractFinding]:
+    def unsuppressed(self) -> list[Finding]:
         return [f for f in self.findings if not f.suppressed]
 
     @property
-    def new_findings(self) -> list[ContractFinding]:
+    def new_findings(self) -> list[Finding]:
         """Unsuppressed findings not absorbed by the baseline."""
         if self.baseline is None:
             return self.unsuppressed
@@ -117,13 +118,21 @@ class ContractReport:
     def exit_code(self) -> int:
         return 1 if self.new_findings else 0
 
+    def to_text(self, show_suppressed: bool = False) -> str:
+        """One rendered block per finding; baselined ones are tagged."""
+        new = {f.fingerprint for f in self.new_findings}
+        return "\n".join(
+            f.render() + ("" if f.fingerprint in new or f.suppressed
+                          else " (baselined)")
+            for f in self.findings if show_suppressed or not f.suppressed)
+
     def to_dict(self) -> dict:
         by_code: dict[str, int] = {}
         for f in self.unsuppressed:
             by_code[f.code] = by_code.get(f.code, 0) + 1
         out = {
             "version": REPORT_VERSION,
-            "tool": "contracts",
+            "tool": "repro.analysis",
             "findings": [f.to_dict() for f in self.findings],
             "summary": {
                 "files_scanned": self.files_scanned,
@@ -156,7 +165,7 @@ class ContractReport:
                           indent=indent)
 
 
-def to_sarif(findings: Sequence[ContractFinding],
+def to_sarif(findings: Sequence[Finding],
              new: Optional[set[str]] = None) -> dict:
     """Render findings as a SARIF 2.1.0 log (one run, one driver).
 
@@ -166,10 +175,10 @@ def to_sarif(findings: Sequence[ContractFinding],
     """
     rules = [{
         "id": code,
-        "name": title.title().replace(" ", "").replace("/", ""),
+        "name": "".join(ch for ch in title.title() if ch.isalnum()),
         "shortDescription": {"text": title},
         "help": {"text": hint},
-    } for code, (title, hint) in sorted(CONTRACT_RULES.items())]
+    } for code, (title, hint) in sorted(RULES.items())]
     results = []
     for f in findings:
         if f.suppressed:
@@ -198,7 +207,7 @@ def to_sarif(findings: Sequence[ContractFinding],
         "version": "2.1.0",
         "runs": [{
             "tool": {"driver": {
-                "name": "repro.analysis.contracts",
+                "name": "repro.analysis",
                 "informationUri": "https://example.invalid/repro",
                 "rules": rules,
             }},

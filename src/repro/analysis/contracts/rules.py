@@ -1,15 +1,24 @@
-"""The contract rule family C001–C004: cross-module string-contract checks.
+"""The one rule table, the one :class:`Finding` type, and both families.
 
-These rules run over a :class:`~repro.analysis.contracts.project.ProjectIndex`
-— the whole-program symbol table — rather than one module at a time,
-which is exactly what separates them from detlint's per-file D-rules:
-a publish in ``repro.data.ingest`` is only correct relative to a bind in
-some *other* module, and a metric name is only alive if something on the
-read side (a report, a perf gate, a test) ever mentions it.
+:func:`run_rules` runs every selected rule over a
+:class:`~repro.analysis.contracts.project.ProjectIndex`:
+
+- **D-rules** (D000–D006, :mod:`repro.analysis.rules`) are per-file.
+  Their raw violations were found during fact extraction; here they are
+  only filtered, keyed and pragma-resolved.  They are reported for every
+  scanned file (program and references) outside
+  ``[tool.detlint] exclude``.
+- **C-rules** (C001–C004) are whole-program string-contract checks over
+  the *program* files: a publish in ``repro.data.ingest`` is only
+  correct relative to a bind in some *other* module, and a metric name
+  is only alive if something on the read side (a report, a perf gate, a
+  test) ever mentions it.
 
 Rule summary
 ------------
 ====  ========================================================  ========
+D000  file does not parse                                       error
+D00x  determinism hazards (see :mod:`repro.analysis.rules`)     error
 C001  publish/subscribe topic mismatch                          error/warn
 C002  metric-name drift (never read) / kind collision           warn/error
 C003  resilience hygiene (no Deadline; bare retry loops)        warn
@@ -31,18 +40,24 @@ from typing import Optional
 
 from repro.analysis.contracts.facts import (ANY_SEGMENT, ModuleFacts,
                                             TopicFact)
-from repro.analysis.contracts.project import ProjectIndex
+from repro.analysis.contracts.project import DetlintConfig, ProjectIndex
+from repro.analysis.rules import ALL_RULES
 from repro.comm.bus import topic_matches
 
-__all__ = ["ContractFinding", "CONTRACT_RULES", "run_contract_rules",
+__all__ = ["Finding", "RULES", "enabled_codes", "run_rules",
            "template_matches"]
 
-#: code -> (title, hint) — the rule table rendered by ``--list-rules``
+#: Pseudo-rule for files that fail to parse: a finding with the syntax
+#: error's own line, so one broken file cannot hide its own debt.
+PARSE_ERROR = "D000"
+
+#: code -> (title, hint): the one rule table, rendered by ``--list-rules``
 #: and embedded in SARIF output.
-CONTRACT_RULES: dict[str, tuple[str, str]] = {
-    "C000": ("unparsable file",
-             "fix the syntax error; the analyzer cannot see contracts in "
-             "a file it cannot parse"),
+RULES: dict[str, tuple[str, str]] = {
+    PARSE_ERROR: ("unparsable file",
+                  "fix the syntax error; an unparsable file is invisible "
+                  "to every other rule"),
+    **{rule.code: (rule.title, rule.hint) for rule in ALL_RULES},
     "C001": ("publish/subscribe topic mismatch",
              "bind a queue whose pattern matches the published topic (or "
              "delete the dead publish / unmatched binding)"),
@@ -59,13 +74,14 @@ CONTRACT_RULES: dict[str, tuple[str, str]] = {
 
 
 @dataclass(frozen=True)
-class ContractFinding:
-    """One contract violation, located and fingerprinted.
+class Finding:
+    """One rule violation, located, pragma-resolved and fingerprinted.
 
     ``key`` is the *stable identity* used by the baseline ratchet:
     line numbers churn on unrelated edits, so the fingerprint is built
     from the rule code, the file, and a rule-specific key (topic string,
-    metric name, class qualname...) instead.
+    metric name, class qualname, or a D-finding's enclosing ``def``)
+    instead.
     """
 
     code: str
@@ -95,10 +111,10 @@ class ContractFinding:
 
 
 def _finding(code: str, severity: str, facts: ModuleFacts, line: int,
-             col: int, message: str, key: str) -> ContractFinding:
-    return ContractFinding(
+             col: int, message: str, key: str) -> Finding:
+    return Finding(
         code=code, severity=severity, path=facts.path, line=line, col=col,
-        message=message, hint=CONTRACT_RULES[code][1], key=key,
+        message=message, hint=RULES[code][1], key=key,
         suppressed=facts.suppressed(line, code))
 
 
@@ -153,32 +169,45 @@ def _topics_match(pattern: TopicFact, topic: TopicFact) -> bool:
     return template_matches(pattern.segments, topic.segments)
 
 
-# -- C000: parse errors --------------------------------------------------------
+# -- D000-D006: per-file determinism rules -------------------------------------
 
 
-def _check_parse_errors(index: ProjectIndex) -> list[ContractFinding]:
-    out = []
-    for facts in index.modules():
+def _check_determinism(index: ProjectIndex, codes: tuple[str, ...],
+                       config: DetlintConfig) -> list[Finding]:
+    out: list[Finding] = []
+    for facts in (*index.program, *index.references):
+        if config.excludes_path(facts.path):
+            continue
         if facts.parse_error is not None:
-            out.append(ContractFinding(
-                code="C000", severity="error", path=facts.path,
-                line=int(facts.parse_error["line"]), col=0,
-                message=f"file does not parse: "
-                        f"{facts.parse_error['message']}",
-                hint=CONTRACT_RULES["C000"][1], key="parse"))
+            if PARSE_ERROR in codes:
+                out.append(_finding(
+                    PARSE_ERROR, "error", facts,
+                    int(facts.parse_error["line"]), 0,
+                    f"file does not parse: {facts.parse_error['message']}",
+                    key="parse"))
+            continue
+        # Key: enclosing def + "#n" on repeats — line-free, file-unique.
+        repeats: dict[tuple[str, str], int] = {}
+        for v in facts.violations:
+            n = repeats.get((v.code, v.func), 0)
+            repeats[(v.code, v.func)] = n + 1
+            if v.code in codes:
+                out.append(_finding(
+                    v.code, "error", facts, v.line, v.col, v.message,
+                    key=(v.func or "<module>") + (f"#{n}" if n else "")))
     return out
 
 
 # -- C001: publish/subscribe topic mismatch ------------------------------------
 
 
-def _check_topics(index: ProjectIndex) -> list[ContractFinding]:
+def _check_topics(index: ProjectIndex) -> list[Finding]:
     publishes: list[tuple[ModuleFacts, TopicFact]] = []
     subscribes: list[tuple[ModuleFacts, TopicFact]] = []
     for facts in index.modules():
         publishes.extend((facts, t) for t in facts.publishes)
         subscribes.extend((facts, t) for t in facts.subscribes)
-    out: list[ContractFinding] = []
+    out: list[Finding] = []
 
     for facts, pub in publishes:
         if pub.segments is None:
@@ -217,8 +246,8 @@ def _check_topics(index: ProjectIndex) -> list[ContractFinding]:
 # -- C002: metric-name drift ---------------------------------------------------
 
 
-def _check_metrics(index: ProjectIndex) -> list[ContractFinding]:
-    out: list[ContractFinding] = []
+def _check_metrics(index: ProjectIndex) -> list[Finding]:
+    out: list[Finding] = []
     emits: dict[str, list[tuple[ModuleFacts, str, int, int, bool]]] = {}
     for facts in index.modules():
         for m in facts.metrics:
@@ -262,8 +291,8 @@ def _check_metrics(index: ProjectIndex) -> list[ContractFinding]:
 # -- C003: resilience hygiene --------------------------------------------------
 
 
-def _check_resilience(index: ProjectIndex) -> list[ContractFinding]:
-    out: list[ContractFinding] = []
+def _check_resilience(index: ProjectIndex) -> list[Finding]:
+    out: list[Finding] = []
     for facts in index.modules():
         if facts.module.startswith("repro.resilience"):
             continue            # the resilience kernel is the sanctioned home
@@ -325,7 +354,7 @@ def _has_merge_transitive(index: ProjectIndex, qual: str,
     return False
 
 
-def _check_shard_merge(index: ProjectIndex) -> list[ContractFinding]:
+def _check_shard_merge(index: ProjectIndex) -> list[Finding]:
     table = index.classes()
     reached: dict[str, int] = {}
     frontier: list[tuple[str, int]] = []
@@ -349,7 +378,7 @@ def _check_shard_merge(index: ProjectIndex) -> list[ContractFinding]:
             if inst_qual is not None:
                 frontier.append((inst_qual, depth + 1))
 
-    out: list[ContractFinding] = []
+    out: list[Finding] = []
     for qual in sorted(reached):
         entry = table.get(qual)
         if entry is None:
@@ -373,20 +402,30 @@ def _check_shard_merge(index: ProjectIndex) -> list[ContractFinding]:
 # -- entry point ---------------------------------------------------------------
 
 
-def run_contract_rules(index: ProjectIndex,
-                       select: tuple[str, ...] = ()) -> list[ContractFinding]:
-    """Run every C-rule (or the selected subset) over the project."""
-    checks = {
-        "C000": _check_parse_errors,
-        "C001": _check_topics,
-        "C002": _check_metrics,
-        "C003": _check_resilience,
-        "C004": _check_shard_merge,
-    }
-    codes = [c for c in sorted(checks) if not select or c in select
-             or c == "C000"]
-    findings: list[ContractFinding] = []
-    for code in codes:
-        findings.extend(checks[code](index))
+def enabled_codes(config: DetlintConfig) -> tuple[str, ...]:
+    """Codes ``config`` turns on: ``select`` (empty = all) minus
+    ``ignore``.  D000 reports even when not selected — an unparsable
+    file hides every other finding — unless ignored by name.  Raises
+    ``ValueError`` on a code that is not in :data:`RULES`."""
+    unknown = [c for c in (*config.select, *config.ignore) if c not in RULES]
+    if unknown:
+        raise ValueError(f"unknown rule code(s): {', '.join(unknown)}")
+    return tuple(c for c in RULES
+                 if (not config.select or c in config.select
+                     or c == PARSE_ERROR) and c not in config.ignore)
+
+
+def run_rules(index: ProjectIndex,
+              config: Optional[DetlintConfig] = None) -> list[Finding]:
+    """Run both rule families over the project (``ValueError`` on an
+    unknown rule code in ``config``)."""
+    config = config or DetlintConfig()
+    codes = enabled_codes(config)
+    findings = _check_determinism(index, codes, config)
+    for code, check in (("C001", _check_topics), ("C002", _check_metrics),
+                        ("C003", _check_resilience),
+                        ("C004", _check_shard_merge)):
+        if code in codes:
+            findings.extend(check(index))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code, f.key))
     return findings

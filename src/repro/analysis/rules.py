@@ -2,9 +2,12 @@
 
 Each rule is a small class with a stable code, a one-line title, and a
 fix hint.  Rules receive a parsed module plus a :class:`ModuleContext`
-(import-alias resolution) and yield :class:`Violation` objects; the
-engine (:mod:`repro.analysis.engine`) handles pragmas, configuration,
-reporting, and exit codes.
+(import-alias resolution) and yield :class:`Violation` objects.  They run
+inside :func:`repro.analysis.contracts.facts.extract_facts`, on the same
+parse the contract facts come from, so their violations ride the
+incremental fact cache; pragmas, configuration, fingerprints and exit
+codes are handled once for both rule families by
+:mod:`repro.analysis.contracts`.
 
 The rules are deliberately *syntactic*: no type inference, no cross-file
 analysis.  That keeps them fast, dependency-free (stdlib ``ast`` only),
@@ -29,9 +32,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-__all__ = ["Violation", "Rule", "ModuleContext", "ALL_RULES", "RULES_BY_CODE"]
+__all__ = ["Violation", "Rule", "ModuleContext", "ALL_RULES", "check_module",
+           "call_terminal", "walk_scope", "MUTATING_METHODS", "SCOPES"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,9 @@ class Violation:
     line: int
     col: int
     message: str
+    #: Enclosing ``def`` qualname ("" at module level), filled in by fact
+    #: extraction: the line-free part of the finding's baseline key.
+    func: str = ""
 
 
 # -- import resolution ---------------------------------------------------------
@@ -53,13 +60,16 @@ class ModuleContext:
     Maps local names back to canonical module paths so that
     ``import numpy as np; np.random.rand()`` resolves to
     ``numpy.random.rand`` and ``from itertools import count as c; c()``
-    resolves to ``itertools.count``.
+    resolves to ``itertools.count``.  ``nodes`` is the module's
+    ``ast.walk`` order, walked once and shared by every rule and fact
+    extractor that scans the whole module.
     """
 
     def __init__(self, module: ast.Module) -> None:
+        self.nodes: list[ast.AST] = list(ast.walk(module))
         self.module_aliases: dict[str, str] = {}
         self.from_imports: dict[str, str] = {}
-        for node in ast.walk(module):
+        for node in self.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     self.module_aliases[alias.asname or
@@ -109,7 +119,7 @@ class Rule:
 
 # -- helpers -------------------------------------------------------------------
 
-_MUTATING_METHODS = frozenset({
+MUTATING_METHODS = frozenset({
     "append", "appendleft", "add", "update", "setdefault", "pop", "popitem",
     "insert", "extend", "extendleft", "remove", "discard", "clear",
 })
@@ -121,6 +131,9 @@ _MUTABLE_CONSTRUCTORS = frozenset({
 
 _COUNTERISH_FRAGMENTS = ("count", "counter", "sequencer", "idgen",
                          "idfactory")
+
+#: Node types that open a nested function scope.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _module_body_assigns(module: ast.Module) -> Iterator[
@@ -148,29 +161,25 @@ def _is_mutable_literal(value: ast.expr, ctx: ModuleContext) -> bool:
     return False
 
 
-def _callee_terminal(value: ast.expr) -> Optional[str]:
-    """The terminal identifier of a Call's callee (``pkg.Foo()`` -> Foo)."""
-    if not isinstance(value, ast.Call):
-        return None
-    func = value.func
-    while isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
+def call_terminal(call: ast.Call) -> Optional[str]:
+    """The terminal identifier of a call's callee (``pkg.Foo()`` -> Foo)."""
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    if isinstance(call.func, ast.Name):
+        return call.func.id
     return None
 
 
-def _functions(module: ast.Module) -> Iterator[ast.AST]:
-    for node in ast.walk(module):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
+def _functions(ctx: ModuleContext) -> Iterator[ast.AST]:
+    for node in ctx.nodes:
+        if isinstance(node, SCOPES):
             yield node
 
 
-def _name_mutations(module: ast.Module, name: str) -> Iterator[ast.AST]:
+def _name_mutations(ctx: ModuleContext, name: str) -> Iterator[ast.AST]:
     """Statements inside function bodies that mutate module global ``name``
     in place (subscript stores, aug-assigns, mutating method calls)."""
-    for fn in _functions(module):
+    for fn in _functions(ctx):
         for node in ast.walk(fn):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
@@ -188,15 +197,15 @@ def _name_mutations(module: ast.Module, name: str) -> Iterator[ast.AST]:
                         yield node
             elif isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in _MUTATING_METHODS \
+                    and node.func.attr in MUTATING_METHODS \
                     and isinstance(node.func.value, ast.Name) \
                     and node.func.value.id == name:
                 yield node
 
 
-def _global_rebinds(module: ast.Module, name: str) -> Iterator[ast.AST]:
+def _global_rebinds(ctx: ModuleContext, name: str) -> Iterator[ast.AST]:
     """Functions that declare ``global name`` and rebind it."""
-    for fn in _functions(module):
+    for fn in _functions(ctx):
         if isinstance(fn, ast.Lambda):
             continue
         declares = any(isinstance(n, ast.Global) and name in n.names
@@ -248,7 +257,7 @@ class ModuleStateFactory(Rule):
                               f"{name!r}: ids become process-ordered, not "
                               f"world-ordered")
                     continue
-                terminal = _callee_terminal(value)
+                terminal = call_terminal(value)
                 if terminal and any(f in terminal.lower()
                                     for f in _COUNTERISH_FRAGMENTS) \
                         and not _is_mutable_literal(value, ctx):
@@ -259,14 +268,14 @@ class ModuleStateFactory(Rule):
             if isinstance(value, ast.Constant) and isinstance(value.value,
                                                               int) \
                     and not isinstance(value.value, bool):
-                rebind = next(iter(_global_rebinds(module, name)), None)
+                rebind = next(iter(_global_rebinds(ctx, name)), None)
                 if rebind is not None:
                     yield self.violation(
                         stmt, f"module-level bare counter {name!r} rebound "
                               f"via 'global' at line {rebind.lineno}")
                 continue
             if _is_mutable_literal(value, ctx):
-                mutation = next(iter(_name_mutations(module, name)), None)
+                mutation = next(iter(_name_mutations(ctx, name)), None)
                 if mutation is not None:
                     yield self.violation(
                         stmt, f"module-level mutable {name!r} mutated at "
@@ -298,7 +307,7 @@ class WallClockAccess(Rule):
 
     def check(self, module: ast.Module,
               ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(module):
+        for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 resolved = ctx.resolve_call(node)
                 if resolved in _WALL_CLOCK_CALLS:
@@ -333,7 +342,7 @@ class UnseededRandomness(Rule):
 
     def check(self, module: ast.Module,
               ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(module):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve_call(node)
@@ -373,15 +382,16 @@ def _is_set_expr(node: ast.expr, ctx: ModuleContext,
     return False
 
 
-def _walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``scope`` without descending into nested function scopes
-    (those are analysed as scopes of their own)."""
+def walk_scope(scope: ast.AST,
+               stop_at: tuple[type, ...] = SCOPES) -> Iterator[ast.AST]:
+    """Walk ``scope`` without descending into ``stop_at`` nodes (they
+    are yielded, not entered) — by default nested function scopes,
+    which are analysed as scopes of their own."""
     stack = list(ast.iter_child_nodes(scope))
     while stack:
         node = stack.pop()
         yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
+        if not isinstance(node, stop_at):
             stack.extend(ast.iter_child_nodes(node))
 
 
@@ -389,7 +399,7 @@ def _scope_set_names(scope: ast.AST, ctx: ModuleContext) -> frozenset[str]:
     """Names syntactically bound to set expressions within ``scope``
     (last-write-wins is ignored — any set binding taints the name)."""
     names: set[str] = set()
-    for node in _walk_scope(scope):
+    for node in walk_scope(scope):
         if isinstance(node, ast.Assign):
             if _is_set_expr(node.value, ctx, frozenset(names)):
                 for tgt in node.targets:
@@ -414,12 +424,12 @@ class SetOrderIteration(Rule):
     def check(self, module: ast.Module,
               ctx: ModuleContext) -> Iterator[Violation]:
         scopes: list[ast.AST] = [module]
-        scopes.extend(fn for fn in _functions(module)
+        scopes.extend(fn for fn in _functions(ctx)
                       if not isinstance(fn, ast.Lambda))
         seen: set[tuple[int, int]] = set()
         for scope in scopes:
             set_names = _scope_set_names(scope, ctx)
-            for node in _walk_scope(scope):
+            for node in walk_scope(scope):
                 if isinstance(node, (ast.For, ast.AsyncFor)):
                     iters = [node.iter]
                 elif isinstance(node, (ast.ListComp, ast.SetComp,
@@ -466,7 +476,7 @@ class ObjectIdentityOrdering(Rule):
 
     def check(self, module: ast.Module,
               ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(module):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             is_ordering = (
@@ -525,7 +535,7 @@ class UnsanctionedProcessFanout(Rule):
 
     def check(self, module: ast.Module,
               ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(module):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".")[0] == "multiprocessing":
@@ -555,16 +565,11 @@ ALL_RULES: tuple[Rule, ...] = (
     UnsanctionedProcessFanout(),
 )
 
-RULES_BY_CODE: dict[str, Rule] = {r.code: r for r in ALL_RULES}
 
-
-def check_module(module: ast.Module,
-                 rules: Iterable[Rule] = ALL_RULES) -> list[Violation]:
-    """Run ``rules`` over one parsed module; violations in (line, col,
-    code) order."""
-    ctx = ModuleContext(module)
-    out: list[Violation] = []
-    for rule in rules:
-        out.extend(rule.check(module, ctx))
+def check_module(module: ast.Module, ctx: ModuleContext) -> list[Violation]:
+    """Run every rule over one parsed module; violations in (line, col,
+    code) order.  Selection happens at report time, so cached violations
+    serve any ``--select``/``--ignore``."""
+    out = [v for rule in ALL_RULES for v in rule.check(module, ctx)]
     out.sort(key=lambda v: (v.line, v.col, v.code))
     return out

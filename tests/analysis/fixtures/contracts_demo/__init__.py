@@ -2,7 +2,7 @@
 
 Every module here contains both a deliberate violation and a nearby
 correct twin, so the tests pin false-negative AND false-positive
-behavior.  The tree is excluded from detlint/contracts CI runs via
-``[tool.detlint] exclude``; only ``tests/analysis/test_contracts.py``
-points the analyzer at it.
+behavior.  The repo's default analysis run reads it only as read-side
+evidence (tests are ``--refs``, and ``[tool.detlint] exclude`` drops
+their D-findings); only the analysis tests judge it as a program.
 """

@@ -1,5 +1,6 @@
-"""Contract-analyzer tests: facts, rules on the seeded fixture tree,
-the incremental cache, the baseline ratchet, SARIF, and the CLI."""
+"""Analyzer tests: facts, both rule families on the seeded fixture
+trees in one pass, the incremental cache, the baseline ratchet, SARIF,
+fingerprints, and the CLI."""
 
 import json
 import time
@@ -8,19 +9,19 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.__main__ import main
-from repro.analysis.contracts import (Baseline, ContractReport,
-                                      analyze_contracts, build_project,
-                                      extract_facts, run_contract_rules,
-                                      template_matches)
+from repro.analysis.contracts import (Baseline, DetlintConfig, Report,
+                                      analyze, build_project, extract_facts,
+                                      run_rules, template_matches)
 from repro.analysis.contracts.facts import ANY_SEGMENT
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = Path(__file__).parent / "fixtures" / "contracts_demo"
+ALL_FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURES = ALL_FIXTURES / "contracts_demo"
 
 
 def fixture_findings(select=()):
-    return analyze_contracts([FIXTURES], refs=(), cache_path=None,
-                             select=select).findings
+    return analyze([FIXTURES], refs=(), cache_path=None,
+                   config=DetlintConfig(select=select)).findings
 
 
 # -- template matching --------------------------------------------------------
@@ -89,15 +90,34 @@ def test_fixture_correct_twins_stay_clean():
 
 def test_select_narrows_rules():
     findings = fixture_findings(select=("C004",))
-    assert findings and all(f.code in ("C000", "C004") for f in findings)
+    assert findings and all(f.code in ("D000", "C004") for f in findings)
 
 
-def test_unparsable_file_is_a_c000_finding(tmp_path):
-    (tmp_path / "broken.py").write_text("def f(:\n", "utf-8")
-    report = analyze_contracts([tmp_path], refs=(), cache_path=None)
-    (finding,) = report.findings
-    assert finding.code == "C000" and finding.line == 1
-    assert report.exit_code == 1
+def test_one_pass_fires_every_rule_family():
+    # One config-free run: D-rules from detlint_cases.py, C-rules from
+    # contracts_demo/, one parse per file.
+    report = analyze([ALL_FIXTURES], refs=(), cache_path=None,
+                     config=DetlintConfig())
+    assert report.files_reparsed == report.files_scanned
+    assert {f.code for f in report.unsuppressed} == {
+        "D001", "D002", "D003", "D004", "D005", "D006",
+        "C001", "C002", "C003", "C004"}
+
+
+def test_fingerprints_do_not_depend_on_invocation(tmp_path, monkeypatch):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "m.py").write_text(
+        "import time\n"
+        "def emit(registry):\n"
+        "    registry.counter('x.lonely_total').inc()\n"
+        "    return time.time()\n", "utf-8")
+    monkeypatch.chdir(tmp_path)
+    runs = [analyze([root], refs=(), cache_path=None,
+                    config=DetlintConfig()).findings
+            for root in ("d", Path.cwd() / "d")]
+    assert [f.fingerprint for f in runs[0]] == \
+        [f.fingerprint for f in runs[1]] == \
+        ["C002:d/m.py:unread:x.lonely_total", "D002:d/m.py:emit"]
 
 
 # -- pragma suppression -------------------------------------------------------
@@ -107,7 +127,7 @@ def test_pragma_suppresses_contract_finding(tmp_path):
         "def emit(registry):\n"
         "    registry.counter('x.total').inc()"
         "  # detlint: ignore[C002] write-only audit tally\n", "utf-8")
-    report = analyze_contracts([tmp_path], refs=(), cache_path=None)
+    report = analyze([tmp_path], refs=(), cache_path=None)
     (finding,) = report.findings
     assert finding.suppressed
     assert report.exit_code == 0
@@ -121,7 +141,7 @@ def test_pragma_on_first_line_covers_wrapped_statement(tmp_path):
         "    tally = (  # detlint: ignore[C002] dashboard-only\n"
         "        registry.counter('x.lonely_total'))\n"
         "    tally.inc()\n", "utf-8")
-    report = analyze_contracts([tmp_path], refs=(), cache_path=None)
+    report = analyze([tmp_path], refs=(), cache_path=None)
     (finding,) = report.findings
     assert finding.line == 3
     assert finding.suppressed
@@ -134,7 +154,7 @@ def test_comment_above_wrapped_statement_covers_it(tmp_path):
         "    tally = (\n"
         "        registry.counter('x.lonely_total'))\n"
         "    tally.inc()\n", "utf-8")
-    report = analyze_contracts([tmp_path], refs=(), cache_path=None)
+    report = analyze([tmp_path], refs=(), cache_path=None)
     (finding,) = report.findings
     assert finding.line == 4
     assert finding.suppressed
@@ -144,14 +164,15 @@ def test_comment_above_wrapped_statement_covers_it(tmp_path):
 
 def test_cache_warm_run_parses_nothing(tmp_path):
     cache = tmp_path / "cache.json"
-    cold = build_project([FIXTURES], cache_path=cache)
+    cold = build_project([ALL_FIXTURES], cache_path=cache)
     assert cold.files_reparsed == cold.files_scanned > 0
-    warm = build_project([FIXTURES], cache_path=cache)
+    warm = build_project([ALL_FIXTURES], cache_path=cache)
     assert warm.files_reparsed == 0
     assert warm.cache_hits == warm.files_scanned == cold.files_scanned
-    # Same facts either way.
-    assert {f.key for f in run_contract_rules(warm)} == \
-        {f.key for f in run_contract_rules(cold)}
+    # Same findings either way — the D-findings come from cached facts.
+    cold_findings, warm_findings = run_rules(cold), run_rules(warm)
+    assert warm_findings == cold_findings
+    assert {f.code for f in warm_findings} >= {"D001", "D006", "C001"}
 
 
 def test_cache_reparses_only_changed_file(tmp_path):
@@ -166,15 +187,13 @@ def test_cache_reparses_only_changed_file(tmp_path):
     assert again.files_reparsed == 1 and again.cache_hits == 1
 
 
-def test_warm_full_tree_run_is_subsecond(tmp_path):
-    cache = tmp_path / "cache.json"
-    src = REPO_ROOT / "src"
-    build_project([src], cache_path=cache)
+def test_warm_full_tree_run_is_subsecond(repo_report):
+    repo_report()     # fills the session cache unless a test already did
     started = time.perf_counter()
-    index = build_project([src], cache_path=cache)
-    run_contract_rules(index)
+    report = repo_report()      # default invocation: src + refs, D and C
     assert time.perf_counter() - started < 1.0
-    assert index.files_reparsed == 0
+    assert report.files_reparsed == 0
+    assert report.cache_hits == report.files_scanned > 200
 
 
 # -- baseline ratchet ---------------------------------------------------------
@@ -186,7 +205,7 @@ def test_baseline_absorbs_known_findings_and_flags_new(tmp_path):
                          for f in findings})
     path = tmp_path / "baseline.json"
     baseline.save(path)
-    report = analyze_contracts([FIXTURES], refs=(), cache_path=None,
+    report = analyze([FIXTURES], refs=(), cache_path=None,
                                baseline_path=path)
     assert report.new_findings == []
     assert report.exit_code == 0
@@ -196,7 +215,7 @@ def test_baseline_absorbs_known_findings_and_flags_new(tmp_path):
     victim = sorted(shrunk.entries)[0]
     del shrunk.entries[victim]
     shrunk.save(path)
-    report = analyze_contracts([FIXTURES], refs=(), cache_path=None,
+    report = analyze([FIXTURES], refs=(), cache_path=None,
                                baseline_path=path)
     assert [f.fingerprint for f in report.new_findings] == [victim]
     assert report.exit_code == 1
@@ -210,7 +229,7 @@ def test_baseline_reports_stale_and_unexplained_entries(tmp_path):
         "key": "x", "severity": "warn", "note": "historical"}
     path = tmp_path / "baseline.json"
     baseline.save(path)
-    report = analyze_contracts([FIXTURES], refs=(), cache_path=None,
+    report = analyze([FIXTURES], refs=(), cache_path=None,
                                baseline_path=path)
     assert report.stale_baseline == ["C999:gone.py:x"]
     assert len(report.baseline.unexplained()) == len(findings)
@@ -233,7 +252,7 @@ def test_committed_baseline_has_no_unexplained_entries():
 # -- SARIF --------------------------------------------------------------------
 
 def test_sarif_output_shape():
-    report = ContractReport(findings=fixture_findings())
+    report = Report(findings=fixture_findings())
     sarif = json.loads(report.to_sarif())
     assert sarif["version"] == "2.1.0"
     (run,) = sarif["runs"]
@@ -251,7 +270,7 @@ def test_sarif_marks_baselined_results_unchanged(tmp_path):
     findings = fixture_findings()
     path = tmp_path / "baseline.json"
     Baseline.from_findings(findings[:1]).save(path)
-    report = analyze_contracts([FIXTURES], refs=(), cache_path=None,
+    report = analyze([FIXTURES], refs=(), cache_path=None,
                                baseline_path=path)
     states = {r["partialFingerprints"]["contractKey/v1"]:
               r["baselineState"]
@@ -263,7 +282,7 @@ def test_sarif_marks_baselined_results_unchanged(tmp_path):
 # -- CLI ----------------------------------------------------------------------
 
 def test_cli_exits_nonzero_on_seeded_fixture(tmp_path, capsys):
-    code = main(["--contracts", str(FIXTURES), "--no-baseline",
+    code = main([str(FIXTURES), "--no-baseline",
                  "--cache", str(tmp_path / "c.json"), "--refs", ""])
     assert code == 1
     out = capsys.readouterr().out
@@ -274,26 +293,26 @@ def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
     clean = tmp_path / "proj"
     clean.mkdir()
     (clean / "m.py").write_text("def f():\n    return 1\n", "utf-8")
-    code = main(["--contracts", str(clean), "--no-baseline", "--no-cache",
+    code = main([str(clean), "--no-baseline", "--no-cache",
                  "--refs", ""])
     assert code == 0
 
 
 def test_cli_json_and_sarif_outputs(tmp_path, capsys):
     out_json = tmp_path / "report.json"
-    main(["--contracts", str(FIXTURES), "--no-baseline", "--no-cache",
+    main([str(FIXTURES), "--no-baseline", "--no-cache",
           "--refs", "", "--format", "json", "--output", str(out_json)])
     data = json.loads(out_json.read_text("utf-8"))
     assert data["summary"]["findings"] > 0
     out_sarif = tmp_path / "report.sarif"
-    main(["--contracts", str(FIXTURES), "--no-baseline", "--no-cache",
+    main([str(FIXTURES), "--no-baseline", "--no-cache",
           "--refs", "", "--format", "sarif", "--output", str(out_sarif)])
     sarif = json.loads(out_sarif.read_text("utf-8"))
     assert sarif["version"] == "2.1.0"
 
 
 def test_cli_unknown_path_is_usage_error(capsys):
-    assert main(["--contracts", "definitely/not/here"]) == 2
+    assert main(["definitely/not/here"]) == 2
 
 
 def test_cli_update_baseline_roundtrip(tmp_path, monkeypatch, capsys):
@@ -304,21 +323,17 @@ def test_cli_update_baseline_roundtrip(tmp_path, monkeypatch, capsys):
         "def emit(registry):\n"
         "    registry.counter('z.total').inc()\n", "utf-8")
     baseline = tmp_path / "baseline.json"
-    assert main(["--contracts", str(proj), "--no-cache", "--refs", "",
+    assert main([str(proj), "--no-cache", "--refs", "",
                  "--baseline", str(baseline)]) == 1
-    assert main(["--contracts", str(proj), "--no-cache", "--refs", "",
+    assert main([str(proj), "--no-cache", "--refs", "",
                  "--baseline", str(baseline), "--update-baseline"]) == 0
-    assert main(["--contracts", str(proj), "--no-cache", "--refs", "",
+    assert main([str(proj), "--no-cache", "--refs", "",
                  "--baseline", str(baseline)]) == 0
 
 
 # -- the repo's own contract hygiene ------------------------------------------
 
-def test_repo_tree_has_no_new_findings(tmp_path):
-    report = analyze_contracts(
-        [REPO_ROOT / "src"],
-        refs=[REPO_ROOT / p for p in ("tests", "benchmarks", "examples")],
-        baseline_path=REPO_ROOT / "analysis_baseline.json",
-        cache_path=tmp_path / "cache.json")
+def test_repo_tree_has_no_new_findings(repo_report):
+    report = repo_report()
     assert report.new_findings == []
     assert report.stale_baseline == []

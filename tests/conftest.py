@@ -52,3 +52,24 @@ def qd_landscape():
 def qd_params(qd_landscape):
     import numpy as np
     return qd_landscape.space.sample(np.random.default_rng(0))
+
+
+@pytest.fixture(scope="session")
+def repo_report(tmp_path_factory):
+    """``python -m repro.analysis`` from the repo root, as a callable.
+
+    The first call fills a session-wide fact cache (a cold run); every
+    later call is a warm run over that cache."""
+    from pathlib import Path
+
+    from repro.analysis import analyze, load_config
+    root = Path(__file__).resolve().parents[1]
+    cache = tmp_path_factory.mktemp("analysis") / "cache.json"
+
+    def run():
+        return analyze(
+            [root / "src"],
+            refs=[root / p for p in ("tests", "benchmarks", "examples")],
+            config=load_config(root), cache_path=cache,
+            baseline_path=root / "analysis_baseline.json")
+    return run
