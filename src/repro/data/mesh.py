@@ -160,7 +160,9 @@ class DiscoveryIndex:
         residual: dict[str, Any] = {}
         for key, want in equals.items():
             postings_by_value = self._inverted.get(key)
-            if postings_by_value is None:
+            if postings_by_value is None or want is None:
+                # Unindexed key, or ``None``: entries lacking the field
+                # match it and have no postings, so check entry by entry.
                 residual[key] = want
                 continue
             postings = postings_by_value.get(want, set())

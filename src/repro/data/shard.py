@@ -69,24 +69,28 @@ class ShardedDiscoveryIndex:
 
     # -- routing -----------------------------------------------------------
 
-    def shard_id(self, site: str) -> int:
-        return shard_for(site, self.n_shards)
+    def shard_id(self, site: Optional[str]) -> int:
+        """Shard number for ``site``; a missing site (``None`` or ``""``)
+        routes to the ``""`` shard."""
+        return shard_for(site or "", self.n_shards)
 
-    def shard_of(self, site: str) -> DiscoveryIndex:
+    def shard_of(self, site: Optional[str]) -> DiscoveryIndex:
         """The shard holding entries for ``site``."""
         return self.shards[self.shard_id(site)]
 
     # -- flat-index API ----------------------------------------------------
 
     def publish(self, entry: dict[str, Any]) -> None:
-        shard = self.shard_id(entry.get("site") or "")
-        record_id = entry["record_id"]
+        shard = self.shard_id(entry.get("site"))
+        self._rehome(entry["record_id"], shard)
+        self.shards[shard].publish(entry)
+
+    def _rehome(self, record_id: str, shard: int) -> None:
         old = self._home.get(record_id)
         if old is not None and old != shard:
             # A re-published record that moved site: drop the stale copy.
             self.shards[old].remove(record_id)
         self._home[record_id] = shard
-        self.shards[shard].publish(entry)
 
     def remove(self, record_id: str) -> None:
         shard = self._home.pop(record_id, None)
@@ -140,15 +144,17 @@ class ShardedDiscoveryIndex:
         so same-shaped indexes place every record identically and the
         merge is a per-shard :meth:`DiscoveryIndex.merge_from` plus a
         home-map union (incoming side wins conflicts, like a repeated
-        publish).
+        publish).  A record whose incoming copy lives on another shard
+        moved site: our stale copy is dropped, as :meth:`publish` does.
         """
         if other.n_shards != self.n_shards:
             raise ValueError(
                 f"cannot merge a {other.n_shards}-shard index into a "
                 f"{self.n_shards}-shard one — shard routing would differ")
+        for record_id, shard in other._home.items():
+            self._rehome(record_id, shard)
         for ours, theirs in zip(self.shards, other.shards):
             ours.merge_from(theirs)
-        self._home.update(other._home)
         for key, value in other._local.items():
             self._local[key] = self._local.get(key, 0) + value
 

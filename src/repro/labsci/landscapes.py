@@ -28,8 +28,8 @@ space thousands of times per decision, so the space carries a vectorized
   order.  :meth:`ParameterSpace.sample` is its one-row case
   (``decode_batch(sample_batch(rng, 1))[0]``); with one row per call it
   consumes the stream exactly as the old scalar per-dim loop did
-  (frozen as :func:`repro.perf.legacy_ask.legacy_sample`, the property
-  tests' oracle).  ``n`` calls to :meth:`~ParameterSpace.sample` do
+  (kept as the ``legacy_sample`` helper in ``tests/test_properties.py``,
+  the property tests' oracle).  ``n`` calls to :meth:`~ParameterSpace.sample` do
   *not* equal one ``sample_batch(rng, n)``: the batch fills each column
   before moving to the next dim, so the two agree in distribution, not
   in variates (see DESIGN.md);

@@ -18,9 +18,10 @@ The ask path is fully batched: candidate pools come from
 jitter is one vectorized normal draw, and encoding goes through
 :meth:`ParameterSpace.encode_raw_batch` — zero per-candidate Python
 iteration between candidate generation and the acquisition argmax.  The
-pre-vectorization scalar path is frozen verbatim in
-:mod:`repro.perf.legacy_ask`; the ``bo_ask`` perf workload gates the
-speedup and witnesses distributional equivalence of the two samplers.
+``bo_ask`` perf workload times it and replays it for determinism; that
+the batched sampler draws the old scalar sampler's distribution is a
+tier-1 test against a scalar ``legacy_sample`` helper
+(``tests/test_properties.py``).
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ Report schema (``SCHEMA_VERSION``)::
               "gauges": {"perf.<workload>.<metric>": value, ...}}
     }
 
-``gates`` are same-run speedup ratios (see :mod:`repro.perf.workloads`):
-comparing them against a committed baseline is machine-independent, which
-is what lets CI fail on a >20% regression without pinning hardware.
+``gates`` do not depend on the machine's speed (sim-time figures, capped
+headroom and same-run ratios, see :mod:`repro.perf.workloads`): comparing
+them against a committed baseline is what lets CI fail on a >20%
+regression without pinning hardware.
 
 ``skipped_gates`` records gates a workload *declined to evaluate* on this
 machine (e.g. ``parallel_worlds.parallel_speedup`` on a single-core box,
@@ -144,7 +145,7 @@ def compare_reports(current: dict, baseline: dict,
                     threshold: float = 0.20) -> list[str]:
     """Regression messages (empty = pass) for current vs baseline gates.
 
-    A gate regresses when its speedup ratio drops more than ``threshold``
+    A gate regresses when its value drops more than ``threshold``
     (fractional) below the committed baseline.  Gates present in only one
     report are reported as structural drift rather than silently skipped
     — *unless* the side missing the gate explicitly declared it under

@@ -12,38 +12,36 @@ Each workload returns ``{"metrics": {...}, "gates": {...}}``:
 
 - ``metrics`` are informational (absolute seconds, throughput) and vary
   with the machine;
-- ``gates`` are **same-run speedup ratios** (optimized stack vs the
-  frozen :mod:`repro.perf.legacy` stack, measured in the same process on
-  the same inputs), which is what makes a committed baseline comparable
-  across machines.  Baseline regression checks only look at gates.
+- ``gates`` do not depend on the machine's speed (sim-time quantities,
+  capped headroom and the same-run serial/parallel ratio), which is what
+  makes a committed baseline comparable across machines.  Baseline
+  regression checks only look at gates.
 
-Gate-bearing workloads ignore ``quick`` for their problem size: the
-ratios shift with n, so a shrunken run could not be compared against the
-committed full-size baseline.  They are cheap enough (about a second)
-that CI smoke runs them at canonical size; ``quick`` shrinks only the
-informational throughput workloads and the harness repeat count.
+These workloads time single hot paths.  End-to-end throughput of the
+paper-shaped worlds, split by layer, is measured by ``aislebench``.
+
+Workloads other than ``bus_throughput`` ignore ``quick`` for their
+problem size, so their metrics stay comparable with the committed
+full-size report; ``quick`` otherwise shrinks only the harness repeat
+count.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 from repro.comm import Message, MessageBus, Performative
 from repro.comm.bus import RouteIndex
-from repro.labsci.landscapes import ContinuousDim
 from repro.labsci.quantum_dots import QuantumDotLandscape, quantum_dot_space
 from repro.methods.bayesopt import BayesianOptimizer
 from repro.methods.gp import GaussianProcess
 from repro.methods.kernels import Matern52
 from repro.net.topology import Link, Site, Topology
 from repro.net.transport import Network
-from repro.perf.legacy import (LegacyGaussianProcess, LegacyMatern52,
-                               LegacySimulator, legacy_route_scan)
-from repro.perf.legacy_ask import LegacyAskOptimizer, legacy_sample
 from repro.scale import WorldRunner, WorldSpec, combine_hashes, decision_hash
 from repro.scale.worlds import bo_world
 from repro.sim.kernel import Simulator
@@ -56,23 +54,19 @@ Clock = Callable[[], float]
 
 def surrogate_e12(clock: Clock, *, quick: bool = False,
                   seed: int = 0) -> dict:
-    """E12-shaped flat-BO campaign: the headline ≥3× comparison.
+    """E12-shaped flat-BO campaign: the surrogate's cost per ask.
 
     Replays the surrogate side of one E12 campaign (quantum-dot space,
     29-dim encoding, budget 150, ``n_init=10``, 280-candidate pools,
-    hyperparameter grid every 10th ask) through both stacks:
+    hyperparameter grid every 10th ask): new points stream in as rank-1
+    updates, every 10th ask refits on the shared-distance-matrix grid,
+    and prediction is diagonal-only.
 
-    - **legacy** — the pre-optimization loop: re-encode the full history
-      and refit from scratch every ask, full 15-candidate grid rebuild
-      every 10th, predict via an m×m query covariance;
-    - **fast** — the current loop: stream new points as rank-1 updates,
-      shared-distance-matrix grid every 10th, diagonal-only predict.
-
-    Candidate generation and landscape evaluation are identical in both
-    campaigns and excluded from timing; what is measured is everything
-    between "history updated" and "acquisition scores ready".
+    Candidate generation and landscape evaluation are excluded from
+    timing; what is measured is everything between "history updated"
+    and "acquisition scores ready".
     """
-    del quick  # canonical size always: gates must match the baseline's
+    del quick  # canonical size always: metrics match the committed report
     space = quantum_dot_space()
     landscape = QuantumDotLandscape(seed=2)
     rng = np.random.default_rng(seed)
@@ -86,113 +80,59 @@ def surrogate_e12(clock: Clock, *, quick: bool = False,
                        for _ in range(pool_size)])
              for _ in range(n_total - n_init)]
 
-    def run_legacy() -> float:
-        gp = LegacyGaussianProcess(kernel=LegacyMatern52(lengthscale=0.3),
-                                   noise=0.02)
-        since = 0
-        t0 = clock()
-        for i in range(n_init, n_total):
+    gp = GaussianProcess(kernel=Matern52(lengthscale=0.3), noise=0.02)
+    since = synced = 0
+    t0 = clock()
+    for i in range(n_init, n_total):
+        since += 1
+        if since >= refit_every or gp.n_observations == 0:
             X = np.array([space.encode(p) for p in params[:i]])
-            since += 1
-            if since >= refit_every or gp.n_observations == 0:
-                gp.fit_hyperparameters(X, values[:i])
-                since = 0
-            else:
-                gp.fit(X, values[:i])
-            mean, std = gp.predict(pools[i - n_init])
-            int(np.argmax(mean + std))
-        return clock() - t0
-
-    def run_fast() -> float:
-        gp = GaussianProcess(kernel=Matern52(lengthscale=0.3), noise=0.02)
-        since = synced = 0
-        t0 = clock()
-        for i in range(n_init, n_total):
-            since += 1
-            if since >= refit_every or gp.n_observations == 0:
-                X = np.array([space.encode(p) for p in params[:i]])
-                gp.fit_hyperparameters(X, values[:i])
-                since = 0
-            else:
-                for j in range(synced, i):
-                    gp.observe(space.encode(params[j]), values[j])
-            synced = i
-            mean, std = gp.predict(pools[i - n_init])
-            int(np.argmax(mean + std))
-        return clock() - t0
-
-    legacy_s = run_legacy()
-    fast_s = run_fast()
+            gp.fit_hyperparameters(X, values[:i])
+            since = 0
+        else:
+            for j in range(synced, i):
+                gp.observe(space.encode(params[j]), values[j])
+        synced = i
+        mean, std = gp.predict(pools[i - n_init])
+        int(np.argmax(mean + std))
+    fast_s = clock() - t0
     iters = n_total - n_init
     return {
         "metrics": {
             "iterations": iters,
-            "legacy_seconds": legacy_s,
             "fast_seconds": fast_s,
-            "legacy_ms_per_ask": legacy_s / iters * 1e3,
             "fast_ms_per_ask": fast_s / iters * 1e3,
             "asks_per_second": iters / fast_s,
         },
-        "gates": {"speedup": legacy_s / fast_s},
+        "gates": {},
     }
 
 
-#: ``bo_ask`` campaign shape (canonical — gate ratios shift with size).
+#: ``bo_ask`` campaign shape (canonical: metrics match the committed report).
 _BO_ASK_BUDGET = 64
 _BO_ASK_N_INIT = 8
 _BO_ASK_POOL = 512
-#: Distribution-witness limits: max KS statistic per continuous dim and
-#: max absolute choice-frequency gap per discrete dim, between the
-#: scalar and batched samplers at 2048 draws each.  The two-sample KS
-#: critical value at alpha=0.001 for n=m=2048 is ~0.061; the seeded
-#: draws land well inside it.
-_BO_ASK_WITNESS_N = 2048
-_BO_ASK_KS_LIMIT = 0.065
-_BO_ASK_FREQ_LIMIT = 0.05
-
-
-def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic (no p-value machinery)."""
-    a = np.sort(a)
-    b = np.sort(b)
-    grid = np.concatenate([a, b])
-    grid.sort(kind="mergesort")
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 def bo_ask(clock: Clock, *, quick: bool = False, seed: int = 0) -> dict:
-    """Batched ``BayesianOptimizer.ask`` vs the frozen scalar ask path.
+    """Batched ``BayesianOptimizer.ask`` on an E12-shaped campaign.
 
-    Runs the same E12-shaped campaign (quantum-dot space, budget 64,
-    512-candidate pools) through the live batched optimizer and through
-    :class:`~repro.perf.legacy_ask.LegacyAskOptimizer` — the verbatim
-    pre-vectorization pipeline with per-candidate ``sample``/``encode``
-    loops.  Only the ``ask()`` calls are timed (tell/landscape work is
-    identical and excluded); the ``ask_speedup`` gate is the same-run
-    ratio, machine-portable like every other gate here.
-
-    Two honesty checks ride along, both untimed:
-
-    - **determinism replay** — the fast arm runs twice from the same
-      seed and its full (params, value) decision sequence must hash
-      identically, or the workload raises;
-    - **distribution witness** — the scalar and batched samplers draw
-      2048 points each from their own seeded streams and must agree per
-      dimension (two-sample KS statistic for continuous dims, max
-      absolute choice-frequency gap for discrete dims).  The two paths
-      consume RNG variates in different orders by design, so decision
-      *sequences* differ; this check pins down that the *distributions*
-      do not.
+    Runs one campaign (quantum-dot space, budget 64, 512-candidate
+    pools) and times only the ``ask()`` calls; tell and landscape work
+    are excluded.  The campaign then runs again from the same seed, and
+    its full (params, value) decision sequence must hash identically, or
+    the workload raises.  That the batched sampler draws the same
+    distribution as the scalar one is a tier-1 test
+    (``tests/test_properties.py``).
     """
-    del quick  # canonical size always: gates must match the baseline's
+    del quick  # canonical size always: metrics match the committed report
     landscape = QuantumDotLandscape(seed=2)
     space = landscape.space
 
-    def run_arm(opt_cls, arm_seed: int) -> tuple[float, str]:
-        opt = opt_cls(space, np.random.default_rng(arm_seed),
-                      n_init=_BO_ASK_N_INIT, n_candidates=_BO_ASK_POOL)
+    def run_campaign() -> tuple[float, str]:
+        opt = BayesianOptimizer(space, np.random.default_rng(seed),
+                                n_init=_BO_ASK_N_INIT,
+                                n_candidates=_BO_ASK_POOL)
         ask_s = 0.0
         decisions = []
         for _ in range(_BO_ASK_BUDGET):
@@ -204,68 +144,34 @@ def bo_ask(clock: Clock, *, quick: bool = False, seed: int = 0) -> dict:
             decisions.append((params, value))
         return ask_s, decision_hash(decisions)
 
-    legacy_s, _ = run_arm(LegacyAskOptimizer, seed)
-    fast_s, fast_digest = run_arm(BayesianOptimizer, seed)
-    _, replay_digest = run_arm(BayesianOptimizer, seed)
+    fast_s, fast_digest = run_campaign()
+    _, replay_digest = run_campaign()
     if fast_digest != replay_digest:  # pragma: no cover - determinism gate
         raise RuntimeError(
             "batched ask replay diverged from itself: "
             f"{replay_digest[:12]} != {fast_digest[:12]}")
-
-    scalar_rng = np.random.default_rng(seed + 101)
-    batch_rng = np.random.default_rng(seed + 202)
-    scalar_pts = [legacy_sample(space, scalar_rng)
-                  for _ in range(_BO_ASK_WITNESS_N)]
-    batch_pts = space.decode_batch(
-        space.sample_batch(batch_rng, _BO_ASK_WITNESS_N))
-    gap_max = 0.0
-    for d in space.dims:
-        if isinstance(d, ContinuousDim):
-            gap = _ks_statistic(
-                np.asarray([p[d.name] for p in scalar_pts]),
-                np.asarray([p[d.name] for p in batch_pts]))
-            limit = _BO_ASK_KS_LIMIT
-        else:
-            gap = max(
-                abs(sum(p[d.name] == c for p in scalar_pts)
-                    - sum(p[d.name] == c for p in batch_pts))
-                / _BO_ASK_WITNESS_N
-                for c in d.choices)
-            limit = _BO_ASK_FREQ_LIMIT
-        if gap > limit:  # pragma: no cover - distribution gate
-            raise RuntimeError(
-                f"batched sampler diverged from the scalar sampler on "
-                f"dim {d.name!r}: gap {gap:.4f} > {limit}")
-        gap_max = max(gap_max, gap)
 
     asks = _BO_ASK_BUDGET
     return {
         "metrics": {
             "asks": asks,
             "pool_size": _BO_ASK_POOL,
-            "legacy_seconds": legacy_s,
             "fast_seconds": fast_s,
-            "legacy_ms_per_ask": legacy_s / asks * 1e3,
             "fast_ms_per_ask": fast_s / asks * 1e3,
             "asks_per_second": asks / fast_s,
-            "sampler_gap_max": gap_max,
             "hash_equal": 1.0,
         },
-        "gates": {"ask_speedup": legacy_s / fast_s},
+        "gates": {},
     }
 
 
 def gp_scaling(clock: Clock, *, quick: bool = False, seed: int = 0) -> dict:
-    """Appending observations: rank-1 ``observe`` vs full legacy refit.
+    """Appending observations with rank-1 ``observe`` at growing n.
 
-    At each dataset size n, time appending k further points — the legacy
-    stack refits from scratch per point (O(n³) each), the fast stack
-    applies rank-1 Cholesky updates (O(n²) each).  Per-size ratios grow
-    with n but the small-n segments are only milliseconds long and too
-    noisy to gate individually; the gate is the aggregate ratio across
-    all sizes, dominated by the stable large-n work.
+    At each dataset size n, time appending k further points, each an
+    O(n²) rank-1 Cholesky update.
     """
-    del quick  # canonical size always: gates must match the baseline's
+    del quick  # canonical size always: metrics match the committed report
     sizes = (50, 100, 200, 400)
     n_append = 20
     rng = np.random.default_rng(seed)
@@ -273,15 +179,6 @@ def gp_scaling(clock: Clock, *, quick: bool = False, seed: int = 0) -> dict:
     X = rng.uniform(size=(n_max, 8))
     y = np.sin(3.0 * X[:, 0]) + 0.5 * X[:, 1] ** 2 \
         + 0.05 * rng.standard_normal(n_max)
-
-    def time_legacy(n: int) -> float:
-        legacy = LegacyGaussianProcess(
-            kernel=LegacyMatern52(lengthscale=0.3), noise=0.05)
-        legacy.fit(X[:n], y[:n])
-        t0 = clock()
-        for j in range(n_append):
-            legacy.fit(X[:n + j + 1], y[:n + j + 1])
-        return clock() - t0
 
     def time_fast(n: int) -> float:
         gp = GaussianProcess(kernel=Matern52(lengthscale=0.3), noise=0.05)
@@ -292,35 +189,34 @@ def gp_scaling(clock: Clock, *, quick: bool = False, seed: int = 0) -> dict:
         return clock() - t0
 
     metrics: dict[str, float] = {}
-    legacy_total = fast_total = 0.0
     for n in sizes:
         # Best-of-two per segment: the segments are short enough that a
         # single scheduler hiccup would dominate an unlucky run.
-        legacy_s = min(time_legacy(n), time_legacy(n))
-        fast_s = min(time_fast(n), time_fast(n))
-        metrics[f"legacy_refit_seconds_n{n}"] = legacy_s
-        metrics[f"incremental_seconds_n{n}"] = fast_s
-        metrics[f"observe_speedup_n{n}"] = legacy_s / fast_s
-        legacy_total += legacy_s
-        fast_total += fast_s
+        metrics[f"incremental_seconds_n{n}"] = min(time_fast(n), time_fast(n))
     metrics["appends_per_size"] = n_append
-    return {"metrics": metrics,
-            "gates": {"observe_speedup": legacy_total / fast_total}}
+    return {"metrics": metrics, "gates": {}}
 
 
 # -- sim kernel / comm ---------------------------------------------------------
 
 
-#: Instrument-polling fleet shape for :func:`sim_events` (canonical —
-#: the gate ratio shifts with size, so quick runs use the same numbers).
+#: Instrument-polling fleet shape for :func:`sim_events` (canonical:
+#: the pinned digest below holds for exactly these numbers).
 _SIM_POLLERS = 1000       # identical-period instruments per tick
 _SIM_TICKS = 200          # polling rounds
 _SIM_PERIOD_S = 0.25      # shared polling period (max coalescing)
 _SIM_WATCHDOGS = 5000     # far-future deadlines held pending throughout
 
+#: ``decision_hash`` of the poll-fleet log (200 rows of time, tick and
+#: pending-event count) as the retired binary-heap kernel wrote it.  That
+#: kernel can never change, so this constant is its output; the
+#: calendar-queue kernel must reproduce it.
+_SIM_POLL_DIGEST = ("7f2290601addb9e615ba1147448835c5"
+                    "bd2ac91f1351bea96677ca7f71312d2c")
+
 
 def _poll_fleet(sim, log: list) -> float:
-    """Build the polling-fleet program on ``sim`` (either kernel).
+    """Build the polling-fleet program on ``sim``.
 
     Models the dominant event pattern of a running facility: every tick,
     each of ``_SIM_POLLERS`` instruments schedules its next sample at
@@ -349,62 +245,53 @@ def _poll_fleet(sim, log: list) -> float:
 
 
 def sim_events(clock: Clock, *, quick: bool = False, seed: int = 0) -> dict:
-    """Kernel throughput: calendar-queue kernel vs the frozen heap kernel.
+    """Kernel throughput on an instrument-polling fleet.
 
-    Runs the identical seeded polling-fleet program through the live
-    :class:`~repro.sim.kernel.Simulator` and through
-    :class:`~repro.perf.legacy.LegacySimulator` (the pre-PR binary-heap
-    kernel, frozen with its original event/process classes), in the same
-    process on the same inputs — the ``kernel_speedup`` ratio is the
-    machine-portable gate.  Each arm's per-tick decision log (time,
-    tick, pending-event count) is hashed and compared: a faster kernel
-    that reorders or drops events would fail here, not ship.
+    Runs the fixed polling-fleet program through the live
+    :class:`~repro.sim.kernel.Simulator` and hashes its per-tick
+    decision log (time, tick, pending-event count).  The digest must
+    equal :data:`_SIM_POLL_DIGEST`: a faster kernel that reorders or
+    drops events would fail here, not ship.
 
-    The cyclic garbage collector is parked during each timed arm
-    (symmetrically) so allocator sweeps over the hundreds of thousands
-    of live event objects do not drown the queue-structure signal.
+    The cyclic garbage collector is parked during the timed run so
+    allocator sweeps over the hundreds of thousands of live event
+    objects do not drown the queue-structure signal.
     """
-    del quick  # canonical size always: gates must match the baseline's
+    del quick  # canonical size always: the pinned digest is for this size
     del seed   # the program is fixed; delays are structural, not random
 
-    # Per arm: one drive callback plus its pollers per tick, plus the
-    # initial schedule_callback kick-off; the watchdogs stay pending.
+    # One drive callback plus its pollers per tick, plus the initial
+    # schedule_callback kick-off; the watchdogs stay pending.
     processed = _SIM_TICKS * (_SIM_POLLERS + 1) + 1
 
-    def time_arm(sim_cls) -> tuple[float, str, Any]:
-        sim = sim_cls()
-        log: list = []
-        until = _poll_fleet(sim, log)
-        gc.collect()
-        gc.disable()
-        t0 = clock()
-        sim.run(until=until)
-        elapsed = clock() - t0
-        gc.enable()
-        assert len(sim._queue) == _SIM_WATCHDOGS, "unexpected pending events"
-        return elapsed, decision_hash(log), sim
-
-    legacy_s, legacy_digest, _ = time_arm(LegacySimulator)
-    fast_s, fast_digest, sim = time_arm(Simulator)
-    if fast_digest != legacy_digest:  # pragma: no cover - determinism gate
+    sim = Simulator()
+    log: list = []
+    until = _poll_fleet(sim, log)
+    gc.collect()
+    gc.disable()
+    t0 = clock()
+    sim.run(until=until)
+    elapsed = clock() - t0
+    gc.enable()
+    assert len(sim._queue) == _SIM_WATCHDOGS, "unexpected pending events"
+    digest = decision_hash(log)
+    if digest != _SIM_POLL_DIGEST:  # pragma: no cover - determinism gate
         raise RuntimeError(
-            "calendar-queue kernel diverged from the frozen heap kernel: "
-            f"{fast_digest[:12]} != {legacy_digest[:12]}")
+            "kernel diverged from the pinned poll-fleet log: "
+            f"{digest[:12]} != {_SIM_POLL_DIGEST[:12]}")
     stats = sim.queue_stats()
     return {
         "metrics": {
             "events": processed,
-            "seconds": fast_s,
-            "legacy_seconds": legacy_s,
-            "events_per_second": processed / fast_s,
-            "legacy_events_per_second": processed / legacy_s,
+            "seconds": elapsed,
+            "events_per_second": processed / elapsed,
             "hash_equal": 1.0,
             "queue_coalesced": stats["coalesced"],
             "queue_far_deferred": stats["far_deferred"],
             "queue_migrated": stats["migrated"],
             "queue_buckets_opened": stats["buckets_opened"],
         },
-        "gates": {"kernel_speedup": legacy_s / fast_s},
+        "gates": {},
     }
 
 
@@ -458,8 +345,9 @@ def bus_throughput(clock: Clock, *, quick: bool = False,
         "gates": {},
     }
 
+
 def _routing_tables(seed: int):
-    """Seeded binding table + topic stream shared by both routing arms.
+    """Seeded binding table + topic stream for :func:`bus_routing_indexed`.
 
     Shaped like a busy federation broker: every site/instrument pair
     publishes telemetry, and consumers subscribe with a realistic mix of
@@ -506,47 +394,31 @@ def _routing_tables(seed: int):
 
 def bus_routing_indexed(clock: Clock, *, quick: bool = False,
                         seed: int = 0) -> dict:
-    """Compiled trie routing vs the frozen per-publish linear scan.
+    """Compiled trie routing over a ~700-binding broker table.
 
-    Both arms compute the delivery set for the same seeded topic stream
-    over the same ~700-binding table: **legacy** re-scans every binding
-    with the recursive matcher on each publish
-    (:func:`~repro.perf.legacy.legacy_route_scan`); **fast** compiles the
-    table into a :class:`~repro.comm.bus.RouteIndex` once (build time is
-    charged to the fast arm) and walks the trie per topic.  The two
-    delivery sequences are hash-compared — a speedup that changed who
-    receives what would be a bug, not a win.
+    Compiles the seeded table into a :class:`~repro.comm.bus.RouteIndex`
+    (build time is charged) and computes the delivery set of every topic
+    in the seeded stream.  That the delivery sets equal a linear scan
+    over the bindings is a tier-1 test (``tests/comm/test_bus_index.py``),
+    on this table among others.
     """
-    del quick  # canonical size always: gates must match the baseline's
+    del quick  # canonical size always: metrics match the committed report
     bindings, topics = _routing_tables(seed)
-
-    t0 = clock()
-    legacy_sets = [legacy_route_scan(bindings, topic) for topic in topics]
-    legacy_s = clock() - t0
 
     t0 = clock()
     index = RouteIndex(bindings)
     fast_sets = [index.match(topic) for topic in topics]
     fast_s = clock() - t0
 
-    legacy_digest = decision_hash([list(s) for s in legacy_sets])
-    fast_digest = decision_hash([list(s) for s in fast_sets])
-    if legacy_digest != fast_digest:  # pragma: no cover - correctness gate
-        raise RuntimeError(
-            "RouteIndex delivery sets diverged from the legacy scan "
-            f"({fast_digest[:12]} != {legacy_digest[:12]})")
-
     return {
         "metrics": {
             "bindings": len(bindings),
             "publishes": len(topics),
             "deliveries": float(sum(len(s) for s in fast_sets)),
-            "legacy_seconds": legacy_s,
             "indexed_seconds": fast_s,
-            "legacy_routes_per_second": len(topics) / legacy_s,
             "indexed_routes_per_second": len(topics) / fast_s,
         },
-        "gates": {"speedup": legacy_s / fast_s},
+        "gates": {},
     }
 
 
@@ -721,7 +593,7 @@ _MESH_HEADROOM_CAP = 10.0
 
 
 def _mesh_corpus(seed: int, n_facilities: int, records_per: int):
-    """Seeded index entries + governance query stream (shared by arms)."""
+    """Seeded index entries + governance query stream."""
     rng = np.random.default_rng(seed)
     techniques = ("powder-xrd", "uv-vis", "saxs", "xps", "raman", "nmr")
     entries = []
@@ -760,25 +632,22 @@ def _mesh_corpus(seed: int, n_facilities: int, records_per: int):
 
 def mesh_governance(clock: Clock, *, quick: bool = False,
                     seed: int = 0) -> dict:
-    """1000-facility sharded mesh vs the frozen flat-scan index.
+    """1000-facility sharded mesh: ingest and governance queries.
 
-    Both arms publish the same 5000 seeded index entries and answer the
-    same 240-query governance stream (technique sweeps, institutional
-    audits, facility listings, primary-key fetches): **legacy** is the
-    pre-shard :class:`~repro.perf.legacy.LegacyDiscoveryIndex`, which
-    scans every entry on every query; **fast** is the 32-shard
+    Publishes 5000 seeded index entries into the 32-shard
     :class:`~repro.data.shard.ShardedDiscoveryIndex`, which routes by
-    facility and intersects inverted postings.  The two result-id
-    sequences are hash-compared — a speedup that changed what governance
-    sees would be a bug, not a win.
+    facility and intersects inverted postings, and answers a 240-query
+    governance stream (technique sweeps, institutional audits, facility
+    listings, primary-key fetches).  That the answers equal a flat scan
+    is a tier-1 test (``tests/data/test_shard.py``), on this corpus
+    among others.
 
-    Gates: ``query_speedup`` is the same-run legacy/fast ratio;
-    ``ingest_headroom`` is fast-arm records-per-second over the 500/s
+    Gate: ``ingest_headroom`` is records-per-second over the 500/s
     floor, capped at 10.0 so the committed baseline stays stable on any
     machine with real headroom while still collapsing on a machine (or
     regression) that cannot hold the floor.
 
-    The fast arm also re-ingests the corpus through a *bounded* tracer
+    The corpus is also re-ingested through a *bounded* tracer
     (untimed): the ring holds 256 of the 5000 ingest events and the
     overflow lands in ``obs.dropped_events`` — exported here so the
     memory-bound contract is visible in every perf report.
@@ -787,20 +656,9 @@ def mesh_governance(clock: Clock, *, quick: bool = False,
     from repro.data.shard import ShardedDiscoveryIndex
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
-    from repro.perf.legacy import LegacyDiscoveryIndex
 
     n_facilities, records_per, n_shards = 1000, 5, 32
     entries, queries = _mesh_corpus(seed, n_facilities, records_per)
-
-    legacy = LegacyDiscoveryIndex()
-    t0 = clock()
-    for entry in entries:
-        legacy.publish(entry)
-    legacy_pub_s = clock() - t0
-    t0 = clock()
-    legacy_results = [[e["record_id"] for e in legacy.query(**q)]
-                      for q in queries]
-    legacy_q_s = clock() - t0
 
     sharded = ShardedDiscoveryIndex(n_shards)
     t0 = clock()
@@ -808,16 +666,9 @@ def mesh_governance(clock: Clock, *, quick: bool = False,
         sharded.publish(entry)
     fast_pub_s = clock() - t0
     t0 = clock()
-    fast_results = [[e["record_id"] for e in sharded.query(**q)]
-                    for q in queries]
+    for q in queries:
+        sharded.query(**q)
     fast_q_s = clock() - t0
-
-    legacy_digest = decision_hash(legacy_results)
-    fast_digest = decision_hash(fast_results)
-    if legacy_digest != fast_digest:  # pragma: no cover - correctness gate
-        raise RuntimeError(
-            "sharded index results diverged from the flat scan "
-            f"({fast_digest[:12]} != {legacy_digest[:12]})")
 
     # Bounded-obs witness (untimed): every ingest emits a trace instant
     # through a 256-event ring with no spill, so all but the hot tail
@@ -836,20 +687,15 @@ def mesh_governance(clock: Clock, *, quick: bool = False,
             "records": len(entries),
             "shards": n_shards,
             "queries": len(queries),
-            "legacy_publish_seconds": legacy_pub_s,
             "fast_publish_seconds": fast_pub_s,
-            "legacy_query_seconds": legacy_q_s,
             "fast_query_seconds": fast_q_s,
             "records_per_second": records_per_second,
-            "legacy_queries_per_second": len(queries) / legacy_q_s,
             "fast_queries_per_second": len(queries) / fast_q_s,
             "max_shard_entries": float(max(sharded.shard_sizes())),
             "trace_ring_retained": float(len(tracer.events)),
             "obs_dropped_events": float(dropped),
-            "hash_equal": 1.0,
         },
         "gates": {
-            "query_speedup": legacy_q_s / fast_q_s,
             "ingest_headroom": min(
                 records_per_second / _MESH_INGEST_FLOOR_RPS,
                 _MESH_HEADROOM_CAP),

@@ -2,21 +2,35 @@
 broker-side invalidation (bind after traffic, kill/revive, overlap dedup).
 """
 
+import re
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import Message, MessageBus, Performative
 from repro.comm.bus import RouteIndex, topic_matches
+from repro.perf.workloads import _routing_tables
 
 
-# -- RouteIndex vs the linear-scan oracle --------------------------------------
+# -- RouteIndex vs a regex linear-scan oracle ----------------------------------
+
+@lru_cache(maxsize=None)
+def _oracle_regex(pattern):
+    """The pattern as a regex over ``.``-prefixed segments: ``*`` is one
+    segment, ``#`` zero or more, anything else itself."""
+    wild = {"*": r"\.[^.]*", "#": r"(?:\.[^.]*)*"}
+    return re.compile("".join(wild.get(seg, r"\." + re.escape(seg))
+                              for seg in pattern.split(".")))
+
 
 def _oracle_match(bindings, topic):
-    """The pre-index semantics: scan every binding, dedup by queue,
-    first-binding order."""
+    """Scan every binding, dedup by queue, first-binding order."""
     seen, out = set(), []
     for pattern, qname in bindings:
-        if qname not in seen and topic_matches(pattern, topic):
+        if qname not in seen and _oracle_regex(pattern).fullmatch("." + topic):
             seen.add(qname)
             out.append(qname)
     return tuple(out)
@@ -39,11 +53,35 @@ def _random_tables(seed, n_bindings=120, n_topics=300):
     return bindings, topics
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_route_index_equals_oracle_on_random_tables(seed):
-    bindings, topics = _random_tables(seed)
+@pytest.mark.parametrize("tables", [
+    *(pytest.param(_random_tables(seed), id=str(seed)) for seed in range(4)),
+    pytest.param(_routing_tables(0), id="federation-broker"),
+])
+def test_route_index_equals_oracle_on_random_tables(tables):
+    bindings, topics = tables
     index = RouteIndex(bindings)
     for topic in topics:
+        assert index.match(topic) == _oracle_match(bindings, topic), topic
+
+
+_pattern_segments = st.sampled_from(("a", "b", "", "*", "#", "#"))
+_topic_segments = st.sampled_from(("a", "b", "", "*"))
+
+
+@given(bindings=st.lists(st.tuples(
+           st.lists(_pattern_segments, min_size=1, max_size=6).map(".".join),
+           st.sampled_from(("q0", "q1", "q2", "q3"))), max_size=12),
+       topics=st.lists(st.lists(_topic_segments, min_size=1,
+                                max_size=6).map(".".join), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_property_route_index_matches_regex_oracle(bindings, topics):
+    """Generated bindings with several ``#``, ``*`` and empty segments:
+    ``topic_matches`` and ``RouteIndex.match`` agree with the oracle."""
+    index = RouteIndex(bindings)
+    for topic in topics:
+        for pattern, _ in bindings:
+            assert topic_matches(pattern, topic) == bool(
+                _oracle_regex(pattern).fullmatch("." + topic)), (pattern, topic)
         assert index.match(topic) == _oracle_match(bindings, topic), topic
 
 

@@ -1,9 +1,14 @@
 """Tests for the facility-sharded discovery index."""
 
+from functools import partial
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.data import DiscoveryIndex, ShardedDiscoveryIndex, shard_for
 from repro.data.shard import ShardedDiscoveryIndex as _Direct
+from repro.perf.workloads import _mesh_corpus
 
 
 def entry(i, site, technique="powder-xrd", institution="inst-0"):
@@ -56,20 +61,80 @@ def test_len_contains_get(sharded):
     assert sharded.get("rec-9999") is None
 
 
-def test_query_matches_flat_index(sharded):
-    flat = DiscoveryIndex()
-    for i in range(20):
-        flat.publish(entry(i, f"site-{i % 5}",
-                           technique=("powder-xrd" if i % 2 else "uv-vis"),
-                           institution=f"inst-{i % 3}"))
-    for filters in ({}, {"site": "site-1"},
-                    {"metadata.technique": "uv-vis"},
-                    {"institution": "inst-2"},
-                    {"record_id": "rec-0007"},
-                    {"metadata.technique": "powder-xrd",
-                     "institution": "inst-1"}):
-        assert ([e["record_id"] for e in sharded.query(**filters)]
-                == [e["record_id"] for e in flat.query(**filters)])
+# -- flat-scan oracle ----------------------------------------------------------
+
+#: Filter key -> value pool.  Indexed (``site``, ``institution``,
+#: ``metadata.technique``), non-indexed (``sensitivity``,
+#: ``metadata.color``) and the primary key; ``None`` joins every pool.
+_FIELDS = {
+    "record_id": tuple(f"rec-{i}" for i in range(6)),
+    "site": ("", "site-0", "site-1", "site-2", "site-3"),
+    "institution": ("inst-0", "inst-1"),
+    "sensitivity": ("open", "restricted"),
+    "metadata.technique": ("uv-vis", "powder-xrd"),
+    "metadata.color": ("red", "blue"),
+}
+
+
+def _pool(key):
+    return st.sampled_from(_FIELDS[key] + (None,))
+
+
+#: Index entries: a record id plus any subset of the other fields.
+_entries = st.fixed_dictionaries(
+    {"record_id": st.sampled_from(_FIELDS["record_id"])},
+    optional={"site": _pool("site"), "institution": _pool("institution"),
+              "sensitivity": _pool("sensitivity"),
+              "metadata": st.fixed_dictionaries({}, optional={
+                  "technique": _pool("metadata.technique"),
+                  "color": _pool("metadata.color")})})
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("publish"), _entries),
+    st.tuples(st.just("remove"), st.sampled_from(_FIELDS["record_id"]))),
+    max_size=40)
+_filters = st.lists(st.sampled_from(sorted(_FIELDS)), unique=True,
+                    max_size=3).flatmap(lambda keys: st.fixed_dictionaries(
+                        {k: _pool(k) for k in keys}))
+
+
+def _flat_scan(rows, filters):
+    """Keep the rows (sorted by record id) that every filter matches: a
+    dotted key walks nested dicts, and a missing field reads as ``None``."""
+    def field(entry, key):
+        for part in key.split("."):
+            entry = entry.get(part) if isinstance(entry, dict) else None
+        return entry
+    return [e for e in rows
+            if all(field(e, k) == v for k, v in filters.items())]
+
+
+_CORPUS, _CORPUS_QUERIES = _mesh_corpus(0, 1000, 5)
+
+
+@given(ops=_ops, queries=st.lists(_filters, max_size=12),
+       n_shards=st.integers(1, 5))
+@example(ops=[("publish", e) for e in _CORPUS], queries=_CORPUS_QUERIES,
+         n_shards=32)
+@settings(max_examples=150, deadline=None)
+def test_query_matches_flat_index(ops, queries, n_shards):
+    """Both indexes answer every filter set exactly as a flat scan of
+    the live entries does, after any publish/remove stream."""
+    flat, sharded = DiscoveryIndex(), ShardedDiscoveryIndex(n_shards)
+    live = {}
+    for op, arg in ops:
+        if op == "publish":
+            live[arg["record_id"]] = arg
+            flat.publish(arg)
+            sharded.publish(arg)
+        else:
+            live.pop(arg, None)
+            flat.remove(arg)
+            sharded.remove(arg)
+    rows = [entry for _, entry in sorted(live.items())]
+    for filters in queries + [{}]:
+        want = _flat_scan(rows, filters)
+        assert flat.query(**filters) == want, filters
+        assert sharded.query(**filters) == want, filters
 
 
 def test_results_sorted_by_record_id(sharded):
@@ -192,6 +257,31 @@ def test_sharded_merge_matches_single_index(sharded):
     flat_state = sharded.state()
     assert flat_state["n_shards"] == 4
     assert sum(len(s["entries"]) for s in flat_state["shards"]) == 30
+
+
+@given(stream=st.lists(_entries, max_size=40),
+       cuts=st.lists(st.integers(0, 40), max_size=4),
+       make=st.sampled_from([DiscoveryIndex] + [
+           partial(ShardedDiscoveryIndex, n) for n in (1, 2, 3, 5)]))
+@settings(max_examples=150, deadline=None)
+def test_merged_chunks_equal_one_index(stream, cuts, make):
+    """Cut a publish stream into chunks, index each chunk on its own and
+    merge them left to right: the result is the index fed the whole
+    stream, including records that moved site between chunks."""
+    whole = make()
+    for entry in stream:
+        whole.publish(entry)
+    bounds = sorted({0, len(stream), *(min(c, len(stream)) for c in cuts)})
+    merged = make()
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = make()
+        for entry in stream[lo:hi]:
+            chunk.publish(entry)
+        merged.merge_from(chunk)
+    assert len(merged) == len(whole)
+    for record_id in _FIELDS["record_id"]:
+        assert merged.get(record_id) == whole.get(record_id)
+    assert merged.query() == whole.query()
 
 
 def test_sharded_merge_rejects_mismatched_shard_counts(sharded):

@@ -28,7 +28,6 @@ def test_quick_run_produces_versioned_report():
     assert metrics["hash_equal"] == 1.0
     # Calendar-queue structure counters ride along as obs gauges.
     assert metrics["queue_coalesced"] > 0
-    assert report["gates"]["sim_events.kernel_speedup"] > 0
     assert report["obs"]["counters"]["perf.workloads_run"] == 1
     assert "perf.sim_events.events_per_second" in report["obs"]["gauges"]
     assert "perf.sim_events.queue_coalesced" in report["obs"]["gauges"]

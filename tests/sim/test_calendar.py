@@ -4,23 +4,24 @@ The calendar queue's whole value is being faster while *byte-identical*
 in behavior to the binary heap it replaced.  These tests hold that line
 from two directions:
 
-- structure-level: randomized seeded push/pop schedules through
+- structure-level: generated push/pop schedules through
   :class:`~repro.sim.calendar.CalendarQueue` and ``heapq`` must pop in
-  the same global ``(time, seq)`` order, including same-time ties and
-  mid-stream ``stop_at`` boundaries;
-- kernel-level: the same mixed program (coalesced pollers, random-delay
+  the same global ``(time, seq)`` order, including same-time ties,
+  far-band offsets and mid-stream ``stop_at`` boundaries;
+- kernel-level: a fixed mixed program (coalesced pollers, random-delay
   chains, interrupt-cancelled timeouts, ``schedule_callback`` deferred
-  resolution) run on the live :class:`~repro.sim.kernel.Simulator` and
-  on the frozen :class:`~repro.perf.legacy_kernel.LegacySimulator` must
-  produce identical event traces and identical decision hashes.
+  resolution) run on the live :class:`~repro.sim.kernel.Simulator` must
+  reproduce the step count, end time and decision hash that the retired
+  binary-heap kernel produced on it (pinned below).
 """
 
 import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.perf.legacy_kernel import LegacySimulator
 from repro.scale.hashing import decision_hash
 from repro.sim.calendar import CalendarQueue
 from repro.sim.kernel import Simulator
@@ -29,79 +30,61 @@ from repro.sim.process import Interrupt
 _INF = float("inf")
 
 
-# -- structure-level property test ---------------------------------------------
+# -- structure-level property tests ---------------------------------------------
+
+# Offsets are multiples of 1/4, so sums stay exact and pushes from
+# different bursts collide on the same time as often as pushes from one
+# burst; far offsets land beyond the horizon (far band, migrations).
+_near = st.integers(0, 32).map(lambda k: k / 4)
+_far = st.integers(200, 2000).map(lambda k: k / 4)
+_offsets = st.one_of(_near, _near, _far)
+_bursts = st.lists(_offsets, max_size=6)
 
 
-def _random_schedule(seed: int, n_ops: int = 2000):
-    """A seeded stream of (push-time, stop-at) decisions with heavy ties."""
-    rng = np.random.default_rng(seed)
-    # Quantized times force many exact collisions (coalescing buckets);
-    # occasional large offsets exercise the far band and migrations.
-    times = np.round(rng.uniform(0.0, 8.0, size=n_ops), 1)
-    far = rng.uniform(50.0, 500.0, size=n_ops)
-    use_far = rng.random(n_ops) < 0.1
-    return np.where(use_far, far, times), rng
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
-def test_calendar_matches_heap_pop_order(seed):
-    offsets, rng = _random_schedule(seed)
-    queue = CalendarQueue(start=0.0)
+@pytest.mark.parametrize("start", [0, 1, 7, 42, 1234])  # clock origin
+@given(steps=st.lists(st.tuples(_bursts, st.integers(1, 8)), max_size=60))
+@settings(max_examples=40, deadline=None)
+def test_calendar_matches_heap_pop_order(start, steps):
+    """Push bursts at the current clock, drain a few, repeat: the queue
+    pops exactly what ``heapq`` pops, tie for tie."""
+    queue = CalendarQueue(start=float(start))
     heap: list = []
     seq = 0
-    now = 0.0
-    popped_cal: list = []
-    popped_heap: list = []
-
-    def push(at):
-        nonlocal seq
-        queue.push(at, seq, ("ev", seq))
-        heapq.heappush(heap, (at, seq, ("ev", seq)))
-        seq += 1
-
-    i = 0
-    while i < len(offsets) or heap:
-        # Push a random-sized burst (bursts at one clock value produce
-        # same-time ties whose seq order must be preserved).
-        burst = int(rng.integers(0, 6))
-        for _ in range(burst):
-            if i < len(offsets):
-                push(now + float(offsets[i]))
-                i += 1
-        # Drain a few events from both structures and advance the clock.
-        for _ in range(int(rng.integers(1, 8))):
-            ev = queue.pop_due(_INF)
-            if ev is None:
-                assert not heap
-                break
-            t, s, hev = heapq.heappop(heap)
-            popped_cal.append((queue._active_time, ev))
-            popped_heap.append((t, hev))
-            now = t
-
-    assert not heap and len(queue) == 0
-    assert popped_cal == popped_heap
+    now = float(start)
+    for burst, drains in steps + [([], _INF)]:
+        for offset in burst:
+            queue.push(now + offset, seq, seq)
+            heapq.heappush(heap, (now + offset, seq))
+            seq += 1
+        while drains > 0 and heap:
+            drains -= 1
+            now, want = heapq.heappop(heap)
+            assert queue.pop_due(_INF) == want
+            assert queue._active_time == now
+    assert queue.pop_due(_INF) is None and len(queue) == 0
 
 
-@pytest.mark.parametrize("seed", [3, 99])
-def test_calendar_respects_stop_at_boundaries(seed):
-    rng = np.random.default_rng(seed)
-    queue = CalendarQueue(start=0.0)
+@pytest.mark.parametrize("start", [3, 99])  # clock origin
+@given(windows=st.lists(st.tuples(_bursts, _near), min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_calendar_respects_stop_at_boundaries(start, windows):
+    """``run(until=...)`` windows: push a burst at the clock, drain up to
+    ``stop_at`` (repeats included), move the clock to ``stop_at``."""
+    queue = CalendarQueue(start=float(start))
     heap: list = []
-    entries = sorted(
-        (round(float(t), 1), s)
-        for s, t in enumerate(rng.uniform(0.0, 20.0, size=500)))
-    for t, s in sorted(entries, key=lambda e: e[1]):  # push in seq order
-        queue.push(t, s, (t, s))
-        heapq.heappush(heap, (t, s))
-    for stop_at in (0.0, 3.3, 3.3, 7.05, 19.9, _INF):
-        while True:
-            ev = queue.pop_due(stop_at)
-            if ev is None:
-                # Nothing at or before stop_at may remain in the heap.
-                assert not heap or heap[0][0] > stop_at
-                break
-            assert ev == heapq.heappop(heap)
+    seq = 0
+    clock = float(start)
+    for burst, width in windows + [([], _INF)]:
+        for offset in burst:
+            queue.push(clock + offset, seq, seq)
+            heapq.heappush(heap, (clock + offset, seq))
+            seq += 1
+        stop_at = clock + width
+        while (got := queue.pop_due(stop_at)) is not None:
+            assert got == heapq.heappop(heap)[1]
+        # Nothing at or before stop_at may remain in the heap.
+        assert not heap or heap[0][0] > stop_at
+        clock = stop_at
     assert not heap and len(queue) == 0
 
 
@@ -152,14 +135,33 @@ def test_coalescing_counts_shared_buckets():
 
 # -- kernel-level equivalence --------------------------------------------------
 
+#: What the retired binary-heap kernel produced on ``_mixed_program``,
+#: traced by ``_run_traced``: seed -> (steps, end time,
+#: ``decision_hash([trace, log])``).  That kernel can never change, so
+#: on these fixed inputs its output is a constant; the live kernel
+#: reproduced every value in a separate process.
+_FROZEN_TRACED = {
+    0: (127, 100.0, "407741c29febef58d325740ec64e6dd7"
+                    "1296875f5525b14551ab2db148d76d02"),
+    5: (127, 100.0, "9d78a9fcd4f4fef8e8a6fcdd5860e151"
+                    "70013905400dc9d5665a9d2660c4059d"),
+    2024: (127, 100.0, "ea5a3801fa66f2c913bc28a7bb8fb0e8"
+                       "76baaf265b54e6e56ce1383081b20735"),
+}
+#: The same for seed 7 run in ``_WINDOWS`` (window markers traced too).
+_WINDOWS = (0.75, 2.0, 2.0, 6.5)  # repeated + mid-bucket stops
+_FROZEN_WINDOWS = (131, 100.0, "7d140e55fd8dfe88dc156442ef487591"
+                               "2e7dbc39a8f472a884495acb36d1993b")
+
 
 def _norm_kind(event) -> str:
-    """Class name normalized across live and frozen-legacy kernels."""
-    return type(event).__name__.replace("Legacy", "").lstrip("_")
+    """Event class name without its leading underscore, as the pinned
+    traces record it."""
+    return type(event).__name__.lstrip("_")
 
 
 def _mixed_program(sim, seed: int):
-    """Build the equivalence workload on either kernel; returns the log."""
+    """Build the equivalence workload on ``sim``; returns the log."""
     rng = np.random.default_rng(seed)
     log: list = []
 
@@ -215,38 +217,24 @@ def _mixed_program(sim, seed: int):
     return log
 
 
-def _run_traced(sim_cls, seed: int):
-    sim = sim_cls()
+def _run_traced(seed: int, windows=()):
+    """Run ``_mixed_program``, stopping at each ``windows`` time first;
+    returns (steps, end time, ``decision_hash([trace, log])``)."""
+    sim = Simulator()
     trace: list = []
     sim.step_hook = lambda now, event: trace.append((now, _norm_kind(event)))
     log = _mixed_program(sim, seed)
+    for until in windows:
+        sim.run(until=until)
+        trace.append(("window", sim.now))
     sim.run()
-    return trace, log, sim.now
+    return len(trace), sim.now, decision_hash([trace, log])
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 def test_kernel_equivalence_with_frozen_legacy(seed):
-    fast_trace, fast_log, fast_end = _run_traced(Simulator, seed)
-    legacy_trace, legacy_log, legacy_end = _run_traced(LegacySimulator, seed)
-    assert fast_end == legacy_end
-    assert fast_trace == legacy_trace       # event-for-event, tie-for-tie
-    assert fast_log == legacy_log           # user-visible decisions
-    assert (decision_hash([fast_trace, fast_log])
-            == decision_hash([legacy_trace, legacy_log]))
+    assert _run_traced(seed) == _FROZEN_TRACED[seed]
 
 
 def test_kernel_equivalence_across_run_until_boundaries():
-    def run_windows(sim_cls):
-        sim = sim_cls()
-        trace: list = []
-        sim.step_hook = lambda now, event: trace.append((now, _norm_kind(event)))
-        log = _mixed_program(sim, seed=7)
-        for until in (0.75, 2.0, 2.0, 6.5):  # repeated + mid-bucket stops
-            sim.run(until=until)
-            trace.append(("window", sim.now))
-        sim.run()
-        return trace, log
-
-    fast = run_windows(Simulator)
-    legacy = run_windows(LegacySimulator)
-    assert fast == legacy
+    assert _run_traced(7, _WINDOWS) == _FROZEN_WINDOWS

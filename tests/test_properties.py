@@ -11,9 +11,9 @@ from repro.core.metrics import reduction_fraction, speedup
 from repro.data import DataRecord, fair_score
 from repro.data.schema import _UNIT_CONVERSIONS, SchemaError, convert_unit
 from repro.labsci import ContinuousDim, DiscreteDim, ParameterSpace
+from repro.labsci.quantum_dots import quantum_dot_space
 from repro.net import (FaultInjector, Link, Network, Site, Topology,
                        Unreachable)
-from repro.perf.legacy_ask import legacy_sample
 from repro.sim import PriorityStore, RngRegistry, Simulator
 
 # -- topic matching --------------------------------------------------------------
@@ -100,11 +100,22 @@ def test_property_samples_encode_into_unit_box(space, seed):
             offset += 1
 
 
+def legacy_sample(space, rng):
+    """The retired scalar sampler: one RNG call per dimension, per point."""
+    out = {}
+    for d in space.dims:
+        if isinstance(d, ContinuousDim):
+            out[d.name] = float(rng.uniform(d.low, d.high))
+        else:
+            out[d.name] = str(rng.choice(list(d.choices)))
+    return out
+
+
 @given(_spaces(), st.integers(0, 2**32 - 1), st.integers(1, 5))
 @settings(max_examples=300, deadline=None)
 def test_property_sample_replays_scalar_oracle(space, seed, k):
     """``sample`` (``sample_batch``'s one-row case) consumes the stream
-    exactly as the frozen per-dim scalar loop: same dicts, key order and
+    exactly as the retired per-dim scalar loop: same dicts, key order and
     value types, and the same generator state afterwards."""
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(k):
@@ -112,6 +123,38 @@ def test_property_sample_replays_scalar_oracle(space, seed, k):
         assert list(got.items()) == list(want.items())
         assert list(map(type, got.values())) == list(map(type, want.values()))
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic (no p-value machinery)."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.sort(np.concatenate([a, b]), kind="mergesort")
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def test_batch_sampler_matches_scalar_distribution():
+    """A many-row ``sample_batch`` fills each column before the next dim,
+    so its variates differ from the scalar loop's; its distribution may
+    not.  2,048 quantum-dot draws per side (seeds 101/202): per
+    continuous dim a KS statistic <= 0.065 (the alpha=0.001 critical
+    value is ~0.061), per discrete dim every choice frequency within
+    0.05."""
+    n = 2048
+    space = quantum_dot_space()
+    scalar_rng = np.random.default_rng(101)
+    scalar = [legacy_sample(space, scalar_rng) for _ in range(n)]
+    batch = space.decode_batch(
+        space.sample_batch(np.random.default_rng(202), n))
+    for d in space.dims:
+        a = [p[d.name] for p in scalar]
+        b = [p[d.name] for p in batch]
+        if isinstance(d, ContinuousDim):
+            assert _ks_statistic(np.asarray(a), np.asarray(b)) <= 0.065, d
+        else:
+            for c in d.choices:
+                assert abs(a.count(c) - b.count(c)) / n <= 0.05, (d, c)
 
 
 @given(_spaces(), st.integers(0, 2**31 - 1))
