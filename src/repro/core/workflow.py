@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-import networkx as nx
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
@@ -44,8 +42,9 @@ class WorkflowDAG:
     def __init__(self, sim: "Simulator", name: str = "workflow") -> None:
         self.sim = sim
         self.name = name
-        self._graph = nx.DiGraph()
         self._steps: dict[str, WorkflowStep] = {}
+        # step -> steps that depend on it, in the order they were added.
+        self._children: dict[str, list[str]] = {}
         self.results: dict[str, Any] = {}
         self.failures: dict[str, str] = {}
         self.timings: dict[str, tuple[float, float]] = {}
@@ -63,9 +62,9 @@ class WorkflowDAG:
         step = WorkflowStep(name=name, factory=factory, deps=tuple(deps),
                             retries=retries, optional=optional)
         self._steps[name] = step
-        self._graph.add_node(name)
-        for dep in deps:
-            self._graph.add_edge(dep, name)
+        self._children[name] = []
+        for dep in dict.fromkeys(deps):
+            self._children[dep].append(name)
         return step
 
     def __len__(self) -> int:
@@ -79,10 +78,9 @@ class WorkflowDAG:
         Steps start the moment their dependencies complete.  A failed
         required step aborts downstream work and raises
         :class:`WorkflowError`; failed *optional* steps are recorded and
-        skipped over.
+        skipped over.  :meth:`add` accepts only steps that already exist
+        as dependencies, so the graph cannot hold a cycle.
         """
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise WorkflowError("workflow graph has a cycle")
         pending = dict(self._steps)
         running: dict[str, Any] = {}
         completed: set[str] = set()
@@ -153,13 +151,28 @@ class WorkflowDAG:
     # -- introspection ---------------------------------------------------------------------
 
     def critical_path(self) -> list[str]:
-        """Longest-duration chain through the executed DAG."""
+        """Longest-duration chain through the executed DAG.
+
+        Steps are visited in Kahn order by generations, each generation
+        in the order its steps became ready (networkx's
+        ``topological_sort`` order); equal-duration chains resolve to the
+        first step in that order.
+        """
         durations = {n: (self.timings[n][1] - self.timings[n][0])
                      if n in self.timings else 0.0
-                     for n in self._graph.nodes}
+                     for n in self._steps}
+        parents = {n: tuple(dict.fromkeys(s.deps))
+                   for n, s in self._steps.items()}
+        waiting = {n: len(p) for n, p in parents.items()}
+        order = [n for n, k in waiting.items() if k == 0]
+        for node in order:  # grows by one generation after another
+            for child in self._children[node]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    order.append(child)
         best: dict[str, tuple[float, list[str]]] = {}
-        for node in nx.topological_sort(self._graph):
-            preds = list(self._graph.predecessors(node))
+        for node in order:
+            preds = parents[node]
             if preds:
                 prev_cost, prev_path = max(
                     (best[p] for p in preds), key=lambda t: t[0])

@@ -6,15 +6,13 @@ across distributed facilities."
 
 The model follows PROV's core trio — entities (data, samples), activities
 (syntheses, measurements, analyses, decisions), agents (AI planners,
-instruments, humans) — with the standard relations as typed edges on a
-``networkx`` DiGraph.
+instruments, humans) — with the standard relations as typed edges of a
+directed graph held in plain dicts.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
-
-import networkx as nx
 
 #: PROV relation names used as edge ``kind``.
 USED = "used"
@@ -47,21 +45,28 @@ class ProvenanceGraph:
     """
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
+        # Node id -> attributes, ``prov_type`` first.
+        self._nodes: dict[str, dict[str, Any]] = {}
+        # src -> {dst: kind}; re-relating a pair overwrites its kind.
+        self._out: dict[str, dict[str, str]] = {}
+        # dst -> srcs, in the order each (src, dst) pair was first related.
+        self._in: dict[str, list[str]] = {}
         # Deferred cross-shard relations: (src, fully-qualified dst, kind).
         self._pending: list[tuple[str, str, str]] = []
 
     # -- node creation ---------------------------------------------------------
 
     def _add_node(self, node_id: str, prov_type: str, **attrs: Any) -> str:
-        if node_id in self._g:
-            existing = self._g.nodes[node_id].get("prov_type")
-            if existing != prov_type:
+        node = self._nodes.get(node_id)
+        if node is not None:
+            if node["prov_type"] != prov_type:
                 raise ValueError(
-                    f"{node_id!r} already recorded as {existing}")
-            self._g.nodes[node_id].update(attrs)
+                    f"{node_id!r} already recorded as {node['prov_type']}")
+            node.update(attrs)
             return node_id
-        self._g.add_node(node_id, prov_type=prov_type, **attrs)
+        self._nodes[node_id] = {"prov_type": prov_type, **attrs}
+        self._out[node_id] = {}
+        self._in[node_id] = []
         return node_id
 
     def entity(self, entity_id: str, **attrs: Any) -> str:
@@ -82,9 +87,12 @@ class ProvenanceGraph:
 
     def _relate(self, src: str, dst: str, kind: str) -> None:
         for node in (src, dst):
-            if node not in self._g:
+            if node not in self._nodes:
                 raise KeyError(f"unknown provenance node {node!r}")
-        self._g.add_edge(src, dst, kind=kind)
+        out = self._out[src]
+        if dst not in out:
+            self._in[dst].append(src)
+        out[dst] = kind
 
     def used(self, activity: str, entity: str) -> None:
         self._relate(activity, entity, USED)
@@ -104,7 +112,7 @@ class ProvenanceGraph:
         as pending and stitched when a merge brings that node in.
         """
         if cross_shard:
-            if entity not in self._g:
+            if entity not in self._nodes:
                 raise KeyError(f"unknown provenance node {entity!r}")
             self._pending.append((entity, source_entity, DERIVED_FROM))
             return
@@ -127,8 +135,8 @@ class ProvenanceGraph:
         """Turn every resolvable pending relation into a real edge."""
         stitched, still_pending = 0, []
         for src, dst, kind in self._pending:
-            if src in self._g and dst in self._g:
-                self._g.add_edge(src, dst, kind=kind)
+            if src in self._nodes and dst in self._nodes:
+                self._relate(src, dst, kind)
                 stitched += 1
             else:
                 still_pending.append((src, dst, kind))
@@ -148,13 +156,12 @@ class ProvenanceGraph:
         (same contract as local node creation).
         """
         prefix = f"{namespace}{NAMESPACE_SEP}" if namespace else ""
-        for node_id in sorted(other._g.nodes):
-            attrs = dict(other._g.nodes[node_id])
+        for node_id in sorted(other._nodes):
+            attrs = dict(other._nodes[node_id])
             prov_type = attrs.pop("prov_type")
             self._add_node(prefix + node_id, prov_type, **attrs)
-        for src, dst, data in sorted(other._g.edges(data=True),
-                                     key=lambda e: (e[0], e[1])):
-            self._g.add_edge(prefix + src, prefix + dst, kind=data["kind"])
+        for src, dst, kind in other._edges():
+            self._relate(prefix + src, prefix + dst, kind)
         for src, dst, kind in other._pending:
             self._pending.append((prefix + src, dst, kind))
         return self._stitch()
@@ -176,21 +183,39 @@ class ProvenanceGraph:
     # -- queries -----------------------------------------------------------------------
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._g
+        return node_id in self._nodes
 
     def __len__(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._nodes)
 
     @property
     def edge_count(self) -> int:
         """Number of recorded relations (pending stitches excluded)."""
-        return self._g.number_of_edges()
+        return sum(map(len, self._out.values()))
 
     def node_type(self, node_id: str) -> str:
-        return self._g.nodes[node_id]["prov_type"]
+        return self._nodes[node_id]["prov_type"]
 
     def attrs(self, node_id: str) -> dict[str, Any]:
-        return dict(self._g.nodes[node_id])
+        return dict(self._nodes[node_id])
+
+    def _edges(self) -> list[tuple[str, str, str]]:
+        """Every relation as ``(src, dst, kind)``, sorted by ``(src, dst)``."""
+        return sorted((src, dst, kind) for src, out in self._out.items()
+                      for dst, kind in out.items())
+
+    @staticmethod
+    def _reachable(adj: dict[str, Any], start: str) -> list[str]:
+        """Every node reachable from ``start`` in ``adj``, except ``start``
+        itself, sorted."""
+        seen, stack = {start}, [start]
+        while stack:
+            for node in adj[stack.pop()]:
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+        seen.discard(start)
+        return sorted(seen)
 
     def lineage(self, entity_id: str) -> list[str]:
         """Every node reachable from ``entity_id`` along provenance edges.
@@ -198,26 +223,25 @@ class ProvenanceGraph:
         This answers "how was this number produced?" — the full upstream
         closure of samples, activities, and agents.
         """
-        if entity_id not in self._g:
+        if entity_id not in self._nodes:
             raise KeyError(entity_id)
-        return sorted(nx.descendants(self._g, entity_id))
+        return self._reachable(self._out, entity_id)
 
     def derived_products(self, entity_id: str) -> list[str]:
         """Downstream entities that (transitively) derive from this one."""
-        if entity_id not in self._g:
+        if entity_id not in self._nodes:
             raise KeyError(entity_id)
-        upstream_of = nx.ancestors(self._g, entity_id)
-        return sorted(n for n in upstream_of
-                      if self._g.nodes[n]["prov_type"] == "entity")
+        return [n for n in self._reachable(self._in, entity_id)
+                if self._nodes[n]["prov_type"] == "entity"]
 
     def responsible_agents(self, entity_id: str) -> list[str]:
         """All agents in the entity's lineage — who to ask about it."""
         return [n for n in self.lineage(entity_id)
-                if self._g.nodes[n]["prov_type"] == "agent"]
+                if self._nodes[n]["prov_type"] == "agent"]
 
     def generating_activity(self, entity_id: str) -> Optional[str]:
-        for _, dst, data in self._g.out_edges(entity_id, data=True):
-            if data["kind"] == GENERATED_BY:
+        for dst, kind in self._out.get(entity_id, {}).items():
+            if kind == GENERATED_BY:
                 return dst
         return None
 
@@ -230,21 +254,20 @@ class ProvenanceGraph:
         associated agent, (3) the activity's inputs are recorded (``used``
         edge or a ``wasDerivedFrom``), (4) timestamps present.
         """
-        if entity_id not in self._g:
+        if entity_id not in self._nodes:
             return 0.0
         score = 0.0
         activity = self.generating_activity(entity_id)
         if activity is not None:
             score += 0.25
-            edges = self._g.out_edges(activity, data=True)
-            if any(d["kind"] == ASSOCIATED_WITH for _, _, d in edges):
+            kinds = self._out[activity].values()
+            if ASSOCIATED_WITH in kinds:
                 score += 0.25
-            has_inputs = (any(d["kind"] == USED for _, _, d in edges)
-                          or any(d["kind"] == DERIVED_FROM for _, _, d in
-                                 self._g.out_edges(entity_id, data=True)))
+            has_inputs = (USED in kinds
+                          or DERIVED_FROM in self._out[entity_id].values())
             if has_inputs:
                 score += 0.25
-            if self._g.nodes[activity].get("ended", 0.0) > 0.0:
+            if self._nodes[activity].get("ended", 0.0) > 0.0:
                 score += 0.25
         return score
 
@@ -253,11 +276,10 @@ class ProvenanceGraph:
     def to_dict(self) -> dict[str, Any]:
         """JSON-shaped export (PROV-JSON-like)."""
         out: dict[str, Any] = {
-            "nodes": [{"id": n, **self._g.nodes[n]} for n in
-                      sorted(self._g.nodes)],
-            "edges": [{"src": u, "dst": v, "kind": d["kind"]}
-                      for u, v, d in sorted(self._g.edges(data=True),
-                                            key=lambda e: (e[0], e[1]))],
+            "nodes": [{"id": n, **self._nodes[n]} for n in
+                      sorted(self._nodes)],
+            "edges": [{"src": u, "dst": v, "kind": k}
+                      for u, v, k in self._edges()],
         }
         if self._pending:
             out["pending"] = [{"src": s, "dst": d, "kind": k}
@@ -266,7 +288,11 @@ class ProvenanceGraph:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ProvenanceGraph":
-        """Rebuild a graph from :meth:`to_dict` output (replay path)."""
+        """Rebuild a graph from :meth:`to_dict` output (replay path).
+
+        An edge naming a node the export does not record raises
+        ``KeyError``, as :meth:`used` and the other relations do.
+        """
         graph = cls()
         for node in data.get("nodes", ()):
             attrs = dict(node)
@@ -274,7 +300,7 @@ class ProvenanceGraph:
             prov_type = attrs.pop("prov_type")
             graph._add_node(node_id, prov_type, **attrs)
         for edge in data.get("edges", ()):
-            graph._g.add_edge(edge["src"], edge["dst"], kind=edge["kind"])
+            graph._relate(edge["src"], edge["dst"], edge["kind"])
         for edge in data.get("pending", ()):
             graph._pending.append((edge["src"], edge["dst"], edge["kind"]))
         return graph

@@ -9,7 +9,9 @@ per-candidate Python iteration — the contract the batched
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 #: Posterior-std floor for improvement-based acquisitions.  The GP
 #: reports std == 0 exactly at observed points (and can numerically
@@ -19,12 +21,19 @@ from scipy.stats import norm
 STD_FLOOR = 1e-12
 
 
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal pdf, the expression ``scipy.stats.norm.pdf`` evaluates
+    (``ndtr`` is its cdf), so scores match it bit for bit without importing
+    ``scipy.stats``."""
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
+
+
 def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
                          xi: float = 0.01) -> np.ndarray:
     """EI over the incumbent ``best`` with exploration jitter ``xi``."""
     std = np.maximum(std, STD_FLOOR)
     z = (mean - best - xi) / std
-    return (mean - best - xi) * norm.cdf(z) + std * norm.pdf(z)
+    return (mean - best - xi) * ndtr(z) + std * _norm_pdf(z)
 
 
 def upper_confidence_bound(mean: np.ndarray, std: np.ndarray,
@@ -37,7 +46,7 @@ def probability_of_improvement(mean: np.ndarray, std: np.ndarray,
                                best: float, xi: float = 0.01) -> np.ndarray:
     """P(f(x) > best + xi)."""
     std = np.maximum(std, STD_FLOOR)
-    return norm.cdf((mean - best - xi) / std)
+    return ndtr((mean - best - xi) / std)
 
 
 def thompson_sample(gp, X: np.ndarray,

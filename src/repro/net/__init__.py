@@ -9,7 +9,7 @@ Time units are **seconds**, sizes are **bytes**, bandwidth is **bytes/s**.
 """
 
 from repro.net.faults import FaultInjector
-from repro.net.topology import Link, Site, Topology
+from repro.net.topology import Link, NoPath, Site, Topology
 from repro.net.transport import Network, NetworkError, PacketLost, Unreachable
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "Link",
     "Network",
     "NetworkError",
+    "NoPath",
     "PacketLost",
     "Site",
     "Topology",

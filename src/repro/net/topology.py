@@ -11,14 +11,19 @@ A path is a pure function of the graph, the blocked edge set, ``src`` and
 for the blocked set it last saw: a different blocked set, ``add_site`` or
 ``connect`` empties the memo, and a cached path equals the one a fresh
 computation would return.
+
+The graph is a plain adjacency dict, and :func:`_bidirectional_dijkstra`
+ports networkx's ``bidirectional_dijkstra`` (what ``nx.shortest_path``
+runs with a weight) step for step, so equal-latency ties resolve exactly
+as they did when the topology was an ``nx.Graph``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Iterable, Optional
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,65 @@ LOCAL_LINK = Link(latency_s=0.0002, bandwidth_Bps=1.25e10, jitter_s=0.0,
                   loss_prob=0.0)
 
 
+class NoPath(LookupError):
+    """No path joins the endpoints, or one of them is not a site."""
+
+
+def _bidirectional_dijkstra(adj: dict[str, dict[str, Link]], source: str,
+                            target: str) -> list[str]:
+    """Latency-shortest ``source`` -> ``target`` path on an undirected graph.
+
+    A port of networkx 3.6's ``bidirectional_dijkstra``: the two searches
+    alternate (forward first), share one push counter that breaks heap
+    ties, keep a meeting node that only a strictly shorter total replaces,
+    and add latencies in the same order, so the path is the one networkx
+    returns.
+    """
+    if source not in adj or target not in adj:
+        raise NoPath(f"unknown endpoint in ({source!r}, {target!r})")
+    dists: list[dict[str, float]] = [{}, {}]
+    preds: list[dict[str, Optional[str]]] = [{source: None}, {target: None}]
+    seen: list[dict[str, float]] = [{source: 0}, {target: 0}]
+    c = count()
+    fringe: list[list] = [[(0, next(c), source)], [(0, next(c), target)]]
+    finaldist: Optional[float] = None
+    meetnode = ""
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        done, other = dists[direction], dists[1 - direction]
+        if v in done:
+            continue
+        done[v] = dist
+        if v in other:
+            path: list[str] = []
+            node: Optional[str] = meetnode
+            while node is not None:
+                path.append(node)
+                node = preds[0][node]
+            path.reverse()
+            node = preds[1][meetnode]
+            while node is not None:
+                path.append(node)
+                node = preds[1][node]
+            return path
+        near, far = seen[direction], seen[1 - direction]
+        for w, link in adj[v].items():
+            if w in done:
+                continue
+            vw_length = dist + link.latency_s
+            if w not in near or vw_length < near[w]:
+                near[w] = vw_length
+                heappush(fringe[direction], (vw_length, next(c), w))
+                preds[direction][w] = v
+                if w in far:
+                    total = vw_length + far[w]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meetnode = total, w
+    raise NoPath(f"no path between {source!r} and {target!r}")
+
+
 class Topology:
     """The graph of sites and WAN links.
 
@@ -110,7 +174,9 @@ class Topology:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        # site -> {neighbour: link}, in insertion order as nx.Graph kept
+        # it; both directions of a link share one Link object.
+        self._adj: dict[str, dict[str, Link]] = {}
         self._sites: dict[str, Site] = {}
         self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
         self._paths_blocked: frozenset[tuple[str, str]] = frozenset()
@@ -121,7 +187,7 @@ class Topology:
         if site.name in self._sites:
             raise ValueError(f"duplicate site {site.name!r}")
         self._sites[site.name] = site
-        self._graph.add_node(site.name)
+        self._adj[site.name] = {}
         self._paths.clear()
         return site
 
@@ -132,7 +198,7 @@ class Topology:
         if a == b:
             raise ValueError("cannot connect a site to itself")
         link = link or Link()
-        self._graph.add_edge(a, b, link=link, weight=link.latency_s)
+        self._adj[a][b] = self._adj[b][a] = link
         self._paths.clear()
         return link
 
@@ -148,21 +214,28 @@ class Topology:
         return name in self._sites
 
     def link(self, a: str, b: str) -> Link:
-        return self._graph.edges[a, b]["link"]
+        return self._adj[a][b]
 
     def links(self) -> list[tuple[str, str, Link]]:
-        return [(min(a, b), max(a, b), d["link"])
-                for a, b, d in self._graph.edges(data=True)]
+        """Every link once, in networkx's edge order: by site insertion,
+        then adjacency order, skipping sites already listed."""
+        out, listed = [], set()
+        for a, nbrs in self._adj.items():
+            out.extend((min(a, b), max(a, b), link)
+                       for b, link in nbrs.items() if b not in listed)
+            listed.add(a)
+        return out
 
     def neighbors(self, name: str) -> list[str]:
-        return sorted(self._graph.neighbors(name))
+        return sorted(self._adj[name])
 
     def path(self, src: str, dst: str,
              blocked: Optional[Iterable[tuple[str, str]]] = None) -> list[str]:
         """Latency-shortest path from ``src`` to ``dst``.
 
         ``blocked`` is an iterable of edges to exclude (fault injection).
-        Raises :class:`networkx.NetworkXNoPath` when disconnected.
+        Raises :class:`NoPath` when disconnected or when an endpoint is
+        not a site.
 
         The path is a pure function of the graph, ``blocked``, ``src`` and
         ``dst``, so it is memoized per ``(src, dst)`` for the blocked set
@@ -179,19 +252,25 @@ class Topology:
         hit = self._paths.get((src, dst))
         if hit is not None:
             return list(hit)
-        graph = self._graph
+        adj = self._adj
         if blocked:
-            graph = graph.copy()
+            # Rebuild the adjacency in the order ``nx.Graph.copy()`` does,
+            # which differs from insertion order, then drop the blocked
+            # links: equal-latency ties depend on that order.
+            adj = {name: {} for name in self._adj}
+            for a, nbrs in self._adj.items():
+                for b, link in nbrs.items():
+                    adj[a][b] = adj[b][a] = link
             for a, b in sorted(blocked):
-                if graph.has_edge(a, b):
-                    graph.remove_edge(a, b)
-        path = nx.shortest_path(graph, src, dst, weight="weight")
+                if b in adj.get(a, ()):
+                    del adj[a][b], adj[b][a]
+        path = _bidirectional_dijkstra(adj, src, dst)
         self._paths[src, dst] = tuple(path)
         return path
 
     def path_links(self, path: list[str]) -> list[Link]:
         """The links along a node path."""
-        return [self._graph.edges[a, b]["link"] for a, b in zip(path, path[1:])]
+        return [self._adj[a][b] for a, b in zip(path, path[1:])]
 
     # -- canned topologies ------------------------------------------------------
 
@@ -215,14 +294,14 @@ class Topology:
                     jitter_s=jitter_s, loss_prob=loss_prob)
         for i in range(n_sites):
             j = (i + 1) % n_sites
-            if not topo._graph.has_edge(f"site-{i}", f"site-{j}"):
+            if f"site-{j}" not in topo._adj[f"site-{i}"]:
                 topo.connect(f"site-{i}", f"site-{j}", Link(**link))
         for i in range(0, n_sites - 2, 3):
             a, b = f"site-{i}", f"site-{i + 2}"
-            if not topo._graph.has_edge(a, b):
+            if b not in topo._adj[a]:
                 topo.connect(a, b, Link(**link))
         return topo
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Topology sites={len(self._sites)} "
-                f"links={self._graph.number_of_edges()}>")
+                f"links={len(self.links())}>")

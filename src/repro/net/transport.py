@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.net.faults import FaultInjector
-from repro.net.topology import LOCAL_LINK, Topology
+from repro.net.topology import LOCAL_LINK, NoPath, Topology
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,7 +97,7 @@ class Network:
         blocked = self.faults.blocked_edges(self.topology)
         try:
             return self.topology.path(src, dst, blocked=blocked)
-        except nx.NetworkXException as exc:  # no path, or an unknown site
+        except NoPath as exc:  # no path, or an unknown site
             raise Unreachable(f"no path {src} -> {dst}: {exc}") from exc
 
     def sample_delay(self, path: list[str], size_bytes: float) -> float:

@@ -1,9 +1,13 @@
 """Tests for the workflow DAG executor."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import WorkflowDAG
 from repro.core.workflow import WorkflowError
+from repro.sim import Simulator
 
 
 def make_step(sim, duration, value=None, fail=False):
@@ -133,6 +137,17 @@ def test_duplicate_and_unknown_dep_rejected(sim):
         wf.add("b", make_step(sim, 1.0), deps=("ghost",))
 
 
+def test_self_and_forward_deps_rejected_at_add(sim):
+    # Every dependency must already be a step, so no cycle can be built.
+    wf = WorkflowDAG(sim)
+    wf.add("a", make_step(sim, 1.0))
+    with pytest.raises(WorkflowError, match="unknown 'b'"):
+        wf.add("b", make_step(sim, 1.0), deps=("b",))
+    with pytest.raises(WorkflowError, match="unknown 'c'"):
+        wf.add("b", make_step(sim, 1.0), deps=("a", "c"))
+    assert len(wf) == 1
+
+
 def test_diamond_dependency(sim):
     wf = WorkflowDAG(sim)
     wf.add("src", make_step(sim, 1.0, 1))
@@ -147,3 +162,49 @@ def test_diamond_dependency(sim):
     sim.run()
     assert sim.now == pytest.approx(7.0)  # 1 + max(5,3) + 1
     assert wf.critical_path() == ["src", "left", "sink"]
+
+
+def _reference_critical_path(wf, steps):
+    """The longest chain computed over ``nx.topological_sort``."""
+    graph = nx.DiGraph()
+    for name, deps, _ in steps:
+        graph.add_node(name)
+        for dep in deps:
+            graph.add_edge(dep, name)
+    best = {}
+    for node in nx.topological_sort(graph):
+        start, end = wf.timings[node]
+        preds = list(graph.predecessors(node))
+        cost, path = (max((best[p] for p in preds), key=lambda t: t[0])
+                      if preds else (0.0, []))
+        best[node] = (cost + (end - start), path + [node])
+    return max(best.values(), key=lambda t: t[0])[1]
+
+
+@st.composite
+def _dags(draw):
+    """2-9 steps, each depending on up to three earlier ones (repeats
+    allowed), with durations from {0, 1, 2} so chains tie often."""
+    steps = []
+    for i in range(draw(st.integers(2, 9))):
+        earlier = [name for name, _, _ in steps]
+        deps = tuple(draw(st.lists(st.sampled_from(earlier), max_size=3))
+                     if earlier else ())
+        steps.append((f"s{i}", deps, float(draw(st.integers(0, 2)))))
+    return steps
+
+
+@given(_dags())
+@settings(max_examples=80, deadline=None)
+def test_property_critical_path_matches_networkx(steps):
+    sim = Simulator()
+    wf = WorkflowDAG(sim)
+    for name, deps, duration in steps:
+        wf.add(name, make_step(sim, duration), deps=deps)
+
+    def proc():
+        yield from wf.run()
+
+    sim.process(proc())
+    sim.run()
+    assert wf.critical_path() == _reference_critical_path(wf, steps)

@@ -1,8 +1,14 @@
 """Tests for the PROV-O-style provenance graph."""
 
+import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.data import ProvenanceGraph
+from repro.data.provenance import (ASSOCIATED_WITH, ATTRIBUTED_TO,
+                                   DERIVED_FROM, GENERATED_BY, INFORMED_BY,
+                                   USED, qualified)
 
 
 @pytest.fixture
@@ -217,3 +223,211 @@ def test_from_dict_roundtrip_full_graph(campaign_graph):
     rebuilt = ProvenanceGraph.from_dict(d)
     assert rebuilt.to_dict() == d
     assert rebuilt.completeness("rec-1") == 1.0
+
+
+def test_from_dict_rejects_dangling_edge(campaign_graph):
+    # A replay archive with an edge to an unrecorded node must fail at
+    # load time, not later inside responsible_agents() or a re-export.
+    d = campaign_graph.to_dict()
+    d["edges"].append({"src": "rec-1", "dst": "ghost",
+                       "kind": "wasDerivedFrom"})
+    with pytest.raises(KeyError, match="unknown provenance node 'ghost'"):
+        ProvenanceGraph.from_dict(d)
+
+
+# -- the dict graph against an nx.DiGraph reference --------------------------
+
+
+class _NxProvenance:
+    """Reference: the same PROV operations kept on an ``nx.DiGraph``."""
+
+    def __init__(self):
+        self.g = nx.DiGraph()
+        self.pending = []
+
+    def add(self, node, prov_type, **attrs):
+        if node in self.g:
+            if self.g.nodes[node]["prov_type"] != prov_type:
+                raise ValueError(node)
+            self.g.nodes[node].update(attrs)
+        else:
+            self.g.add_node(node, prov_type=prov_type, **attrs)
+
+    def relate(self, src, dst, kind):
+        if src not in self.g or dst not in self.g:
+            raise KeyError((src, dst))
+        self.g.add_edge(src, dst, kind=kind)
+
+    def defer(self, src, dst):
+        if src not in self.g:
+            raise KeyError(src)
+        self.pending.append((src, dst, DERIVED_FROM))
+
+    def merge_from(self, other, prefix=""):
+        for node in sorted(other.g.nodes):
+            attrs = dict(other.g.nodes[node])
+            self.add(prefix + node, attrs.pop("prov_type"), **attrs)
+        for src, dst, kind in sorted(other.g.edges(data="kind")):
+            self.g.add_edge(prefix + src, prefix + dst, kind=kind)
+        self.pending += [(prefix + s, d, k) for s, d, k in other.pending]
+        still = []
+        for src, dst, kind in self.pending:
+            if src in self.g and dst in self.g:
+                self.g.add_edge(src, dst, kind=kind)
+            else:
+                still.append((src, dst, kind))
+        self.pending = still
+
+    def to_dict(self):
+        out = {"nodes": [{"id": n, **self.g.nodes[n]}
+                         for n in sorted(self.g.nodes)],
+               "edges": [{"src": u, "dst": v, "kind": k}
+                         for u, v, k in sorted(self.g.edges(data="kind"))]}
+        if self.pending:
+            out["pending"] = [{"src": s, "dst": d, "kind": k}
+                              for s, d, k in sorted(self.pending)]
+        return out
+
+    def kind_of(self, node):
+        return self.g.nodes[node]["prov_type"]
+
+    def lineage(self, node):
+        return sorted(nx.descendants(self.g, node))
+
+    def derived_products(self, node):
+        return sorted(n for n in nx.ancestors(self.g, node)
+                      if self.kind_of(n) == "entity")
+
+    def completeness(self, node):
+        if node not in self.g:
+            return 0.0
+        activity = next((dst for _, dst, kind
+                         in self.g.out_edges(node, data="kind")
+                         if kind == GENERATED_BY), None)
+        if activity is None:
+            return 0.0
+        kinds = [k for _, _, k in self.g.out_edges(activity, data="kind")]
+        own = [k for _, _, k in self.g.out_edges(node, data="kind")]
+        return 0.25 * (1 + (ASSOCIATED_WITH in kinds)
+                       + (USED in kinds or DERIVED_FROM in own)
+                       + (self.g.nodes[activity].get("ended", 0.0) > 0.0))
+
+
+_IDS = ("e0", "e1", "x0", "x1")
+_SHARDS = ("site-a", "site-b", "site-c")
+_RELATIONS = {USED: "used", GENERATED_BY: "was_generated_by",
+              ASSOCIATED_WITH: "was_associated_with",
+              DERIVED_FROM: "was_derived_from",
+              INFORMED_BY: "was_informed_by",
+              ATTRIBUTED_TO: "was_attributed_to"}
+
+_node_op = st.one_of(
+    st.tuples(st.just("entity"), st.sampled_from(_IDS)),
+    st.tuples(st.just("agent"), st.sampled_from(_IDS)),
+    st.tuples(st.just("activity"), st.sampled_from(_IDS),
+              st.sampled_from((0.0, 2.0))),
+)
+_relate_op = st.tuples(st.just("relate"), st.sampled_from(sorted(_RELATIONS)),
+                       st.sampled_from(_IDS), st.sampled_from(_IDS))
+_cross_op = st.tuples(st.just("cross"), st.sampled_from(_IDS),
+                      st.sampled_from(_SHARDS), st.sampled_from(_IDS))
+# A few nodes first, then mostly relations: re-relating a pair with a new
+# kind, cycles and cross-shard stitches all need edges between known nodes.
+_prov_script = st.tuples(
+    st.lists(_node_op, min_size=3, max_size=8),
+    st.lists(st.one_of(_relate_op, _relate_op, _relate_op, _cross_op,
+                       _node_op), min_size=8, max_size=30),
+).map(lambda parts: parts[0] + parts[1])
+
+
+def _apply_prov(graph, ref, op):
+    """One operation on both sides: both raise the same type, or
+    neither does."""
+    name, *args = op
+    if name == "activity":
+        node, ended = args
+        do = (lambda: graph.activity(node, started=1.0, ended=ended),
+              lambda: ref.add(node, "activity", started=1.0, ended=ended))
+    elif name == "relate":
+        kind, src, dst = args
+        do = (lambda: getattr(graph, _RELATIONS[kind])(src, dst),
+              lambda: ref.relate(src, dst, kind))
+    elif name == "cross":
+        src, shard, node = args
+        do = (lambda: graph.was_derived_from(src, qualified(shard, node),
+                                             cross_shard=True),
+              lambda: ref.defer(src, qualified(shard, node)))
+    else:
+        (node,) = args
+        do = (lambda: getattr(graph, name)(node), lambda: ref.add(node, name))
+    outcomes = []
+    for call in do:
+        try:
+            call()
+            outcomes.append(None)
+        except (KeyError, ValueError) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1], op
+
+
+def _assert_same(graph, ref):
+    assert graph.to_dict() == ref.to_dict()
+    assert len(graph) == ref.g.number_of_nodes()
+    assert graph.edge_count == ref.g.number_of_edges()
+    for node in sorted(ref.g.nodes):
+        assert graph.lineage(node) == ref.lineage(node)
+        assert graph.derived_products(node) == ref.derived_products(node)
+        assert graph.responsible_agents(node) == [
+            n for n in ref.lineage(node) if ref.kind_of(n) == "agent"]
+        assert graph.completeness(node) == ref.completeness(node)
+    assert graph.completeness("ghost") == ref.completeness("ghost") == 0.0
+
+
+@given(st.lists(_prov_script, min_size=1, max_size=3),
+       st.booleans(), st.booleans())
+@settings(max_examples=120, deadline=None)
+@example([[("entity", "e0"), ("activity", "x0", 2.0),
+           ("relate", USED, "e0", "x0"),  # re-related below: kind overwritten
+           ("relate", INFORMED_BY, "x0", "e0"),  # a cycle
+           ("relate", GENERATED_BY, "e0", "x0"),
+           ("cross", "e0", "site-b", "e1")],
+          [("entity", "e1"), ("relate", DERIVED_FROM, "e1", "e1")]],
+         True, False)
+def test_property_provenance_matches_networkx_reference(scripts, namespaced,
+                                                        fold):
+    """Generated operation scripts, one per shard, then a merge (into a
+    fresh graph, or folded into the first shard) and a to_dict/from_dict
+    round trip: every query equals the nx.DiGraph reference's."""
+    shards, refs = {}, {}
+    for name, script in zip(_SHARDS, scripts):
+        graph, ref = ProvenanceGraph(), _NxProvenance()
+        for op in script:
+            _apply_prov(graph, ref, op)
+        _assert_same(graph, ref)
+        shards[name], refs[name] = graph, ref
+    names = list(shards)
+    if fold:
+        merged, merged_ref, rest = shards[names[0]], refs[names[0]], names[1:]
+    else:
+        merged, merged_ref, rest = None, _NxProvenance(), names
+
+    def merge_ref():
+        for name in rest:
+            merged_ref.merge_from(refs[name],
+                                  f"{name}::" if namespaced else "")
+
+    try:
+        if fold:
+            for name in rest:
+                merged.merge_from(shards[name],
+                                  namespace=name if namespaced else None)
+        else:
+            merged = ProvenanceGraph.merge_shards(shards,
+                                                  namespaced=namespaced)
+    except ValueError:  # a type collision across un-namespaced shards
+        with pytest.raises(ValueError):
+            merge_ref()
+        return
+    merge_ref()
+    _assert_same(merged, merged_ref)
+    _assert_same(ProvenanceGraph.from_dict(merged.to_dict()), merged_ref)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm
 
 from repro.labsci import (ContinuousDim, DiscreteDim, ParameterSpace,
                           SyntheticLandscape)
@@ -9,7 +12,7 @@ from repro.methods import (BayesianOptimizer, GridSearch, LatinHypercube,
                            NestedBayesianOptimizer, RandomSearch,
                            expected_improvement, probability_of_improvement,
                            upper_confidence_bound)
-from repro.methods.acquisition import score_candidates
+from repro.methods.acquisition import STD_FLOOR, score_candidates
 from repro.methods.gp import GaussianProcess
 from repro.methods.kernels import RBF
 
@@ -52,6 +55,32 @@ def test_ei_monotone_in_mean():
     std = np.array([0.1, 0.1])
     ei = expected_improvement(np.array([0.4, 0.6]), std, best=0.5)
     assert ei[1] > ei[0]
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_stds = st.one_of(st.sampled_from((0.0, -0.0, STD_FLOOR, 1e-6)),
+                  st.floats(0.0, 1e3))
+
+
+@given(st.lists(st.tuples(_finite, _stds), min_size=1, max_size=16),
+       _finite, st.sampled_from((0.0, -0.0, 0.01, 0.5)))
+@settings(max_examples=200, deadline=None)
+@example([(0.0, 0.0), (-0.0, -0.0), (1e6, STD_FLOOR), (-1e6, 1.0)],
+         0.0, 0.0)
+@example([(0.5, 0.0), (0.51, 0.0), (0.49, 1e-6)], 0.5, 0.01)
+def test_acquisitions_bit_identical_to_scipy_stats_norm(points, best, xi):
+    """ndtr and the closed-form pdf give the same bytes as
+    scipy.stats.norm, floored std and |z| far beyond 1e6 included."""
+    mean = np.array([m for m, _ in points])
+    std = np.array([s for _, s in points])
+    floored = np.maximum(std, STD_FLOOR)
+    z = (mean - best - xi) / floored
+    want_ei = (mean - best - xi) * norm.cdf(z) + floored * norm.pdf(z)
+    want_pi = norm.cdf(z)
+    got_ei = expected_improvement(mean, std, best, xi=xi)
+    got_pi = probability_of_improvement(mean, std, best, xi=xi)
+    assert got_ei.tobytes() == want_ei.tobytes()
+    assert got_pi.tobytes() == want_pi.tobytes()
 
 
 def test_ucb_tradeoff():

@@ -1,9 +1,8 @@
 """Tests for sites, links, and routing."""
 
-import networkx as nx
 import pytest
 
-from repro.net import Link, Site, Topology
+from repro.net import Link, NoPath, Site, Topology
 
 
 def test_site_tags():
@@ -83,8 +82,10 @@ def test_disconnected_raises():
     topo = Topology()
     topo.add_site(Site.make("a"))
     topo.add_site(Site.make("b"))
-    with pytest.raises(nx.NetworkXNoPath):
+    with pytest.raises(NoPath):
         topo.path("a", "b")
+    with pytest.raises(NoPath):
+        topo.path("a", "ghost")
 
 
 def test_path_links_alignment():

@@ -234,22 +234,32 @@ _LATENCIES = (0.01, 0.02, 0.03)  # few distinct weights: equal-cost ties are com
 _GHOST = "ghost"  # a site name the topology does not know
 
 
+def _build(names, edges):
+    """A :class:`Topology` and an ``nx.Graph`` reference, built by the same
+    add-site and connect calls in the same order."""
+    topo, graph = Topology(), nx.Graph()
+    for name in names:
+        topo.add_site(Site.make(name))
+        graph.add_node(name)
+    for a, b, latency in edges:
+        link = topo.connect(a, b, Link(latency_s=latency))
+        graph.add_edge(a, b, link=link, weight=latency)
+    return topo, graph
+
+
 @st.composite
 def _topologies(draw):
     """3-10 sites: a spanning chain plus random chords, connected in a
-    drawn order (adjacency order decides equal-cost ties)."""
+    drawn order (adjacency order decides equal-cost ties); returns the
+    topology and its ``nx.Graph`` reference."""
     n = draw(st.integers(3, 10))
     names = [f"s{i}" for i in range(n)]
     edges = [(names[i], names[i + 1]) for i in range(n - 1)]
     pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
     edges += [(a, b) for a, b in draw(st.lists(pairs, max_size=2 * n))
               if a != b]
-    topo = Topology()
-    for name in names:
-        topo.add_site(Site.make(name))
-    for a, b in draw(st.permutations(edges)):
-        topo.connect(a, b, Link(latency_s=draw(st.sampled_from(_LATENCIES))))
-    return topo
+    return _build(names, [(a, b, draw(st.sampled_from(_LATENCIES)))
+                          for a, b in draw(st.permutations(edges))])
 
 
 def _fault_steps(names):
@@ -288,15 +298,15 @@ def _oracle_blocked(faults, topo):
     return blocked
 
 
-def _oracle_route(faults, topo, src, dst):
-    """Recompute from scratch on the topology's own graph, no memo."""
+def _oracle_route(faults, topo, graph, src, dst):
+    """Recompute from scratch with networkx on the reference graph, no
+    memo."""
     if faults.site_down(src) or faults.site_down(dst) \
             or faults.partitioned(src, dst):
         raise Unreachable(f"{src} -> {dst}")
     blocked = _oracle_blocked(faults, topo)
     if src == dst:
         return [src]
-    graph = topo._graph
     if blocked:
         graph = graph.copy()
         for a, b in sorted(blocked):
@@ -314,7 +324,7 @@ def test_property_route_matches_recomputing_oracle(data):
     """Memoized routes and the O(active-faults) blocked set equal a
     from-scratch recomputation after every step of a generated fault
     script, for every pair of sites (and the ghost)."""
-    topo = data.draw(_topologies())
+    topo, graph = data.draw(_topologies())
     names = [s.name for s in topo.sites()]
     script = data.draw(st.lists(_fault_steps(names), min_size=1, max_size=20))
     sim = Simulator()
@@ -327,9 +337,34 @@ def test_property_route_matches_recomputing_oracle(data):
         for src in endpoints:
             for dst in endpoints:
                 try:
-                    want = _oracle_route(faults, topo, src, dst)
+                    want = _oracle_route(faults, topo, graph, src, dst)
                 except Unreachable:
                     with pytest.raises(Unreachable):
                         net.route(src, dst)
                 else:
                     assert net.route(src, dst) == want, (step, src, dst)
+
+
+# The four-site testbed: ring site-0..site-3 plus the site-0--site-2 chord,
+# every link 0.02 s, so site-1 -> site-3 has two equal-latency routes.
+_TESTBED_4 = (["site-0", "site-1", "site-2", "site-3"],
+              [("site-0", "site-1", 0.02), ("site-1", "site-2", 0.02),
+               ("site-2", "site-3", 0.02), ("site-3", "site-0", 0.02),
+               ("site-0", "site-2", 0.02)])
+
+
+@pytest.mark.parametrize("blocked, want", [
+    # A one-way Dijkstra from site-1 settles site-0 first and goes through it.
+    ((), ["site-1", "site-2", "site-3"]),
+    # Dropping the chord from the adjacency in place keeps insertion order
+    # and goes through site-2; networkx routes on a copy, whose order differs.
+    ([("site-0", "site-2")], ["site-1", "site-0", "site-3"]),
+])
+def test_route_ties_match_networkx(blocked, want):
+    topo = Topology.national_lab_testbed(4)
+    _, graph = _build(*_TESTBED_4)
+    faults = FaultInjector(Simulator())
+    for a, b in blocked:
+        faults.fail_link(a, b)
+    assert _oracle_route(faults, topo, graph, "site-1", "site-3") == want
+    assert topo.path("site-1", "site-3", blocked=blocked) == want
