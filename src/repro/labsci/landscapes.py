@@ -25,14 +25,19 @@ space thousands of times per decision, so the space carries a vectorized
   ``rng.integers(n_choices, size=n)``).  This per-dim column draw order
   is the space's one *draw-order contract*: any consumer that wants to
   reproduce a draw stream must consume the generator in exactly this
-  order.  :meth:`ParameterSpace.sample` is its one-row case
-  (``decode_batch(sample_batch(rng, 1))[0]``); with one row per call it
-  consumes the stream exactly as the old scalar per-dim loop did
-  (kept as the ``legacy_sample`` helper in ``tests/test_properties.py``,
-  the property tests' oracle).  ``n`` calls to :meth:`~ParameterSpace.sample` do
-  *not* equal one ``sample_batch(rng, n)``: the batch fills each column
-  before moving to the next dim, so the two agree in distribution, not
-  in variates (see DESIGN.md);
+  order.  :meth:`ParameterSpace.sample` is its one-row case: it makes
+  the same per-dim calls in the same order, as scalar calls without
+  ``size=`` (numpy's ``size=`` path costs about 3x a scalar call, and
+  planners draw thousands of single rows per campaign).  numpy runs both
+  forms through the same C routines, so ``sample(rng)`` equals
+  ``decode_batch(sample_batch(rng, 1))[0]``, leaves the generator in the
+  same state, and consumes the stream exactly as the old scalar per-dim
+  loop did (kept as the ``legacy_sample`` helper in
+  ``tests/test_properties.py``, the property test that pins all three).
+  ``n`` calls to :meth:`~ParameterSpace.sample` do *not* equal one
+  ``sample_batch(rng, n)``: the batch fills each column before moving to
+  the next dim, so the two agree in distribution, not in variates (see
+  DESIGN.md);
 - :meth:`encode_batch` (from dicts) and :meth:`encode_raw_batch` (from
   a raw matrix) produce the surrogate encoding bit-identically to
   row-wise :meth:`encode`; :meth:`decode_batch` turns raw rows back
@@ -174,13 +179,21 @@ class ParameterSpace:
     # -- sampling and counting -------------------------------------------------------
 
     def sample(self, rng: np.random.Generator) -> dict[str, Any]:
-        """Uniform random point in the space: :meth:`sample_batch`'s
-        one-row case, one variate per dimension in declared order.
+        """Uniform random point in the space: one scalar variate per
+        dimension in declared order.
 
-        ``n`` calls do not reproduce one ``sample_batch(rng, n)`` — see
-        the module docstring.
+        The same generator calls as ``sample_batch(rng, 1)`` minus
+        ``size=``, so it returns ``decode_batch(sample_batch(rng, 1))[0]``
+        and leaves the generator in the same state.  ``n`` calls do not
+        reproduce one ``sample_batch(rng, n)`` — see the module docstring.
         """
-        return self.decode_batch(self.sample_batch(rng, 1))[0]
+        out: dict[str, Any] = {}
+        for d in self.dims:
+            if isinstance(d, ContinuousDim):
+                out[d.name] = float(rng.uniform(d.low, d.high))
+            else:
+                out[d.name] = d.choices[int(rng.integers(0, len(d.choices)))]
+        return out
 
     # -- batched raw-matrix fast path ----------------------------------------------
 
@@ -204,8 +217,8 @@ class ParameterSpace:
         """Raw matrix rows back into parameter dicts (declared key order).
 
         Continuous values come back as Python ``float``, discrete indices
-        as their choice strings.  Decodes row by row over one
-        ``tolist()``, which keeps :meth:`sample`'s one-row case cheap.
+        as their choice strings, with the same keys, key order and value
+        types as :meth:`sample`.  Decodes row by row over one ``tolist()``.
         """
         raw = np.atleast_2d(np.asarray(raw, dtype=np.float64))
         names, choices = self._names, self._choices

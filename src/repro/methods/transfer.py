@@ -9,10 +9,13 @@ conditions and rescales donations before feeding them to the local
 optimizer.
 
 Offset estimation is the adapter's hot path (federated campaigns call it
-once per sharing round per source): encoded observations are kept in
-incrementally-grown arrays and the neighbor search runs as one vectorized
-distance computation over all donations, instead of re-stacking the local
-history and looping donation-by-donation.
+once per sharing round per source), and both histories only grow.  Each
+source keeps its boolean (local row, donation) neighbour matrix and each
+donation's delta; a call computes distances only for the new local rows
+and the new donations, and re-derives a delta only for a new donation or
+one whose neighbour set grew.  Every distance is the same last-axis
+reduction as a from-scratch matrix, so the offset is bit-identical to
+recomputing everything.
 """
 
 from __future__ import annotations
@@ -25,15 +28,22 @@ from repro.labsci.landscapes import ParameterSpace
 
 
 class _Donations:
-    """Per-source donation store with an incrementally-built matrix."""
+    """Per-source donation store with an incrementally-built matrix.
 
-    __slots__ = ("values", "params", "_rows", "_X")
+    ``near`` is the cached ``(local rows seen, donations seen)`` neighbour
+    matrix and ``deltas`` each seen donation's ``mean(local) - value``
+    over its neighbours (``None`` while it has none).
+    """
+
+    __slots__ = ("values", "params", "_rows", "_X", "near", "deltas")
 
     def __init__(self) -> None:
         self.values: list[float] = []
         self.params: list[dict[str, Any]] = []
         self._rows: list[np.ndarray] = []
         self._X: Optional[np.ndarray] = None
+        self.near = np.zeros((0, 0), dtype=bool)
+        self.deltas: list[Optional[float]] = []
 
     def append(self, x: np.ndarray, value: float,
                params: dict[str, Any]) -> None:
@@ -104,24 +114,46 @@ class TransferAdapter:
 
     # -- offset estimation ---------------------------------------------------------------
 
+    def _near(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """``(len(A), len(B))`` mask of pairs within ``neighbor_scale``."""
+        return (np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
+                < self.neighbor_scale)
+
     def _estimate_offset(self, source: str) -> Optional[float]:
-        """Mean (local - foreign) over near-coincident condition pairs."""
+        """Median over donations of (mean of local neighbours - value)."""
         donations = self._foreign.get(source)
         if not donations or not self._local_rows:
             return None
         local_X, local_y = self._local_arrays()
-        # One vectorized (n_local, n_donations) distance computation in
-        # place of a Python loop of per-donation norms.
-        diff = local_X[:, None, :] - donations.X[None, :, :]
-        near = np.linalg.norm(diff, axis=2) < self.neighbor_scale
-        deltas = []
-        for j, fy in enumerate(donations.values):
-            mask = near[:, j]
-            if mask.any():
-                deltas.append(float(np.mean(local_y[mask])) - fy)
-        if len(deltas) < self.min_pairs:
+        n_old, m_old = donations.near.shape
+        n, m = len(local_X), len(donations)
+        if (n, m) != (n_old, m_old):
+            # Extend the cached block: old rows x new donations, then new
+            # rows x all donations.  Each entry is the same per-pair
+            # reduction as the full matrix, so the block is bit-identical.
+            X = donations.X
+            near = np.empty((n, m), dtype=bool)
+            near[:n_old, :m_old] = donations.near
+            if n_old and m > m_old:
+                near[:n_old, m_old:] = self._near(local_X[:n_old], X[m_old:])
+            if n > n_old:
+                near[n_old:] = self._near(local_X[n_old:], X)
+            donations.near = near
+            # Re-derive the new donations' deltas and those of old ones
+            # that gained a neighbour; np.mean keeps its pairwise sum.
+            stale = near[n_old:].any(axis=0)
+            stale[m_old:] = True
+            deltas = donations.deltas
+            deltas.extend([None] * (m - m_old))
+            for j in np.flatnonzero(stale).tolist():
+                mask = near[:, j]
+                if mask.any():
+                    deltas[j] = (float(np.mean(local_y[mask]))
+                                 - donations.values[j])
+        present = [d for d in donations.deltas if d is not None]
+        if len(present) < self.min_pairs:
             return None
-        return float(np.median(deltas))
+        return float(np.median(present))
 
     # -- the output: corrected donations ----------------------------------------------------
 

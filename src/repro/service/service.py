@@ -250,9 +250,9 @@ class CampaignService:
     def _run_one(self, slot: FacilitySlot,
                  handle: CampaignHandle) -> Generator:
         result = yield from slot.runner(handle.spec)
-        return self._to_report(result, handle)
+        return self._to_report(result, slot, handle)
 
-    def _to_report(self, result: Any,
+    def _to_report(self, result: Any, slot: FacilitySlot,
                    handle: CampaignHandle) -> CampaignReport:
         if isinstance(result, CampaignReport):
             return result.with_tenant(handle.tenant)

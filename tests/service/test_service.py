@@ -101,6 +101,32 @@ def test_runner_exception_fails_campaign_not_service():
     assert again.status is CampaignStatus.FAILED  # same bad runner ran it
 
 
+def test_runner_returning_wrong_type_fails_with_type_error():
+    sim = Simulator()
+    ok_runner = synthetic_runner(sim, seed=1, mean_experiment_s=10.0)
+    calls = []
+
+    def runner(spec_):
+        calls.append(spec_.name)
+        if len(calls) == 1:
+            yield sim.timeout(5.0)
+            return {"n_experiments": 3}  # neither result nor report
+        return (yield from ok_runner(spec_))
+
+    svc = CampaignService(sim, [FacilitySlot("s0", runner)])
+    svc.register_tenant("a")
+    failed = svc.submit("a", spec("f"))
+    sim.run()
+    assert failed.status is CampaignStatus.FAILED
+    assert failed.error.startswith("TypeError: ")
+    assert "runner for slot 's0' returned dict" in failed.error
+    # The slot loop survives and serves the next campaign.
+    again = svc.submit("a", spec("g"))
+    sim.run()
+    assert again.status is CampaignStatus.COMPLETED
+    assert again.result().n_experiments == 3
+
+
 def test_wait_from_inside_simulation():
     sim, svc = make_service()
     svc.register_tenant("a")

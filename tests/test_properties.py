@@ -114,15 +114,20 @@ def legacy_sample(space, rng):
 @given(_spaces(), st.integers(0, 2**32 - 1), st.integers(1, 5))
 @settings(max_examples=300, deadline=None)
 def test_property_sample_replays_scalar_oracle(space, seed, k):
-    """``sample`` (``sample_batch``'s one-row case) consumes the stream
-    exactly as the retired per-dim scalar loop: same dicts, key order and
-    value types, and the same generator state afterwards."""
-    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    """``sample`` consumes the stream exactly as the retired per-dim
+    scalar loop and as ``sample_batch``'s one-row case: same dicts, key
+    order and value types, and the same generator state afterwards."""
+    rng = np.random.default_rng(seed)
+    twin, twin2 = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(k):
-        got, want = space.sample(rng), legacy_sample(space, twin)
-        assert list(got.items()) == list(want.items())
-        assert list(map(type, got.values())) == list(map(type, want.values()))
-    assert rng.bit_generator.state == twin.bit_generator.state
+        got = space.sample(rng)
+        for want in (legacy_sample(space, twin),
+                     space.decode_batch(space.sample_batch(twin2, 1))[0]):
+            assert list(got.items()) == list(want.items())
+            assert (list(map(type, got.values()))
+                    == list(map(type, want.values())))
+    assert (rng.bit_generator.state == twin.bit_generator.state
+            == twin2.bit_generator.state)
 
 
 def _ks_statistic(a, b):
