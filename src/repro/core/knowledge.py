@@ -132,9 +132,10 @@ class KnowledgeBase:
         """Absorb newly arrived foreign knowledge into the local optimizer.
 
         Returns the number of observations absorbed.  ``raw`` policy
-        absorbs donated values verbatim; ``corrected`` re-derives the
-        full corrected donation set (offsets improve as more pairs
-        accumulate) and absorbs only the not-yet-absorbed tail.
+        absorbs donated values verbatim; ``corrected`` re-estimates each
+        source's offset from all its donations (offsets improve as more
+        pairs accumulate) and corrects and absorbs only the
+        not-yet-absorbed tail.
         """
         node = self.nodes[site]
         if self.policy == "none":
@@ -150,12 +151,12 @@ class KnowledgeBase:
         # single global cursor would double-absorb)
         absorbed = 0
         for source in sorted(node.adapter._foreign):
-            donations = node.adapter.corrected_donations(source)
             start = node._absorbed_by_source.get(source, 0)
-            for params, value in donations[start:]:
+            fresh = node.adapter.corrected_donations(source, start)
+            for params, value in fresh:
                 node.optimizer.absorb(params, value)
-                absorbed += 1
-            node._absorbed_by_source[source] = len(donations)
+            absorbed += len(fresh)
+            node._absorbed_by_source[source] = start + len(fresh)
         self.stats["absorbed"] += absorbed
         return absorbed
 

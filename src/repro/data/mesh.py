@@ -174,12 +174,11 @@ class DiscoveryIndex:
         else:
             self.stats["index_hits"] += 1
             pool = candidates
-        out = []
-        for record_id in sorted(pool):
-            entry = self._entries[record_id]
-            if _entry_matches(entry, residual, predicate):
-                out.append(entry)
-        return out
+        entries = self._entries
+        if not residual and predicate is None:
+            return [entries[r] for r in sorted(pool)]
+        return [entries[r] for r in sorted(pool)
+                if _entry_matches(entries[r], residual, predicate)]
 
 
 class DataMeshNode:

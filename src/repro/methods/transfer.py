@@ -157,27 +157,29 @@ class TransferAdapter:
 
     # -- the output: corrected donations ----------------------------------------------------
 
-    def corrected_donations(self, source: str
+    def corrected_donations(self, source: str, start: int = 0
                             ) -> list[tuple[dict[str, Any], float]]:
-        """Donations from ``source`` ready for ``optimizer.absorb``.
+        """Donations from ``source``, from the ``start``-th on, ready for
+        ``optimizer.absorb``.
 
         With a trusted offset estimate the correction is applied exactly;
         otherwise values pass through unchanged (the bandit/GP treats
         them as weak evidence — better than nothing, per M9's goal of
-        reducing required experiments).
+        reducing required experiments).  The offset is estimated from
+        every donation, and ``stats`` counts only the ones returned, so
+        a caller that asks for each new tail counts each donation once.
         """
         donations = self._foreign.get(source)
         if donations is None:
             return []
         offset = self._estimate_offset(source)
-        out = []
-        for value, params in zip(donations.values, donations.params):
-            if offset is not None:
-                self.stats["corrected"] += 1
-                out.append((params, value + offset))
-            else:
-                self.stats["passthrough"] += 1
-                out.append((params, value))
+        tail = zip(donations.values[start:], donations.params[start:])
+        if offset is None:
+            out = [(params, value) for value, params in tail]
+            self.stats["passthrough"] += len(out)
+        else:
+            out = [(params, value + offset) for value, params in tail]
+            self.stats["corrected"] += len(out)
         return out
 
     def all_corrected(self) -> list[tuple[dict[str, Any], float]]:

@@ -122,6 +122,12 @@ class FaultInjector:
             return 0.0
         return loss
 
+    def any_degraded(self) -> bool:
+        """True while any degradation is recorded, expired ones included
+        until :meth:`extra_loss` prunes them; while False, every
+        ``extra_loss`` call would return ``0.0`` and change nothing."""
+        return bool(self._degraded)
+
     # -- aggregate view --------------------------------------------------------------------
 
     def blocked_edges(self, topology) -> set[tuple[str, str]]:

@@ -101,23 +101,45 @@ class Network:
             raise Unreachable(f"no path {src} -> {dst}: {exc}") from exc
 
     def sample_delay(self, path: list[str], size_bytes: float) -> float:
-        """Sample the end-to-end delay for a transfer along ``path``."""
+        """Sample the end-to-end delay for a transfer along ``path``.
+
+        One ``standard_normal(k)`` call draws the jitter of the ``k`` links
+        with ``jitter_s > 0``, in path order, and no call is made when
+        ``k`` is 0.  This replays one ``normal(0.0, jitter_s)`` call per
+        such link exactly: numpy computes ``normal(loc, scale)`` as ``loc
+        + scale * standard_normal()`` with the same ziggurat draws, and
+        adding ``0.0`` is exact, so the variates, the generator's state
+        afterwards and ``jitter_s * z`` are bit-equal.  The total is
+        summed link by link in path order, as before; ``sum()`` (which
+        compensates on Python 3.12) or ``np.sum`` (pairwise) would round
+        differently.
+        """
         if len(path) <= 1:
             link = LOCAL_LINK
             return link.latency_s + size_bytes / link.bandwidth_Bps
+        links = self.topology.path_links(path)
+        jittered = [link for link in links if link.jitter_s > 0]
+        draws = iter(self.rng.standard_normal(len(jittered)).tolist()
+                     if jittered else ())
         total = 0.0
-        for link in self.topology.path_links(path):
+        for link in links:
             total += link.latency_s + size_bytes / link.bandwidth_Bps
             if link.jitter_s > 0:
-                total += max(0.0, float(self.rng.normal(0.0, link.jitter_s)))
+                total += max(0.0, link.jitter_s * next(draws))
         return total
 
     def _lost(self, path: list[str]) -> bool:
         if len(path) <= 1:
             return False
+        faults = self.faults
+        # With no degradation recorded, extra_loss is 0.0 for every link
+        # and has no side effect, so it is not asked.
+        degraded = faults.any_degraded()
         for (a, b), link in zip(zip(path, path[1:]),
                                 self.topology.path_links(path)):
-            p = link.loss_prob + self.faults.extra_loss(a, b)
+            p = link.loss_prob
+            if degraded:
+                p += faults.extra_loss(a, b)
             if p > 0 and self.rng.random() < p:
                 return True
         return False

@@ -82,6 +82,30 @@ def test_corrected_policy_interleaved_sources_no_double_absorb(
     assert len(opts["site-0"]._external) == 3
 
 
+def test_corrected_policy_counts_each_donation_once(sim, testbed_network,
+                                                   space):
+    """Each node's corrected + passthrough count equals what it absorbed,
+    however often it syncs."""
+    kb, opts = make_kb(sim, testbed_network, space, "corrected")
+    sites = sorted(kb.nodes)
+    for r in range(6):
+        for i, site in enumerate(sites):
+            x = 0.1 + 0.12 * r + 0.01 * i
+            kb.publish(site, {"x": x}, x - 0.1 * i)
+        sim.run(until=r + 1.0)
+        for site in sites:
+            kb.sync(site)
+            kb.sync(site)
+    absorbed = 0
+    for site in sites:
+        stats = kb.nodes[site].adapter.stats
+        assert stats["corrected"] + stats["passthrough"] == \
+            len(opts[site]._external)
+        absorbed += len(opts[site]._external)
+    assert absorbed == kb.stats["absorbed"] == 6 * 3 * 2
+    assert sum(kb.nodes[s].adapter.stats["corrected"] for s in sites) > 0
+
+
 def test_corrected_policy_applies_bias_correction(sim, testbed_network,
                                                   space):
     kb, opts = make_kb(sim, testbed_network, space, "corrected")

@@ -1,5 +1,7 @@
 """Tests for sites, links, and routing."""
 
+import dataclasses
+
 import pytest
 
 from repro.net import Link, NoPath, Site, Topology
@@ -17,6 +19,15 @@ def test_site_is_hashable_and_frozen():
     assert hash(s) == hash(Site.make("x"))
     with pytest.raises(Exception):
         s.name = "y"  # type: ignore[misc]
+
+
+def test_link_is_frozen():
+    # The route memo and the routing view read latency_s once; a mutable
+    # link would route on stale latencies while transfers paid new ones.
+    link = Link(latency_s=0.02)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        link.latency_s = 0.01  # type: ignore[misc]
+    assert link.latency_s == 0.02
 
 
 def test_link_validation():

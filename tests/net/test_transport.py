@@ -1,9 +1,13 @@
 """Tests for the Network transfer model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import (FaultInjector, Link, Network, PacketLost, Site,
                        Topology, Unreachable)
+from repro.net.topology import LOCAL_LINK
 from repro.sim import RngRegistry, Simulator
 
 
@@ -215,3 +219,103 @@ def test_routing_bug_is_not_reported_as_unreachable(monkeypatch):
     monkeypatch.setattr(net.topology, "path", broken_path)
     with pytest.raises(RuntimeError, match="routing bug"):
         net.route("a", "b")
+
+
+# -- replay oracle: transfer pricing -----------------------------------------
+
+
+def _ref_sample_delay(net, path, size_bytes):
+    """One ``normal(0.0, jitter_s)`` call per jittered link, summed link by
+    link: the per-link body that one draw per transfer must replay."""
+    if len(path) <= 1:
+        return LOCAL_LINK.latency_s + size_bytes / LOCAL_LINK.bandwidth_Bps
+    total = 0.0
+    for link in net.topology.path_links(path):
+        total += link.latency_s + size_bytes / link.bandwidth_Bps
+        if link.jitter_s > 0:
+            total += max(0.0, float(net.rng.normal(0.0, link.jitter_s)))
+    return total
+
+
+def _ref_lost(net, path):
+    """Asks ``extra_loss`` of every link until the first loss."""
+    if len(path) <= 1:
+        return False
+    for (a, b), link in zip(zip(path, path[1:]),
+                            net.topology.path_links(path)):
+        p = link.loss_prob + net.faults.extra_loss(a, b)
+        if p > 0 and net.rng.random() < p:
+            return True
+    return False
+
+
+_links = st.lists(st.tuples(
+    st.floats(0.0, 0.1),                                       # latency_s
+    st.floats(1e6, 1e10),                                      # bandwidth
+    st.one_of(st.just(0.0), st.floats(1e-5, 0.01)),            # jitter_s
+    st.one_of(st.just(0.0), st.floats(1e-3, 0.3))), max_size=40)  # loss
+
+
+@given(links=_links, data=st.data(), seed=st.integers(0, 2**32 - 1),
+       buffered=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_property_transfer_pricing_replays_per_link_draws(links, data, seed,
+                                                          buffered):
+    """``sample_delay`` and ``send``'s loss decision equal the per-link
+    scalar bodies on a twin generator, float for float (by ``.hex()``),
+    with equal generator states and fault tables after every transfer."""
+    sim = Simulator()
+    topo = Topology()
+    names = [f"s{i}" for i in range(len(links) + 1)]
+    for name in names:
+        topo.add_site(Site.make(name))
+    for (a, b), (lat, bw, jit, loss) in zip(zip(names, names[1:]), links):
+        topo.connect(a, b, Link(latency_s=lat, bandwidth_Bps=bw,
+                                jitter_s=jit, loss_prob=loss))
+    net = Network(sim, topo, np.random.default_rng(seed), FaultInjector(sim))
+    ref = Network(sim, topo, np.random.default_rng(seed), FaultInjector(sim))
+    if buffered:  # leave half of a uint64 buffered in both generators
+        assert net.rng.integers(0, 10) == ref.rng.integers(0, 10)
+    degraded = st.lists(st.integers(0, len(links) - 1), max_size=4,
+                        unique=True) if links else st.just([])
+    for i in data.draw(degraded):
+        duration = data.draw(st.one_of(st.none(), st.sampled_from((0.5, 2.0))))
+        extra = data.draw(st.floats(0.0, 1.0))
+        for faults in (net.faults, ref.faults):
+            faults.degrade_link(names[i], names[i + 1], extra_loss=extra,
+                                duration=duration)
+    site = st.integers(0, len(names) - 1)
+    script = data.draw(st.lists(
+        st.tuples(st.sampled_from((0.0, 1.0)), site, site,
+                  st.floats(0.0, 1e9)), min_size=1, max_size=4))
+
+    def state(side):
+        return side.rng.bit_generator.state, dict(side.faults._degraded)
+
+    outcomes = []  # per transfer: (net's, ref's)
+
+    def transfers():
+        # Compared after the run: an assert failing inside a process
+        # unwinds through the kernel, and hypothesis formats that long
+        # traceback again on every shrink and explain step.
+        for wait, i, j, size in script:
+            yield sim.timeout(wait)
+            path = names[min(i, j):max(i, j) + 1]
+            ev = net.send(path[0], path[-1], size)
+            got = (ev.ok, ev.value.hex() if ev.ok else None, state(net),
+                   net.sample_delay(path, size).hex(), state(net))
+            delay = _ref_sample_delay(ref, path, size)
+            delivered = not _ref_lost(ref, path)
+            want = (delivered, delay.hex() if delivered else None, state(ref),
+                    _ref_sample_delay(ref, path, size).hex(), state(ref))
+            outcomes.append((got, want))
+            try:
+                yield ev
+            except PacketLost:
+                pass
+
+    sim.process(transfers())
+    sim.run()
+    assert len(outcomes) == len(script)
+    for got, want in outcomes:
+        assert got == want

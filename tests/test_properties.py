@@ -12,7 +12,7 @@ from repro.data import DataRecord, fair_score
 from repro.data.schema import _UNIT_CONVERSIONS, SchemaError, convert_unit
 from repro.labsci import ContinuousDim, DiscreteDim, ParameterSpace
 from repro.labsci.quantum_dots import quantum_dot_space
-from repro.net import (FaultInjector, Link, Network, Site, Topology,
+from repro.net import (FaultInjector, Link, Network, NoPath, Site, Topology,
                        Unreachable)
 from repro.sim import PriorityStore, RngRegistry, Simulator
 
@@ -235,7 +235,8 @@ def test_property_priority_store_yields_sorted(items):
 
 # -- routing under faults ------------------------------------------------------------------
 
-_LATENCIES = (0.01, 0.02, 0.03)  # few distinct weights: equal-cost ties are common
+# Few distinct weights, zero among them: equal-cost ties are common.
+_LATENCIES = (0.0, 0.01, 0.02, 0.03)
 _GHOST = "ghost"  # a site name the topology does not know
 
 
@@ -280,13 +281,27 @@ def _fault_steps(names):
         st.tuples(st.just("partition"), group, group, duration),
         st.tuples(st.just("heal_partitions")),
         st.tuples(st.just("advance"), st.sampled_from((0.5, 1.0, 2.5, 5.0))),
+        st.tuples(st.just("grow"), st.sampled_from(names),
+                  st.sampled_from(_LATENCIES)),
     )
 
 
-def _apply(sim, faults, step):
+def _apply(sim, net, graph, step):
     op, *args = step
+    faults, topo = net.faults, net.topology
     if op == "advance":
         sim.run(until=sim.now + args[0])
+    elif op == "grow":
+        # A new site, routed to while isolated (which builds the routing
+        # view), then linked to a drawn site: connect must drop the view.
+        peer, latency = args
+        name = f"g{len(graph)}"
+        topo.add_site(Site.make(name))
+        graph.add_node(name)
+        with pytest.raises(NoPath):
+            topo.path(peer, name, blocked=faults.blocked_edges(topo))
+        link = topo.connect(peer, name, Link(latency_s=latency))
+        graph.add_edge(peer, name, link=link, weight=latency)
     elif op == "degrade_link":
         a, b, duration = args
         faults.degrade_link(a, b, extra_loss=0.5, duration=duration)
@@ -327,18 +342,18 @@ def _oracle_route(faults, topo, graph, src, dst):
 @settings(max_examples=60, deadline=None)
 def test_property_route_matches_recomputing_oracle(data):
     """Memoized routes and the O(active-faults) blocked set equal a
-    from-scratch recomputation after every step of a generated fault
-    script, for every pair of sites (and the ghost)."""
+    from-scratch recomputation after every step of a generated fault and
+    growth script, for every pair of sites (and the ghost)."""
     topo, graph = data.draw(_topologies())
     names = [s.name for s in topo.sites()]
     script = data.draw(st.lists(_fault_steps(names), min_size=1, max_size=20))
     sim = Simulator()
     faults = FaultInjector(sim)
     net = Network(sim, topo, RngRegistry(0).stream("net"), faults)
-    endpoints = names + [_GHOST]
     for step in [("advance", 0.0)] + script:
-        _apply(sim, faults, step)
+        _apply(sim, net, graph, step)
         assert faults.blocked_edges(topo) == _oracle_blocked(faults, topo)
+        endpoints = list(graph) + [_GHOST]
         for src in endpoints:
             for dst in endpoints:
                 try:
