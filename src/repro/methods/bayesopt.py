@@ -17,11 +17,12 @@ The ask path is fully batched: candidate pools come from
 :meth:`ParameterSpace.sample_batch` as a raw ``(n, d)`` matrix, incumbent
 jitter is one vectorized normal draw, and encoding goes through
 :meth:`ParameterSpace.encode_raw_batch` — zero per-candidate Python
-iteration between candidate generation and the acquisition argmax.  The
-``bo_ask`` perf workload times it and replays it for determinism; that
-the batched sampler draws the old scalar sampler's distribution is a
-tier-1 test against a scalar ``legacy_sample`` helper
-(``tests/test_properties.py``).
+iteration between candidate generation and the acquisition argmax.
+aislebench times it (``methods.ask_ms_p50``), a verified
+:class:`~repro.scale.WorldRunner` run replays it for determinism
+(``tests/scale/test_runner.py``), and that the batched sampler draws the
+old scalar sampler's distribution is a tier-1 test against a scalar
+``legacy_sample`` helper (``tests/test_properties.py``).
 """
 
 from __future__ import annotations

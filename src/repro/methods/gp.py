@@ -6,8 +6,8 @@ grid-search hyperparameter fit — the "Gaussian processes for uncertainty
 quantification" the paper's agents orchestrate (§3.3).
 
 The surrogate is the hot path of every campaign loop (E5/E10/E12 run it
-hundreds of times per seed), so it carries three fast paths, all
-measured by :mod:`repro.perf`:
+hundreds of times per seed), so it carries three fast paths, timed end
+to end by aislebench's ``methods`` layer:
 
 - :meth:`GaussianProcess.observe` appends one observation by a rank-1
   Cholesky update — O(n²) instead of the O(n³) refit;
@@ -76,7 +76,7 @@ class GaussianProcess:
         # searches never recompute the O(n²·d) expansion.
         self._d2_unit: Optional[np.ndarray] = None
         self._last_grid_lml: Optional[float] = None
-        #: Factorization counters (read by tests and repro.perf).
+        #: Factorization counters (read by tests).
         self.n_factorizations = 0
         self.n_incremental_updates = 0
 

@@ -2,7 +2,7 @@
 
 Both kernels are *stationary*: covariance depends only on the pairwise
 distance between inputs.  That buys two fast paths the surrogate stack
-leans on (see :mod:`repro.perf`):
+leans on:
 
 - :meth:`_Stationary.diag` — the self-covariance of any point is just
   ``amplitude**2``, so callers that only need a diagonal (``predict``'s

@@ -27,7 +27,7 @@ import json
 import sys
 
 from repro.scale.runner import WorldRunner, WorldSpec
-from repro.scale.worlds import WORLD_KINDS
+from repro.scale.worlds import BUDGET_WORLDS, WORLD_KINDS
 
 
 def main(argv=None) -> int:
@@ -39,7 +39,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="0,1,2,3",
                         help="comma-separated seeds (default: 0,1,2,3)")
     parser.add_argument("--budget", type=int, default=None,
-                        help="per-world experiment budget override")
+                        help="per-world experiment budget override (only "
+                             f"{', '.join(sorted(BUDGET_WORLDS))} read one)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: REPRO_WORKERS, or "
                              "min(8, cpu_count) when unset; 1 = serial, "
@@ -68,6 +69,13 @@ def main(argv=None) -> int:
                      f"got {args.seeds!r}")
     if not seeds:
         parser.error("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        parser.error(f"--seeds must not repeat a seed, got {args.seeds!r}")
+    if args.budget is not None:
+        if args.world not in BUDGET_WORLDS:
+            parser.error(f"--budget does not apply to --world {args.world}")
+        if args.budget < 1:
+            parser.error(f"--budget must be >= 1, got {args.budget}")
     config = {} if args.budget is None else {"budget": args.budget}
 
     if args.record is not None:

@@ -3,7 +3,7 @@
 A world entrypoint is a module-level callable ``fn(seed, config) ->
 plain data`` — importable by reference in a worker process, returning
 only data :func:`~repro.scale.hashing.decision_hash` can canonically
-encode.  These two cover the repo's staple multi-seed shapes:
+encode.  These four cover the repo's staple multi-seed shapes:
 
 - :func:`bo_world` — the E12-shaped flat-BO campaign on the quantum-dot
   landscape (optimizer decisions only, no federation);
@@ -11,10 +11,13 @@ encode.  These two cover the repo's staple multi-seed shapes:
   federation running one campaign, reported picklably;
 - :func:`service_world` — a multi-tenant
   :class:`~repro.service.CampaignService` under mixed load, whose
-  decision log pins every admission/dispatch/terminal transition.
+  decision log pins every admission/dispatch/terminal transition;
+- :func:`mesh_world` — a facility-sharded data mesh under a governance
+  workload, whose decision rows pin every discovery query's result.
 
-All are used by the ``parallel_worlds`` perf workload, the
-``python -m repro.scale`` CLI, and the CI ``parallel-equivalence`` job.
+All four are used by the ``python -m repro.scale`` CLI and the CI
+``parallel-equivalence`` and ``hash-guard`` jobs; ``bo_world`` also
+drives the ``wall-clock-gates`` parallel-speedup step.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.methods.bayesopt import BayesianOptimizer
 from repro.testbed import Testbed
 
 __all__ = ["bo_world", "mesh_world", "testbed_world", "service_world",
-           "WORLD_KINDS"]
+           "BUDGET_WORLDS", "WORLD_KINDS"]
 
 
 def bo_world(seed: int, config: dict) -> dict:
@@ -285,3 +288,7 @@ def mesh_world(seed: int, config: dict) -> dict:
 #: name -> entrypoint, for the CLI and config-driven sweeps.
 WORLD_KINDS = {"bo": bo_world, "mesh": mesh_world, "service": service_world,
                "testbed": testbed_world}
+
+#: The worlds whose entrypoint reads ``config["budget"]``; the others
+#: ignore it, so the CLI refuses ``--budget`` for them.
+BUDGET_WORLDS = frozenset({"bo", "testbed"})

@@ -275,7 +275,7 @@ class CampaignService:
             self.metrics.histogram(
                 "service.submit_to_complete", tenant=handle.tenant,
                 lo=1e-3).observe(handle.latency)
-            # Unlabeled aggregate: the p99 the perf gate is stated over.
+            # Unlabeled aggregate: LoadGenerator states its p99 over it.
             self.metrics.histogram("service.submit_to_complete",
                                    lo=1e-3).observe(handle.latency)
         self._decision_log.append([

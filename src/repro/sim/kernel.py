@@ -8,9 +8,9 @@ that migrates forward in batches.  Ties at the same timestamp break
 deterministically on a monotonically increasing sequence number, so two
 runs with the same seed are identical event-for-event (a requirement
 stated in DESIGN.md for every AISLE experiment) — and byte-identical to
-the retired binary-heap kernel: the tier-1 tests and the ``sim_events``
-perf workload pin that kernel's step counts, end times and decision
-digests on fixed programs.
+the retired binary-heap kernel: tier-1 tests
+(``tests/sim/test_calendar.py``) pin that kernel's step counts, end
+times and decision digests on fixed programs.
 
 :meth:`Simulator.run` is the hot loop of every experiment, so it drains
 bucket batches inline instead of calling :meth:`step` per event: the

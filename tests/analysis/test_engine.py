@@ -277,16 +277,14 @@ def test_detlint_self_check_repo_is_clean(repo_report):
     # Every suppression in the tree carries its pragma deliberately; the
     # inventory is pinned so a new pragma is an explicit decision here:
     # - sim/ids.py D001: the documented no-world fallback sequencer;
-    # - perf/harness.py D002: the perf harness's one wall-clock read;
     # - analysis/__main__.py D002: CLI elapsed-time display;
     # - scale/runner.py D006: the sanctioned process-pool call site;
     # - C003 on loops that are supervision/drain/failover passes, not
     #   retries of one failed call.
-    sanctioned = {("ids.py", "D001"), ("harness.py", "D002"),
-                  ("__main__.py", "D002"), ("runner.py", "D006"),
-                  ("failover.py", "C003"), ("rpc.py", "C003"),
-                  ("faulttol.py", "C003"), ("ingest.py", "C003"),
-                  ("service.py", "C003")}
+    sanctioned = {("ids.py", "D001"), ("__main__.py", "D002"),
+                  ("runner.py", "D006"), ("failover.py", "C003"),
+                  ("rpc.py", "C003"), ("faulttol.py", "C003"),
+                  ("ingest.py", "C003"), ("service.py", "C003")}
     suppressed = [f for f in report.findings if f.suppressed]
     assert suppressed, "expected the sanctioned pragmas to be exercised"
     for f in suppressed:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.comm import Message, MessageBus, Performative
 from repro.comm.bus import RouteIndex, topic_matches
-from repro.perf.workloads import _routing_tables
 
 
 # -- RouteIndex vs a regex linear-scan oracle ----------------------------------
@@ -51,6 +50,61 @@ def _random_tables(seed, n_bindings=120, n_topics=300):
         topics.append(".".join(
             ("a", "b", "c")[int(rng.integers(3))] for _ in range(n_seg)))
     return bindings, topics
+
+
+def _routing_tables(seed: int):
+    """Seeded binding table + topic stream of a busy federation broker.
+
+    Every site/instrument pair publishes telemetry, and consumers
+    subscribe with a realistic mix of exact topics, ``*`` holes, and
+    ``#`` tails.
+    """
+    rng = np.random.default_rng(seed)
+    sites = [f"site-{i}" for i in range(12)]
+    kinds = ["xrd", "microscope", "furnace", "flow", "spectrometer"]
+    streams = ["scan", "status", "calib", "alert"]
+
+    bindings: list[tuple[str, str]] = []
+    n_queues = 48
+    for q in range(n_queues):
+        qname = f"q-{q}"
+        for _ in range(int(rng.integers(8, 22))):
+            shape = rng.random()
+            site = sites[int(rng.integers(len(sites)))]
+            kind = kinds[int(rng.integers(len(kinds)))]
+            stream = streams[int(rng.integers(len(streams)))]
+            if shape < 0.35:
+                pattern = f"lab.{site}.{kind}.{stream}"
+            elif shape < 0.6:
+                pattern = f"lab.*.{kind}.{stream}"
+            elif shape < 0.8:
+                pattern = f"lab.{site}.#"
+            else:
+                pattern = f"lab.#.{stream}"
+            bindings.append((pattern, qname))
+
+    topics = []
+    for _ in range(1500):
+        site = sites[int(rng.integers(len(sites)))]
+        kind = kinds[int(rng.integers(len(kinds)))]
+        stream = streams[int(rng.integers(len(streams)))]
+        depth = rng.random()
+        if depth < 0.7:
+            topics.append(f"lab.{site}.{kind}.{stream}")
+        elif depth < 0.9:
+            topics.append(f"lab.{site}.{kind}.{stream}.chunk-3")
+        else:
+            topics.append(f"ops.{site}.{stream}")
+    return bindings, topics
+
+
+def test_federation_broker_table_is_pinned():
+    """Seed 0 draws the table the routing benchmark always used: 697
+    bindings, 1,500 topics and 39,236 deliveries in all."""
+    bindings, topics = _routing_tables(0)
+    index = RouteIndex(bindings)
+    assert (len(bindings), len(topics)) == (697, 1500)
+    assert sum(len(index.match(topic)) for topic in topics) == 39_236
 
 
 @pytest.mark.parametrize("tables", [

@@ -2,13 +2,13 @@
 
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import DiscoveryIndex, ShardedDiscoveryIndex, shard_for
 from repro.data.shard import ShardedDiscoveryIndex as _Direct
-from repro.perf.workloads import _mesh_corpus
 
 
 def entry(i, site, technique="powder-xrd", institution="inst-0"):
@@ -108,7 +108,60 @@ def _flat_scan(rows, filters):
             if all(field(e, k) == v for k, v in filters.items())]
 
 
+def _mesh_corpus(seed: int, n_facilities: int, records_per: int):
+    """Seeded index entries + governance query stream."""
+    rng = np.random.default_rng(seed)
+    techniques = ("powder-xrd", "uv-vis", "saxs", "xps", "raman", "nmr")
+    entries = []
+    for i in range(n_facilities):
+        site = f"site-{i}"
+        institution = f"inst-{i % 40}"
+        for r in range(records_per):
+            entries.append({
+                "record_id": f"rec-{i:04d}-{r:03d}",
+                "schema_id": "synthesis@1",
+                "site": site,
+                "institution": institution,
+                "source": f"instrument-{i % 7}",
+                "sensitivity": "open",
+                "keys": ["plqy", "yield_pct"],
+                "metadata": {
+                    "technique": techniques[int(rng.integers(6))]},
+            })
+    queries: list[dict] = []
+    for q in range(240):
+        shape = rng.random()
+        if shape < 0.4:   # governance sweep: one technique, all shards
+            queries.append({"metadata.technique":
+                            techniques[int(rng.integers(6))]})
+        elif shape < 0.7:  # institutional audit
+            queries.append({"institution":
+                            f"inst-{int(rng.integers(40))}"})
+        elif shape < 0.9:  # facility-local listing (routes to one shard)
+            queries.append({"site":
+                            f"site-{int(rng.integers(n_facilities))}"})
+        else:              # primary-key fetch
+            pick = entries[int(rng.integers(len(entries)))]
+            queries.append({"record_id": pick["record_id"]})
+    return entries, queries
+
+
+#: The 1000-facility governance corpus (five records each) the
+#: ``wall-clock-gates`` CI job also times ingest on.
 _CORPUS, _CORPUS_QUERIES = _mesh_corpus(0, 1000, 5)
+
+
+def test_mesh_corpus_is_pinned():
+    """Seed 0 draws the corpus the mesh ingest gate always used: 5,000
+    entries, 240 queries, and 170 entries in the largest of 32 shards.
+    The queries answer 91,267 rows in all, which pins the seeded draws
+    too (the counts above hold for any seed)."""
+    index = ShardedDiscoveryIndex(32)
+    for entry in _CORPUS:
+        index.publish(entry)
+    assert (len(_CORPUS), len(_CORPUS_QUERIES)) == (5000, 240)
+    assert max(index.shard_sizes()) == 170
+    assert sum(len(index.query(**q)) for q in _CORPUS_QUERIES) == 91_267
 
 
 @given(ops=_ops, queries=st.lists(_filters, max_size=12),

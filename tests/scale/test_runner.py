@@ -235,3 +235,41 @@ def test_cli_manifest_identical_across_worker_counts(tmp_path, capsys):
     assert p1.read_text() == p2.read_text()
     out = capsys.readouterr().out
     assert "combined:" in out
+
+
+@pytest.fixture
+def no_world_runs(monkeypatch):
+    """Fail the test if the CLI gets as far as running a world."""
+    def refuse(self, specs):
+        raise AssertionError("a world ran")
+    monkeypatch.setattr(WorldRunner, "run", refuse)
+
+
+@pytest.mark.parametrize("world", ["mesh", "service"])
+def test_cli_rejects_budget_for_worlds_without_one(world, no_world_runs,
+                                                   capsys):
+    # Neither world reads a budget, so the manifest would record a knob
+    # that changed nothing.
+    with pytest.raises(SystemExit) as exc:
+        scale_main(["--world", world, "--seeds", "0", "--budget", "3"])
+    assert exc.value.code == 2
+    assert f"--budget does not apply to --world {world}" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_cli_rejects_budget_below_one(budget, no_world_runs, capsys):
+    # In the world, 0 leaves ``opt.best`` with no observation to return
+    # and -1 asks for an array of negative size.
+    with pytest.raises(SystemExit) as exc:
+        scale_main(["--world", "bo", "--seeds", "0", "--budget", budget])
+    assert exc.value.code == 2
+    assert "--budget must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_duplicate_seeds(no_world_runs, capsys):
+    # A repeated seed would run twice but keep one entry under ``hashes``.
+    with pytest.raises(SystemExit) as exc:
+        scale_main(["--world", "bo", "--seeds", "0,0", "--budget", "3"])
+    assert exc.value.code == 2
+    assert "--seeds must not repeat a seed" in capsys.readouterr().err

@@ -12,7 +12,8 @@ from two directions:
   chains, interrupt-cancelled timeouts, ``schedule_callback`` deferred
   resolution) run on the live :class:`~repro.sim.kernel.Simulator` must
   reproduce the step count, end time and decision hash that the retired
-  binary-heap kernel produced on it (pinned below).
+  binary-heap kernel produced on it (pinned below), and a 200k-event
+  polling fleet must reproduce that kernel's per-tick log digest.
 """
 
 import heapq
@@ -238,3 +239,62 @@ def test_kernel_equivalence_with_frozen_legacy(seed):
 
 def test_kernel_equivalence_across_run_until_boundaries():
     assert _run_traced(7, _WINDOWS) == _FROZEN_WINDOWS
+
+
+# -- poll-fleet digest ----------------------------------------------------------
+
+#: Instrument-polling fleet shape for :func:`_poll_fleet` (the pinned
+#: digest below holds for exactly these numbers).
+_SIM_POLLERS = 1000       # identical-period instruments per tick
+_SIM_TICKS = 200          # polling rounds
+_SIM_PERIOD_S = 0.25      # shared polling period (max coalescing)
+_SIM_WATCHDOGS = 5000     # far-future deadlines held pending throughout
+
+#: ``decision_hash`` of the poll-fleet log (200 rows of time, tick and
+#: pending-event count) as the retired binary-heap kernel wrote it.  That
+#: kernel can never change, so this constant is its output; the
+#: calendar-queue kernel must reproduce it.
+_SIM_POLL_DIGEST = ("7f2290601addb9e615ba1147448835c5"
+                    "bd2ac91f1351bea96677ca7f71312d2c")
+
+
+def _poll_fleet(sim, log: list) -> float:
+    """Build the polling-fleet program on ``sim``.
+
+    Models the dominant event pattern of a running facility: every tick,
+    each of ``_SIM_POLLERS`` instruments schedules its next sample at
+    exactly ``now + _SIM_PERIOD_S`` (all coalescible into one bucket),
+    while ``_SIM_WATCHDOGS`` campaign deadlines sit pending far beyond
+    the run — dead weight for a flat heap, parked in the calendar
+    queue's far band.  Returns the ``run(until=...)`` deadline.
+    """
+    for i in range(_SIM_WATCHDOGS):
+        sim.timeout(1e6 + i * 1e-3)
+    state = [0]
+
+    def drive() -> None:
+        tick = state[0]
+        if tick >= _SIM_TICKS:
+            return
+        state[0] = tick + 1
+        timeout = sim.timeout
+        for _ in range(_SIM_POLLERS):
+            timeout(_SIM_PERIOD_S)
+        log.append((sim.now, tick, len(sim._queue)))
+        sim.schedule_callback(_SIM_PERIOD_S, drive)
+
+    sim.schedule_callback(0.0, drive)
+    return _SIM_TICKS * _SIM_PERIOD_S + 1.0
+
+
+def test_poll_fleet_log_equals_frozen_heap_kernel():
+    """200 ticks of 1,000 coalesced polls over 5,000 far-future
+    watchdogs: the per-tick log hashes to the heap kernel's digest, the
+    watchdogs are all still pending, and the polls shared buckets."""
+    sim = Simulator()
+    log: list = []
+    sim.run(until=_poll_fleet(sim, log))
+    assert len(log) == _SIM_TICKS
+    assert len(sim._queue) == _SIM_WATCHDOGS
+    assert decision_hash(log) == _SIM_POLL_DIGEST
+    assert sim.queue_stats()["coalesced"] > 0
