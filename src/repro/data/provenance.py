@@ -240,10 +240,14 @@ class ProvenanceGraph:
                 if self._nodes[n]["prov_type"] == "agent"]
 
     def generating_activity(self, entity_id: str) -> Optional[str]:
-        for dst, kind in self._out.get(entity_id, {}).items():
-            if kind == GENERATED_BY:
-                return dst
-        return None
+        """The activity that generated ``entity_id``, or ``None``.
+
+        Where several are recorded the least id is taken, not the first
+        related: :meth:`to_dict` sorts edges, so only an order-free choice
+        lets a :meth:`from_dict` replay answer as the live graph does.
+        """
+        return min((dst for dst, kind in self._out.get(entity_id, {}).items()
+                    if kind == GENERATED_BY), default=None)
 
     # -- completeness metric (E9) ---------------------------------------------------------
 

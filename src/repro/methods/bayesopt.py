@@ -116,9 +116,9 @@ class BayesianOptimizer(AskTellOptimizer):
     def _sync_surrogate(self) -> None:
         """Bring the GP up to date with the newest observations.
 
-        Grid refits (every ``refit_every`` asks) go through the cached
-        distance grid; between them, new points stream in as rank-1
-        updates, with a scratch refactorization every
+        Every ``refit_every`` asks the hyperparameter grid is searched
+        again on all observations; between those refits, new points
+        stream in as rank-1 updates, with a scratch refactorization every
         ``full_refit_every`` updates for numerical hygiene.
         """
         self._since_refit += 1

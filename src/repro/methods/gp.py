@@ -11,10 +11,9 @@ to end by aislebench's ``methods`` layer:
 
 - :meth:`GaussianProcess.observe` appends one observation by a rank-1
   Cholesky update — O(n²) instead of the O(n³) refit;
-- :meth:`GaussianProcess.fit_hyperparameters` computes the pairwise
-  distance matrix **once** per grid search and derives every
-  (lengthscale, amplitude) candidate from it by elementwise ops
-  (:meth:`~repro.methods.kernels._Stationary.from_unit_sqdist`);
+- :meth:`GaussianProcess.fit_hyperparameters` computes each
+  lengthscale's distance matrix and unit-amplitude covariance once and
+  derives its amplitude candidates by exact rescaling;
 - :meth:`GaussianProcess.predict` reads the prior variance from
   :meth:`~repro.methods.kernels._Stationary.diag` instead of building an
   m×m query covariance for its diagonal.
@@ -36,6 +35,10 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from repro.methods.kernels import RBF, _sqdist
 
+#: The hyperparameter grid, scanned lengthscale-major in this order.
+_GRID_LENGTHSCALES = (0.05, 0.1, 0.2, 0.4, 0.8)
+_GRID_AMPLITUDES = (0.5, 1.0, 2.0)
+
 
 class GaussianProcess:
     """Exact GP regression with a stationary kernel.
@@ -45,10 +48,9 @@ class GaussianProcess:
     kernel:
         Kernel object (``RBF`` / ``Matern52``); default RBF.
     noise:
-        Observation noise standard deviation.
-    normalize_y:
-        Standardize targets internally (recommended: keeps the unit-scale
-        kernel amplitude meaningful across objectives).
+        Observation noise standard deviation.  Targets are standardized
+        internally, which keeps the unit-scale kernel amplitude
+        meaningful across objectives.
 
     Notes
     -----
@@ -57,13 +59,11 @@ class GaussianProcess:
     :meth:`observe` is :math:`O(n^2)` per point.
     """
 
-    def __init__(self, kernel=None, noise: float = 1e-2,
-                 normalize_y: bool = True) -> None:
+    def __init__(self, kernel=None, noise: float = 1e-2) -> None:
         if noise <= 0:
             raise ValueError("noise must be > 0")
         self.kernel = kernel or RBF()
         self.noise = float(noise)
-        self.normalize_y = normalize_y
         self._X: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
         self._z: Optional[np.ndarray] = None
@@ -71,11 +71,6 @@ class GaussianProcess:
         self._chol = None
         self._y_mean = 0.0
         self._y_std = 1.0
-        # Unit-lengthscale squared-distance matrix over the training set,
-        # maintained by fit_hyperparameters/observe so repeated grid
-        # searches never recompute the O(n²·d) expansion.
-        self._d2_unit: Optional[np.ndarray] = None
-        self._last_grid_lml: Optional[float] = None
         #: Factorization counters (read by tests).
         self.n_factorizations = 0
         self.n_incremental_updates = 0
@@ -87,21 +82,25 @@ class GaussianProcess:
         return 0 if self._X is None else self._X.shape[0]
 
     def _normalize(self, y: np.ndarray) -> np.ndarray:
-        if self.normalize_y:
-            self._y_mean = float(np.mean(y))
-            self._y_std = float(np.std(y)) or 1.0
-        else:
-            self._y_mean, self._y_std = 0.0, 1.0
+        self._y_mean = float(np.mean(y))
+        self._y_std = float(np.std(y)) or 1.0
         return (y - self._y_mean) / self._y_std
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcess":
-        """Condition the GP on observations (replaces prior data)."""
+    @staticmethod
+    def _training_data(X: np.ndarray,
+                       y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``X`` as float rows and ``y`` as a flat float vector, checked."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64).ravel()
         if X.shape[0] != y.shape[0]:
             raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
         if X.shape[0] == 0:
             raise ValueError("need at least one observation")
+        return X, y
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcess":
+        """Condition the GP on observations (replaces prior data)."""
+        X, y = self._training_data(X, y)
         z = self._normalize(y)
         K = self.kernel(X, X)
         K[np.diag_indices_from(K)] += self.noise ** 2
@@ -111,7 +110,6 @@ class GaussianProcess:
         self._X = X
         self._y = y
         self._z = z
-        self._d2_unit = None
         return self
 
     def observe(self, x: np.ndarray, y: float) -> "GaussianProcess":
@@ -153,33 +151,16 @@ class GaussianProcess:
         self._y = new_y
         self._z = self._normalize(new_y)
         self._alpha = cho_solve(self._chol, self._z, check_finite=False)
-        if self._d2_unit is not None:
-            old = self._d2_unit
-            grown = np.empty((n + 1, n + 1))
-            grown[:n, :n] = old
-            col = _sqdist(self._X[:n], x, 1.0).ravel()
-            grown[:n, n] = col
-            grown[n, :n] = col
-            grown[n, n] = 0.0
-            self._d2_unit = grown
         return self
 
-    def predict(self, Xs: np.ndarray,
-                return_std: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean (and std) at query points.
-
-        With ``return_std=False`` only the mean is computed: the
-        Cholesky-solve path is skipped entirely and the second element is
-        an array of zeros (the mean is identical either way).
-        """
+    def predict(self, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and std at query points."""
         if self._X is None:
             raise RuntimeError("fit() before predict()")
         Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
         Ks = self.kernel(Xs, self._X)
         mean = Ks @ self._alpha
         mean = mean * self._y_std + self._y_mean
-        if not return_std:
-            return mean, np.zeros_like(mean)
         # One triangular solve: var = k(x,x) - ||L^{-1} k_*||², reading
         # the prior variance from the kernel diagonal (O(m)) instead of
         # materializing the m×m query covariance.
@@ -220,14 +201,8 @@ class GaussianProcess:
                      - np.sum(np.log(np.diag(L)))
                      - 0.5 * n * np.log(2 * np.pi))
 
-    def fit_hyperparameters(
-            self, X: Optional[np.ndarray] = None,
-            y: Optional[np.ndarray] = None,
-            lengthscales: tuple[float, ...] = (0.05, 0.1, 0.2, 0.4, 0.8),
-            amplitudes: tuple[float, ...] = (0.5, 1.0, 2.0), *,
-            exact: bool = True,
-            early_exit_tol: Optional[float] = None
-    ) -> "GaussianProcess":
+    def fit_hyperparameters(self, X: np.ndarray,
+                            y: np.ndarray) -> "GaussianProcess":
         """Grid-search kernel hyperparameters by marginal likelihood.
 
         A deliberately small, deterministic grid: cheap enough to rerun at
@@ -235,49 +210,15 @@ class GaussianProcess:
         scale (the guides' advice — measure, don't over-engineer).
 
         The grid shares work instead of rebuilding the kernel matrix per
-        candidate.  In ``exact`` mode (default) each lengthscale's
-        distance matrix and unit-amplitude base are computed once and the
-        amplitude candidates are exact rescalings — bit-identical to
-        evaluating every candidate from scratch, so campaign decision
-        sequences are unchanged.  With ``exact=False`` the whole grid is
-        derived from a single unit-lengthscale distance matrix (cached
-        across calls and grown in place by :meth:`observe`) — the fastest
-        path, equal only to floating-point precision.  Either way the
+        candidate: each lengthscale's distance matrix and unit-amplitude
+        base are computed once and the amplitude candidates are exact
+        rescalings — bit-identical to evaluating every candidate from
+        scratch, so campaign decision sequences are unchanged.  The
         incumbent kernel is never mutated mid-search: a candidate whose
         factorization fails is skipped, and the GP state only changes
         once a winner exists.
-
-        Parameters
-        ----------
-        X, y:
-            Training data; ``None`` reuses the data the GP already holds
-            (from a prior ``fit``/``observe`` chain).
-        exact:
-            ``True`` — per-lengthscale sharing, bit-identical selection;
-            ``False`` — everything derived from the cached
-            unit-lengthscale distance matrix.
-        early_exit_tol:
-            When set, the incumbent kernel is scored first and kept —
-            skipping the rest of the grid — if its LML is within this
-            tolerance of the best LML the previous grid search found.
-            ``None`` (default) always scans the full grid.
         """
-        if X is None:
-            if self._X is None:
-                raise RuntimeError("no data: pass X, y or fit() first")
-            X, y = self._X, self._y
-            d2_unit = self._d2_unit
-        else:
-            X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-            y = np.asarray(y, dtype=np.float64).ravel()
-            if X.shape[0] != y.shape[0]:
-                raise ValueError(
-                    f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-            if X.shape[0] == 0:
-                raise ValueError("need at least one observation")
-            d2_unit = None
-        if not exact and d2_unit is None:
-            d2_unit = _sqdist(X, X, 1.0)
+        X, y = self._training_data(X, y)
         z = self._normalize(y)
         n = X.shape[0]
         noise_var = self.noise ** 2
@@ -298,33 +239,18 @@ class GaussianProcess:
             return lml, chol, alpha
 
         best = None  # (lml, kernel, chol, alpha)
-        if early_exit_tol is not None and self._last_grid_lml is not None:
-            incumbent = self.kernel
-            K = (incumbent.from_unit_sqdist(d2_unit) if not exact
-                 else incumbent(X, X))
-            scored = factor(K)
-            if (scored is not None
-                    and scored[0] >= self._last_grid_lml - early_exit_tol):
-                best = (scored[0], incumbent, scored[1], scored[2])
-        if best is None:
-            for l in lengthscales:
-                base = None
-                for a in amplitudes:
-                    candidate = self.kernel.with_params(l, a)
-                    if base is None:
-                        base = (candidate._base(d2_unit * (1.0 / (l * l)))
-                                if not exact
-                                else candidate._base(_sqdist(X, X, l)))
-                    scored = factor(candidate.amplitude ** 2 * base)
-                    if scored is not None and (best is None
-                                               or scored[0] > best[0]):
-                        best = (scored[0], candidate, scored[1], scored[2])
+        for l in _GRID_LENGTHSCALES:
+            base = self.kernel._base(_sqdist(X, X, l))
+            for a in _GRID_AMPLITUDES:
+                candidate = self.kernel.with_params(l, a)
+                scored = factor(candidate.amplitude ** 2 * base)
+                if scored is not None and (best is None
+                                           or scored[0] > best[0]):
+                    best = (scored[0], candidate, scored[1], scored[2])
         if best is None:
             # Every candidate failed to factor: leave the kernel exactly
             # as it was and let a plain fit surface the numerical problem.
             return self.fit(X, y)
-        lml, self.kernel, self._chol, self._alpha = best
+        _, self.kernel, self._chol, self._alpha = best
         self._X, self._y, self._z = X, y, z
-        self._d2_unit = d2_unit
-        self._last_grid_lml = lml
         return self

@@ -1,20 +1,15 @@
 """Covariance kernels for Gaussian-process regression.
 
 Both kernels are *stationary*: covariance depends only on the pairwise
-distance between inputs.  That buys two fast paths the surrogate stack
-leans on:
-
-- :meth:`_Stationary.diag` — the self-covariance of any point is just
-  ``amplitude**2``, so callers that only need a diagonal (``predict``'s
-  prior variance) never build an m×m matrix;
-- :meth:`_Stationary.from_unit_sqdist` — the kernel matrix for any
-  lengthscale is an elementwise function of the *unit-lengthscale*
-  squared-distance matrix, so a hyperparameter grid computes the O(n²·d)
-  distance expansion once and derives each (lengthscale, amplitude)
-  candidate by cheap elementwise ops.
+distance between inputs, so the self-covariance of any point is just
+``amplitude**2`` and :meth:`_Stationary.diag` gives callers that only
+need a diagonal (``predict``'s prior variance) that diagonal without an
+m×m matrix.
 
 Amplitude enters as an exact final scaling (``amplitude**2 * base``), so
-the direct and derived paths agree bit-for-bit in the amplitude factor.
+a hyperparameter grid can build one lengthscale's unit-amplitude
+``_base`` and rescale it for every amplitude, bit-for-bit equal to
+calling each candidate kernel.
 """
 
 from __future__ import annotations
@@ -63,17 +58,6 @@ class _Stationary:
         """
         X = np.atleast_2d(X)
         return np.full(X.shape[0], self.amplitude ** 2)
-
-    def from_unit_sqdist(self, d2_unit: np.ndarray) -> np.ndarray:
-        """Kernel matrix from a cached unit-lengthscale ``_sqdist`` matrix.
-
-        ``d2_unit`` must be ``_sqdist(A, B, 1.0)``; the result equals
-        ``self(A, B)`` up to floating-point rescaling order.  Grid
-        searches use this to amortize one distance matrix across every
-        (lengthscale, amplitude) candidate.
-        """
-        inv = 1.0 / (self.lengthscale * self.lengthscale)
-        return self.amplitude ** 2 * self._base(d2_unit * inv)
 
     def with_params(self, lengthscale: float, amplitude: float):
         return type(self)(lengthscale, amplitude)

@@ -76,11 +76,6 @@ class NestedBayesianOptimizer(AskTellOptimizer):
         self._inner_kwargs = dict(inner_kwargs or {})
         self._inner_kwargs.setdefault("n_init", 4)
         self._inner_kwargs.setdefault("n_candidates", 256)
-        # Inner surrogates ride the fast path: observations stream in as
-        # rank-1 updates and grid refits reuse the cached distance matrix
-        # (see repro.methods.gp).  Each arm sees only its share of the
-        # budget, so the hygiene refactorization can be sparse.
-        self._inner_kwargs.setdefault("full_refit_every", 50)
         self._arms: dict[tuple[str, ...], _ComboArm] = {}
         self._current_arm: Optional[tuple[str, ...]] = None
         # The continuous-only subspace shared by all inner optimizers.

@@ -34,9 +34,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.scale",
         description="Run a multi-seed world sweep and emit decision hashes.")
-    parser.add_argument("--world", default="bo", choices=sorted(WORLD_KINDS),
+    parser.add_argument("--world", default=None, choices=sorted(WORLD_KINDS),
                         help="canonical world entrypoint (default: bo)")
-    parser.add_argument("--seeds", default="0,1,2,3",
+    parser.add_argument("--seeds", default=None,
                         help="comma-separated seeds (default: 0,1,2,3)")
     parser.add_argument("--budget", type=int, default=None,
                         help="per-world experiment budget override (only "
@@ -58,9 +58,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.replay is not None:
-        if args.record is not None:
-            parser.error("--record and --replay are mutually exclusive")
+        # The archive fixes the world, seeds and config, and replay
+        # writes no manifest; of the sweep flags only --workers applies.
+        for flag in ("world", "seeds", "budget", "json", "record"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} does not apply to --replay")
+        if args.verify:
+            parser.error("--verify does not apply to --replay")
         return _replay(args.replay, workers=args.workers)
+    if args.world is None:
+        args.world = "bo"
+    if args.seeds is None:
+        args.seeds = "0,1,2,3"
 
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]

@@ -216,9 +216,10 @@ class WorldRunner:
     Parameters
     ----------
     workers:
-        ``None`` reads ``REPRO_WORKERS`` (default 1 = serial); ``0`` or
-        ``"auto"`` in the env means one worker per CPU.  With one worker
-        (or one spec) everything runs in-process — no pool, no pickling.
+        ``None`` reads ``REPRO_WORKERS``, and ``min(8, cpu_count)`` when
+        that is unset (see :func:`resolve_workers`); ``0`` or ``"auto"``
+        in the env means one worker per CPU.  With one worker (or one
+        spec) everything runs in-process — no pool, no pickling.
     metrics:
         Optional shared registry; the runner reports ``scale.worlds``,
         ``scale.batches``, and a ``scale.workers`` gauge into it.

@@ -298,9 +298,12 @@ class CampaignService:
             self._finish(handle, CampaignStatus.CANCELLED)
             self._update_load_gauges(state)
             return True
+        # A finished run stays RUNNING until its slot collects it; a
+        # cancel in that window has nothing left to interrupt.
+        proc = handle._proc
         if handle.status is CampaignStatus.RUNNING \
-                and handle._proc is not None:
-            handle._proc.interrupt("cancelled")
+                and proc is not None and proc.is_alive:
+            proc.interrupt("cancelled")
             return True
         return False
 

@@ -1,10 +1,10 @@
 """Deterministic discrete-event simulation kernel.
 
 A compact, dependency-free engine in the spirit of SimPy: generator-based
-processes scheduled on a two-band calendar queue
-(:class:`~repro.sim.calendar.CalendarQueue` — O(1) bucketed near-horizon
-band with timeout coalescing, heap fallback for the far future) with a
-simulated clock.  All higher layers (network, agents, instruments, data
+processes scheduled on a calendar queue
+(:class:`~repro.sim.calendar.CalendarQueue` — one O(1)-append bucket per
+distinct fire time, so simultaneous timeouts coalesce, and a heap of
+those times) with a simulated clock.  All higher layers (network, agents, instruments, data
 fabric) are built on these primitives, which keeps every AISLE
 experiment reproducible event-for-event from a single seed.
 

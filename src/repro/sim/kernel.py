@@ -1,16 +1,14 @@
 """The discrete-event simulation loop.
 
-The :class:`Simulator` owns the simulated clock and a two-band
-:class:`~repro.sim.calendar.CalendarQueue` of scheduled events:
-near-horizon events live in O(1)-append time buckets (simultaneous
-timeouts coalesce into one bucket), far-future events in a heap fallback
-that migrates forward in batches.  Ties at the same timestamp break
-deterministically on a monotonically increasing sequence number, so two
-runs with the same seed are identical event-for-event (a requirement
-stated in DESIGN.md for every AISLE experiment) — and byte-identical to
-the retired binary-heap kernel: tier-1 tests
-(``tests/sim/test_calendar.py``) pin that kernel's step counts, end
-times and decision digests on fixed programs.
+The :class:`Simulator` owns the simulated clock and a
+:class:`~repro.sim.calendar.CalendarQueue` of scheduled events: one
+O(1)-append list per distinct fire time (simultaneous timeouts coalesce
+into one bucket) and a heap of those times.  Ties at the same timestamp
+break on push order, so two runs with the same seed are identical
+event-for-event (a requirement stated in DESIGN.md for every AISLE
+experiment) — and byte-identical to the retired binary-heap kernel:
+tier-1 tests (``tests/sim/test_calendar.py``) pin that kernel's step
+counts, end times and decision digests on fixed programs.
 
 :meth:`Simulator.run` is the hot loop of every experiment, so it drains
 bucket batches inline instead of calling :meth:`step` per event: the
@@ -21,7 +19,6 @@ process exactly one event.
 
 from __future__ import annotations
 
-from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.calendar import CalendarQueue
@@ -93,8 +90,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._queue = CalendarQueue(start=float(start))
-        self._seq = 0
+        self._queue = CalendarQueue()
         self._active_process: Optional[Process] = None
         # Per-world id streams (see repro.sim.ids): ids allocated by this
         # world are a function of the world alone, so two same-seed worlds
@@ -130,12 +126,9 @@ class Simulator:
         """Create an event that fires ``delay`` time units from now.
 
         This is the kernel's hottest allocation site (every instrument
-        poll, sampling interval, and deadline is a timeout), so the
-        whole chain — slot writes, ``(time, seq)`` assignment, and the
-        near-band bucket insert — runs in this one frame.  The insert
-        mirrors :meth:`CalendarQueue.push` exactly; that method stays
-        the canonical implementation, and the equivalence tests in
-        ``tests/sim/test_calendar.py`` hold the two paths together.
+        poll, sampling interval, and deadline is a timeout), so the slot
+        writes skip ``Timeout.__init__`` and the event goes straight to
+        :meth:`CalendarQueue.push`.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
@@ -149,21 +142,7 @@ class Simulator:
         ev._defused = False
         ev.delay = delay
         at = self._now + delay
-        queue = self._queue
-        if at < queue._horizon:
-            bucket = queue._buckets.get(at)
-            if bucket is None:
-                queue._buckets[at] = [ev]
-                _heappush(queue._times, at)
-                queue.buckets_opened += 1
-            else:
-                bucket.append(ev)
-                queue.coalesced += 1
-        else:
-            _heappush(queue._far, (at, self._seq, ev))
-            queue.far_deferred += 1
-        queue._size += 1
-        self._seq += 1
+        self._queue.push(at, ev)
         if self.schedule_hook is not None:
             self.schedule_hook(at, ev)
         return ev
@@ -186,8 +165,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         at = self._now + delay
-        self._queue.push(at, self._seq, event)
-        self._seq += 1
+        self._queue.push(at, event)
         if self.schedule_hook is not None:
             self.schedule_hook(at, event)
 
@@ -209,7 +187,11 @@ class Simulator:
         return self._queue.next_time()
 
     def queue_stats(self) -> dict:
-        """Calendar-queue structure counters (coalescing, far band)."""
+        """Calendar-queue structure counters (pending, coalescing).
+
+        ``far_deferred`` is always 0: the queue has one band, and the key
+        stays for readers that export it.
+        """
         return self._queue.stats()
 
     def step(self) -> None:

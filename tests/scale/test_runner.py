@@ -273,3 +273,38 @@ def test_cli_rejects_duplicate_seeds(no_world_runs, capsys):
         scale_main(["--world", "bo", "--seeds", "0,0", "--budget", "3"])
     assert exc.value.code == 2
     assert "--seeds must not repeat a seed" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_replay_runs(monkeypatch):
+    """Fail the test if the CLI gets as far as replaying an archive."""
+    import repro.data.replay as replay
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replay ran")
+    monkeypatch.setattr(replay, "replay_campaign", refuse)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--world", "bo"], ["--seeds", "5,5"], ["--budget", "-3"],
+    ["--json", "out.json"], ["--verify"]], ids=lambda f: f[0].lstrip("-"))
+def test_cli_rejects_sweep_flags_with_replay(flags, no_replay_runs, tmp_path,
+                                             capsys):
+    # The archive fixes the world, seeds and config and replay writes no
+    # manifest, so each flag would otherwise be dropped without a word.
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    with pytest.raises(SystemExit) as exc:
+        scale_main(["--replay", str(tmp_path), *flags])
+    assert exc.value.code == 2
+    assert f"{flags[0]} does not apply to --replay" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_replay_takes_workers(tmp_path, capsys):
+    from repro.data import record_campaign
+    record_campaign("mesh", [0], {"n_facilities": 4, "n_shards": 2,
+                                  "records_per_facility": 2,
+                                  "max_trace_events": 64},
+                    str(tmp_path), workers=1)
+    assert scale_main(["--replay", str(tmp_path), "--workers", "1"]) == 0
+    assert "(matches recording)" in capsys.readouterr().out

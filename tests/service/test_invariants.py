@@ -9,7 +9,7 @@ counters, and checked after every kernel step.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.campaign import CampaignSpec
@@ -51,6 +51,12 @@ def _flaky_runner(sim):
        learned=st.booleans(), urgency_s=st.sampled_from((0.0, 100.0)),
        seed=st.integers(0, 2**16))
 @settings(max_examples=300, deadline=None)
+# A second cancel at the same sim time, after the first interrupt ended
+# the run but before the slot collected it, used to raise.
+@example(quotas=[TenantQuota(max_in_flight=1, max_queued=1, share=1.0)],
+         n_slots=1, ops=[("submit", 0, 1, 0, None), ("wait", 0.0),
+                         ("cancel", 0), ("wait", 0.0), ("cancel", 0)],
+         learned=False, urgency_s=0.0, seed=0)
 def test_quotas_hold_and_nothing_starves_or_leaks(quotas, n_slots, ops,
                                                   learned, urgency_s, seed):
     sim = Simulator()

@@ -78,6 +78,28 @@ def test_cancel_running_campaign_interrupts_mid_flight():
     assert follow_up.status is CampaignStatus.COMPLETED
 
 
+def test_second_cancel_before_the_slot_collects_the_run_is_a_no_op():
+    sim, svc = make_service(n_slots=1)
+    svc.register_tenant("a")
+    handle = svc.submit("a", spec("c", experiments=10))
+    answers = []
+
+    def canceller():
+        yield sim.timeout(0.0)
+        answers.append(handle.cancel())
+        # The interrupt ends the run; the slot has not collected it yet.
+        yield sim.timeout(0.0)
+        assert handle.status is CampaignStatus.RUNNING
+        answers.append(handle.cancel())
+
+    sim.process(canceller())
+    sim.run()
+    assert answers == [True, False]
+    assert handle.status is CampaignStatus.CANCELLED
+    assert len(svc._idle) == 1  # the slot is parked again
+    assert [row[2] for row in svc.decision_log()] == ["cancelled"]
+
+
 def test_runner_exception_fails_campaign_not_service():
     sim = Simulator()
 

@@ -7,7 +7,7 @@ from two directions:
 - structure-level: generated push/pop schedules through
   :class:`~repro.sim.calendar.CalendarQueue` and ``heapq`` must pop in
   the same global ``(time, seq)`` order, including same-time ties,
-  far-band offsets and mid-stream ``stop_at`` boundaries;
+  large offsets and mid-stream ``stop_at`` boundaries;
 - kernel-level: a fixed mixed program (coalesced pollers, random-delay
   chains, interrupt-cancelled timeouts, ``schedule_callback`` deferred
   resolution) run on the live :class:`~repro.sim.kernel.Simulator` must
@@ -35,7 +35,8 @@ _INF = float("inf")
 
 # Offsets are multiples of 1/4, so sums stay exact and pushes from
 # different bursts collide on the same time as often as pushes from one
-# burst; far offsets land beyond the horizon (far band, migrations).
+# burst; large offsets park events far beyond the drained prefix, as
+# deadlines and watchdogs do.
 _near = st.integers(0, 32).map(lambda k: k / 4)
 _far = st.integers(200, 2000).map(lambda k: k / 4)
 _offsets = st.one_of(_near, _near, _far)
@@ -48,13 +49,13 @@ _bursts = st.lists(_offsets, max_size=6)
 def test_calendar_matches_heap_pop_order(start, steps):
     """Push bursts at the current clock, drain a few, repeat: the queue
     pops exactly what ``heapq`` pops, tie for tie."""
-    queue = CalendarQueue(start=float(start))
+    queue = CalendarQueue()
     heap: list = []
     seq = 0
     now = float(start)
     for burst, drains in steps + [([], _INF)]:
         for offset in burst:
-            queue.push(now + offset, seq, seq)
+            queue.push(now + offset, seq)
             heapq.heappush(heap, (now + offset, seq))
             seq += 1
         while drains > 0 and heap:
@@ -71,13 +72,13 @@ def test_calendar_matches_heap_pop_order(start, steps):
 def test_calendar_respects_stop_at_boundaries(start, windows):
     """``run(until=...)`` windows: push a burst at the clock, drain up to
     ``stop_at`` (repeats included), move the clock to ``stop_at``."""
-    queue = CalendarQueue(start=float(start))
+    queue = CalendarQueue()
     heap: list = []
     seq = 0
     clock = float(start)
     for burst, width in windows + [([], _INF)]:
         for offset in burst:
-            queue.push(clock + offset, seq, seq)
+            queue.push(clock + offset, seq)
             heapq.heappush(heap, (clock + offset, seq))
             seq += 1
         stop_at = clock + width
@@ -89,45 +90,22 @@ def test_calendar_respects_stop_at_boundaries(start, windows):
     assert not heap and len(queue) == 0
 
 
-def test_far_band_defers_and_migrates_in_order():
-    queue = CalendarQueue(start=0.0, span=1.0)
-    queue.push(500.0, 0, "far-a")     # beyond horizon -> far band
-    queue.push(500.0, 1, "far-b")     # same-time tie in the far band
-    queue.push(0.5, 2, "near")
-    assert queue.stats()["far_deferred"] == 2
-    assert queue.next_time() == 0.5
-    assert queue.pop_due(_INF) == "near"
-    # Near band drained: the next pop advances the horizon and migrates.
-    assert queue.pop_due(_INF) == "far-a"
-    assert queue.pop_due(_INF) == "far-b"
-    assert queue.stats()["migrated"] == 2
-    assert queue.pop_due(_INF) is None
-
-
-def test_span_doubles_on_migration_but_never_reorders():
-    queue = CalendarQueue(start=0.0, span=1.0)
-    span0 = queue._span
-    queue.push(10.0, 0, "a")
-    assert queue.pop_due(_INF) == "a"
-    assert queue._span == span0 * 2.0
-
-
 def test_late_earlier_push_not_shadowed_by_pending_bucket():
     # Regression guard: pop_due(stop_at) must not activate a bucket
     # beyond stop_at, or an earlier event scheduled afterwards would be
     # shadowed behind the pending active bucket.
-    queue = CalendarQueue(start=0.0)
-    queue.push(5.0, 0, "later")
+    queue = CalendarQueue()
+    queue.push(5.0, "later")
     assert queue.pop_due(2.0) is None
-    queue.push(1.0, 1, "earlier")
+    queue.push(1.0, "earlier")
     assert queue.pop_due(2.0) == "earlier"
     assert queue.pop_due(_INF) == "later"
 
 
 def test_coalescing_counts_shared_buckets():
-    queue = CalendarQueue(start=0.0)
+    queue = CalendarQueue()
     for s in range(100):
-        queue.push(0.25, s, s)
+        queue.push(0.25, s)
     stats = queue.stats()
     assert stats["coalesced"] == 99      # one bucket, 99 shared appends
     assert stats["buckets_opened"] == 1
@@ -265,8 +243,7 @@ def _poll_fleet(sim, log: list) -> float:
     each of ``_SIM_POLLERS`` instruments schedules its next sample at
     exactly ``now + _SIM_PERIOD_S`` (all coalescible into one bucket),
     while ``_SIM_WATCHDOGS`` campaign deadlines sit pending far beyond
-    the run — dead weight for a flat heap, parked in the calendar
-    queue's far band.  Returns the ``run(until=...)`` deadline.
+    the run.  Returns the ``run(until=...)`` deadline.
     """
     for i in range(_SIM_WATCHDOGS):
         sim.timeout(1e6 + i * 1e-3)
