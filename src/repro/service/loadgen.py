@@ -129,15 +129,41 @@ class LoadGenerator:
 
     def _closed_loop(self, load: TenantLoad,
                      rng: np.random.Generator) -> Generator:
-        """Keep ``concurrency`` in flight; replace as campaigns finish."""
+        """Keep ``concurrency`` in flight; replace as campaigns finish.
+
+        Wake rule: the loop waits on one event, which it succeeds from a
+        callback on its campaigns' done events when the kernel processes
+        the first one that finishes, or at once if one was processed
+        while the loop backed off.  That is the instant ``sim.any_of``
+        over the in-flight done events would fire, and the wake is the
+        one event pushed in its place, so the event stream is the same.
+        On waking, the loop drops every campaign in a terminal status,
+        including one whose done event is still queued; that event's
+        callback then wakes nothing.  The loop assumes it is the only
+        waiter on its campaigns' done events, as it is for every caller
+        in this repository and the benchmark: another waiter called
+        before it could push its own events ahead of the wake.
+        """
         sim = self.service.sim
         submitted = 0
-        in_flight: list = []
+        in_flight: list = []      # done events of the campaigns in flight
+        wake = None               # what the loop waits on, while it does
+        finished_early = False    # one finished during a back-off
+
+        def on_done(done) -> None:
+            nonlocal finished_early
+            if done not in in_flight:
+                return            # dropped at an earlier wake
+            if wake is None:
+                finished_early = True
+            elif not wake.triggered:
+                wake.succeed()
+
         while submitted < load.campaigns or in_flight:
             while submitted < load.campaigns \
                     and len(in_flight) < load.concurrency:
                 try:
-                    in_flight.append(self._submit(load, submitted))
+                    done = self._submit(load, submitted)._done
                 except AdmissionError:
                     self.rejections[load.name] += 1
                     # Bounded-queue backpressure: back off, then retry
@@ -146,10 +172,16 @@ class LoadGenerator:
                     yield sim.timeout(
                         self.retry_backoff_s * (0.5 + rng.random()))
                     continue
+                done.callbacks.append(on_done)
+                in_flight.append(done)
                 submitted += 1
             if in_flight:
-                yield sim.any_of([h._done for h in in_flight])
-                in_flight = [h for h in in_flight if not h.done]
+                wake = sim.event()
+                if finished_early:
+                    wake.succeed()
+                yield wake
+                wake, finished_early = None, False
+                in_flight = [done for done in in_flight if not done.triggered]
 
     def _open_loop(self, load: TenantLoad,
                    rng: np.random.Generator) -> Generator:

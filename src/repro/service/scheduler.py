@@ -79,7 +79,6 @@ class FairShareScheduler:
         self._queues: dict[str, list[QueueEntry]] = {}
         self._vtime: dict[str, float] = {}
         self._shares: dict[str, float] = {}
-        self._order: dict[str, int] = {}  # registration order, tie-break
         self._vfloor = 0.0
         self.stats = {"dispatched": 0, "urgent_dispatches": 0,
                       "cancelled": 0}
@@ -93,13 +92,12 @@ class FairShareScheduler:
         if tenant not in self._queues:
             self._queues[tenant] = []
             self._vtime[tenant] = self._vfloor
-            self._order[tenant] = len(self._order)
         self._shares[tenant] = float(share)
 
     @property
     def tenants(self) -> list[str]:
         """Registered tenants, in registration order."""
-        return sorted(self._queues, key=self._order.__getitem__)
+        return list(self._queues)  # a dict keeps insertion order
 
     def virtual_time(self, tenant: str) -> float:
         return self._vtime[tenant]
@@ -146,7 +144,7 @@ class FairShareScheduler:
         in-flight quota check); ineligible tenants keep their queues.
         """
         heads: list[tuple[str, QueueEntry]] = []
-        for tenant in self.tenants:
+        for tenant in self._queues:  # registration order
             head = self._prune(tenant)
             if head is not None and eligible(tenant):
                 heads.append((tenant, head))
@@ -166,9 +164,9 @@ class FairShareScheduler:
             if urgent:
                 self.stats["urgent_dispatches"] += 1
                 return min(urgent)[2]
-        return min(heads,
-                   key=lambda te: (self._vtime[te[0]] / 1.0,
-                                   self._order[te[0]]))[0]
+        # Heads come in registration order and min keeps the first of
+        # equal keys, so a virtual-time tie goes to the earliest tenant.
+        return min(heads, key=lambda te: self._vtime[te[0]])[0]
 
     def _dispatch(self, tenant: str) -> QueueEntry:
         entry = heapq.heappop(self._queues[tenant])

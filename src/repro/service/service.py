@@ -27,11 +27,12 @@ seed, same event order, same decision hash.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Generator, Optional
 
 from repro.core.campaign import CampaignResult, CampaignSpec
 from repro.core.report import CampaignReport
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.errors import (BudgetExhausted, DeadlineExpired, QueueFull,
                                   UnknownTenant)
 from repro.service.handle import CampaignHandle, CampaignStatus
@@ -43,6 +44,61 @@ from repro.sim.process import Interrupt
 #: A campaign runner: a generator factory the slot drives on sim time,
 #: returning a CampaignResult or a CampaignReport.
 CampaignRunner = Callable[[CampaignSpec], Generator]
+
+
+class _TenantMetrics:
+    """One tenant's ``service.*`` metrics, each looked up once.
+
+    Each metric is bound on first use, where a per-call registry lookup
+    would first create it, so the registry ends up holding the same
+    metrics; after that the hot path reads a plain attribute.
+    """
+
+    def __init__(self, registry: MetricsRegistry, tenant: str) -> None:
+        self.registry = registry
+        self.tenant = tenant
+        #: ``in_system`` as of the tenant's last load-gauge update.
+        self.in_system = 0
+        self._finished: dict[CampaignStatus, Counter] = {}
+
+    @cached_property
+    def submitted(self) -> Counter:
+        return self.registry.counter("service.submitted", tenant=self.tenant)
+
+    @cached_property
+    def admitted(self) -> Counter:
+        return self.registry.counter("service.admitted", tenant=self.tenant)
+
+    @cached_property
+    def queued(self) -> Gauge:
+        return self.registry.gauge("service.queued", tenant=self.tenant)
+
+    @cached_property
+    def running(self) -> Gauge:
+        return self.registry.gauge("service.running", tenant=self.tenant)
+
+    @cached_property
+    def queue_wait(self) -> Histogram:
+        return self.registry.histogram("service.queue_wait",
+                                       tenant=self.tenant, lo=1e-3)
+
+    @cached_property
+    def experiments(self) -> Counter:
+        return self.registry.counter("service.experiments",
+                                     tenant=self.tenant)
+
+    @cached_property
+    def submit_to_complete(self) -> Histogram:
+        return self.registry.histogram("service.submit_to_complete",
+                                       tenant=self.tenant, lo=1e-3)
+
+    def finished(self, status: CampaignStatus) -> Counter:
+        """The ``service.<status>`` counter of terminal transitions."""
+        counter = self._finished.get(status)
+        if counter is None:
+            counter = self._finished[status] = self.registry.counter(
+                f"service.{status.value}", tenant=self.tenant)
+        return counter
 
 
 @dataclass(frozen=True)
@@ -97,6 +153,8 @@ class CampaignService:
         self._seq = 0  # per-service id source, no module globals
         self._idle: list[Any] = []  # parked slot wake events
         self._decision_log: list[list[Any]] = []
+        self._meters: dict[str, _TenantMetrics] = {}
+        self._in_system = 0  # queued + running over all tenants
         self._peak_in_system = 0
         self._procs = [sim.process(self._slot_loop(s)) for s in self.slots]
 
@@ -135,7 +193,11 @@ class CampaignService:
         first); ``deadline`` is an absolute sim time — already-lapsed at
         submit is rejected, lapsed while queued expires the campaign.
         """
-        self.metrics.counter("service.submitted", tenant=tenant).inc()
+        meters = self._meters.get(tenant)
+        if meters is None:
+            meters = self._meters[tenant] = _TenantMetrics(self.metrics,
+                                                           tenant)
+        meters.submitted.inc()
         state = self._tenants.get(tenant)
         if state is None:
             if self.default_quota is None:
@@ -169,7 +231,7 @@ class CampaignService:
         self.scheduler.enqueue(entry)
         state.queued += 1
         state.admitted_experiments += spec.max_experiments
-        self.metrics.counter("service.admitted", tenant=tenant).inc()
+        meters.admitted.inc()
         self._update_load_gauges(state)
         self._wake_slots()
         return handle
@@ -209,10 +271,9 @@ class CampaignService:
 
             handle = entry.handle
             state = self._tenants[handle.tenant]
+            meters = self._meters[handle.tenant]
             state.queued -= 1
-            self.metrics.histogram(
-                "service.queue_wait", tenant=handle.tenant,
-                lo=1e-3).observe(self.sim.now - handle.submitted_at)
+            meters.queue_wait.observe(self.sim.now - handle.submitted_at)
             if handle.deadline is not None and handle.deadline < self.sim.now:
                 self._finish(handle, CampaignStatus.EXPIRED)
                 self._update_load_gauges(state)
@@ -235,9 +296,7 @@ class CampaignService:
                 handle._report = report
                 state.completed_campaigns += 1
                 state.completed_experiments += report.n_experiments
-                self.metrics.counter(
-                    "service.experiments",
-                    tenant=handle.tenant).inc(report.n_experiments)
+                meters.experiments.inc(report.n_experiments)
                 self._finish(handle, CampaignStatus.COMPLETED)
             finally:
                 handle._proc = None
@@ -269,15 +328,12 @@ class CampaignService:
                 status: CampaignStatus) -> None:
         handle.status = status
         handle.finished_at = self.sim.now
-        self.metrics.counter(f"service.{status.value}",
-                             tenant=handle.tenant).inc()
+        meters = self._meters[handle.tenant]
+        meters.finished(status).inc()
         if status is CampaignStatus.COMPLETED:
-            self.metrics.histogram(
-                "service.submit_to_complete", tenant=handle.tenant,
-                lo=1e-3).observe(handle.latency)
-            # Unlabeled aggregate: LoadGenerator states its p99 over it.
-            self.metrics.histogram("service.submit_to_complete",
-                                   lo=1e-3).observe(handle.latency)
+            latency = handle.latency
+            meters.submit_to_complete.observe(latency)
+            self._submit_to_complete.observe(latency)
         self._decision_log.append([
             handle.campaign_id, handle.tenant, status.value,
             float(handle.submitted_at),
@@ -299,26 +355,45 @@ class CampaignService:
             self._update_load_gauges(state)
             return True
         # A finished run stays RUNNING until its slot collects it; a
-        # cancel in that window has nothing left to interrupt.
+        # cancel in that window has nothing left to interrupt.  Dropping
+        # the process once interrupted makes a second cancel a no-op.
         proc = handle._proc
         if handle.status is CampaignStatus.RUNNING \
                 and proc is not None and proc.is_alive:
+            handle._proc = None
             proc.interrupt("cancelled")
             return True
         return False
 
     # -- observability -----------------------------------------------------
 
+    @cached_property
+    def _backlog_gauge(self) -> Gauge:
+        return self.metrics.gauge("service.backlog")
+
+    @cached_property
+    def _peak_gauge(self) -> Gauge:
+        return self.metrics.gauge("service.peak_in_system")
+
+    @cached_property
+    def _submit_to_complete(self) -> Histogram:
+        # Unlabeled aggregate: LoadGenerator states its p99 over it.
+        return self.metrics.histogram("service.submit_to_complete", lo=1e-3)
+
     def _update_load_gauges(self, state: TenantState) -> None:
-        self.metrics.gauge("service.queued",
-                           tenant=state.name).set(state.queued)
-        self.metrics.gauge("service.running",
-                           tenant=state.name).set(state.running)
-        in_system = sum(t.in_system for t in self.tenants)
-        self.metrics.gauge("service.backlog").set(in_system)
-        if in_system > self._peak_in_system:
-            self._peak_in_system = in_system
-            self.metrics.gauge("service.peak_in_system").set(in_system)
+        meters = self._meters[state.name]
+        meters.queued.set(state.queued)
+        meters.running.set(state.running)
+        # The backlog is a running total: every change to a tenant's
+        # queued or running count is followed by this call, so adding
+        # the tenant's change keeps it equal to the sum over tenants.
+        in_system = state.in_system
+        self._in_system += in_system - meters.in_system
+        meters.in_system = in_system
+        self._backlog_gauge.set(self._in_system)
+        if self._in_system > self._peak_in_system:
+            self._peak_in_system = self._in_system
+            self._peak_gauge.set(self._in_system)
 
     @property
     def peak_in_system(self) -> int:

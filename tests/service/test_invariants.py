@@ -5,7 +5,9 @@ hold on every input.  Hypothesis draws the tenants' quotas, the slot
 count, the scheduler and a client's stream of submits, cancels and
 waits, against a runner that fails every third campaign.  Quota use is
 counted from the handles themselves, never from the service's own
-counters, and checked after every kernel step.
+counters, and checked after every kernel step and every client op,
+together with the load gauges, read through ``metrics.snapshot()`` so
+the check itself creates no metric.
 """
 
 import numpy as np
@@ -57,6 +59,11 @@ def _flaky_runner(sim):
          n_slots=1, ops=[("submit", 0, 1, 0, None), ("wait", 0.0),
                          ("cancel", 0), ("wait", 0.0), ("cancel", 0)],
          learned=False, urgency_s=0.0, seed=0)
+# Two cancels of a running campaign in one step used to both return True.
+@example(quotas=[TenantQuota(max_in_flight=1, max_queued=1, share=1.0)],
+         n_slots=1, ops=[("submit", 0, 1, 0, None), ("wait", 1.0),
+                         ("cancel", 0), ("cancel", 0)],
+         learned=False, urgency_s=0.0, seed=0)
 def test_quotas_hold_and_nothing_starves_or_leaks(quotas, n_slots, ops,
                                                   learned, urgency_s, seed):
     sim = Simulator()
@@ -72,8 +79,11 @@ def test_quotas_hold_and_nothing_starves_or_leaks(quotas, n_slots, ops,
     for name, quota in zip(names, quotas):
         service.register_tenant(name, quota)
     handles = []
+    cancelled = []  # handles whose cancel() returned True
+    peak = [0]      # running max of the backlog, seen after every change
 
     def check_quotas(*_):
+        gauges = service.metrics.snapshot()["gauges"]
         for name, quota in zip(names, quotas):
             statuses = [h.status for h in handles if h.tenant == name]
             running = statuses.count(CampaignStatus.RUNNING)
@@ -82,6 +92,14 @@ def test_quotas_hold_and_nothing_starves_or_leaks(quotas, n_slots, ops,
             assert queued <= quota.max_queued, name
             state = service.tenant(name)
             assert (running, queued) == (state.running, state.queued), name
+            assert (gauges.get(f"service.running{{tenant={name}}}", 0),
+                    gauges.get(f"service.queued{{tenant={name}}}", 0)) \
+                == (running, queued), name
+        backlog = sum(t.in_system for t in service.tenants)
+        peak[0] = max(peak[0], backlog)
+        assert gauges.get("service.backlog", 0) == backlog
+        assert gauges.get("service.peak_in_system", 0) == peak[0]
+        assert service.peak_in_system == peak[0]
 
     def client():
         for op in ops:
@@ -99,9 +117,15 @@ def test_quotas_hold_and_nothing_starves_or_leaks(quotas, n_slots, ops,
                     pass
             elif op[0] == "cancel":
                 if handles:
-                    handles[op[1] % len(handles)].cancel()
+                    handle = handles[op[1] % len(handles)]
+                    if handle.cancel():
+                        assert handle not in cancelled, "cancelled twice"
+                        cancelled.append(handle)
             else:
                 yield sim.timeout(op[1])
+            # A submit may be cancelled in the same step: check the peak
+            # after every op, not only between kernel steps.
+            check_quotas()
 
     sim.step_hook = check_quotas
     sim.process(client())

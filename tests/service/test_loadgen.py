@@ -1,11 +1,16 @@
 """Load generation: fairness under skew, backpressure, open/closed mix."""
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.scale import decision_hash
-from repro.service import (CampaignService, FacilitySlot, LoadGenerator,
-                           TenantLoad, TenantQuota, jain_fairness,
-                           synthetic_runner)
+from repro.service import (AdmissionError, CampaignService, FacilitySlot,
+                           LoadGenerator, TenantLoad, TenantQuota,
+                           jain_fairness, synthetic_runner)
 from repro.sim.kernel import Simulator
 
 
@@ -117,6 +122,104 @@ def test_bad_load_shapes_rejected():
         LoadGenerator(svc, [])
 
 
+# -- the closed loop's wake rule against an any_of oracle -------------------
+
+class AnyOfLoadGenerator(LoadGenerator):
+    """The closed loop written the plain way: wait on ``any_of`` over every
+    in-flight handle, then keep the handles that are not done."""
+
+    def _closed_loop(self, load, rng):
+        sim = self.service.sim
+        submitted = 0
+        in_flight = []
+        while submitted < load.campaigns or in_flight:
+            while submitted < load.campaigns \
+                    and len(in_flight) < load.concurrency:
+                try:
+                    in_flight.append(self._submit(load, submitted))
+                except AdmissionError:
+                    self.rejections[load.name] += 1
+                    yield sim.timeout(
+                        self.retry_backoff_s * (0.5 + rng.random()))
+                    continue
+                submitted += 1
+            if in_flight:
+                yield sim.any_of([h._done for h in in_flight])
+                in_flight = [h for h in in_flight if not h.done]
+
+
+_deadlines = st.sampled_from((None, 90.0, 240.0, 900.0))
+# (concurrency, campaigns, experiments, max_in_flight, max_queued, deadline)
+_closed = st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 3),
+                    st.integers(1, 3), st.integers(1, 3), _deadlines)
+# (campaigns, arrival rate per s, experiments, deadline)
+_open = st.tuples(st.integers(1, 8), st.sampled_from((0.005, 0.02, 0.1)),
+                  st.integers(1, 3), _deadlines)
+# (time on a 30 s grid, tenant index, handle index): with jitter off, an
+# experiment lasts exactly 60 s, so cancels land on completion instants.
+_cancels = st.lists(st.tuples(st.integers(0, 60).map(lambda k: 30.0 * k),
+                              st.integers(0, 4), st.integers(0, 9)),
+                    max_size=8)
+
+
+def _drive(generator_cls, n_slots, closed, opened, cancels, jitter, seed):
+    sim = Simulator()
+    runner = synthetic_runner(sim, seed=seed, mean_experiment_s=60.0,
+                              jitter=jitter)
+    service = CampaignService(
+        sim, [FacilitySlot(f"slot-{i}", runner) for i in range(n_slots)])
+    loads = [TenantLoad(name=f"closed-{i}", mode="closed", campaigns=n,
+                        concurrency=c, experiments=e, deadline_s=d,
+                        quota=TenantQuota(max_in_flight=f, max_queued=q))
+             for i, (c, n, e, f, q, d) in enumerate(closed)]
+    loads += [TenantLoad(name=f"open-{i}", mode="open", campaigns=n,
+                         arrival_rate_per_s=r, experiments=e, deadline_s=d,
+                         quota=TenantQuota(max_in_flight=2, max_queued=2))
+              for i, (n, r, e, d) in enumerate(opened)]
+    gen = generator_cls(service, loads, seed=seed)
+
+    def canceller():
+        for at, tenant, index in sorted(cancels):
+            yield sim.timeout(at - sim.now)
+            handles = gen.handles[loads[tenant % len(loads)].name]
+            if index < len(handles):
+                handles[index].cancel()
+
+    sim.process(canceller())
+    # The kernel's event stream, with the wake event standing in for the
+    # oracle's AnyOf: one event each, at the same place.
+    stream = []
+    sim.step_hook = lambda now, ev: stream.append(
+        (now, "Event" if type(ev).__name__ == "AnyOf" else type(ev).__name__))
+    gen.run()
+    return (stream, service.decision_log(), gen.rejections, sim.now,
+            service.metrics.state())
+
+
+@given(n_slots=st.integers(1, 4),
+       closed=st.lists(_closed, min_size=1, max_size=3),
+       opened=st.lists(_open, max_size=2), cancels=_cancels,
+       jitter=st.sampled_from((0.0, 0.3)), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+# A campaign finishes during a QueueFull back-off: the next wait wakes at
+# once.
+@example(n_slots=2, closed=[(1, 1, 1, 1, 1, None), (2, 2, 1, 1, 1, None)],
+         opened=[], cancels=[], jitter=0.0, seed=0)
+# A cancel at t=180 ends a queued campaign, whose done event wakes the
+# loop; the running one completes at t=180 after the wake was pushed.
+# The loop drops it on waking, and its done event then wakes nothing.
+@example(n_slots=1, closed=[(2, 3, 3, 1, 1, None), (1, 1, 1, 1, 1, None)],
+         opened=[], cancels=[(180.0, 0, 1)], jitter=0.0, seed=0)
+def test_closed_loop_matches_any_of_oracle(n_slots, closed, opened, cancels,
+                                           jitter, seed):
+    """One wake event per wait fires where ``any_of`` would: the same
+    event stream, decisions, rejections, end time and metrics, through
+    QueueFull back-offs, deadline expiries and cancels on completion
+    instants."""
+    args = (n_slots, closed, opened, cancels, jitter, seed)
+    assert _drive(LoadGenerator, *args) == _drive(AnyOfLoadGenerator, *args)
+
+
 # -- the 8-tenant, 1200-campaign scenario ------------------------------------
 
 def _service_scenario(seed: int) -> dict:
@@ -145,6 +248,8 @@ def _service_scenario(seed: int) -> dict:
     gen = LoadGenerator(service, loads, seed=seed)
     summary = gen.run()
     summary["decision_digest"] = decision_hash(service.decision_log())
+    summary["metrics_digest"] = hashlib.sha256(json.dumps(
+        service.metrics.state(), sort_keys=True).encode()).hexdigest()
     return summary
 
 
@@ -159,6 +264,9 @@ def test_multitenant_scenario_is_pinned():
     digest = ("3a089ff49bd59a0457f822f3e663f530"
               "7e62bab0d06ade3d0d15f4e094371da9")
     assert first["decision_digest"] == replay["decision_digest"] == digest
+    # Every service.* counter, gauge and histogram sketch at the end.
+    assert first["metrics_digest"] == (
+        "0aaa0b46f89a91a469e15ca9b34d6860cd9ac38012b156cfd384580b36511892")
     assert len(first["tenants"]) == 8
     assert first["campaigns_completed"] == 1200
     assert first["rejections"] == 0

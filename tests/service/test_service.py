@@ -100,6 +100,19 @@ def test_second_cancel_before_the_slot_collects_the_run_is_a_no_op():
     assert [row[2] for row in svc.decision_log()] == ["cancelled"]
 
 
+def test_two_cancels_in_one_step_interrupt_once():
+    sim, svc = make_service(n_slots=1)
+    svc.register_tenant("a")
+    handle = svc.submit("a", spec("c", experiments=10))
+    sim.run(until=1.0)
+    assert handle.status is CampaignStatus.RUNNING
+    # Both calls land before the first interrupt is delivered.
+    assert [handle.cancel(), handle.cancel()] == [True, False]
+    sim.run()
+    assert handle.status is CampaignStatus.CANCELLED
+    assert [row[2] for row in svc.decision_log()] == ["cancelled"]
+
+
 def test_runner_exception_fails_campaign_not_service():
     sim = Simulator()
 
