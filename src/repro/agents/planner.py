@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.agents.base import Agent, AgentRuntime
 from repro.agents.llm import SimulatedLLM
-from repro.methods.baselines import AskTellOptimizer
 from repro.sim.ids import next_label
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.methods.baselines import AskTellOptimizer
 
 
 @dataclass

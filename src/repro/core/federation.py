@@ -33,7 +33,6 @@ from repro.instruments.synthesis import BatchSynthesisRobot
 from repro.instruments.twin import DigitalTwin
 from repro.instruments.vendors import VENDOR_DIALECTS, make_vendor_protocol
 from repro.labsci.landscapes import Landscape
-from repro.methods.nested import NestedBayesianOptimizer
 from repro.net.faults import FaultInjector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -238,6 +237,9 @@ class FederationManager:
         # (which is exactly what verification exists to catch).
         search_space = clip_space_to_envelope(landscape.space, safety)
         if optimizer_factory is None:
+            # Imported here, so a world pays for repro.methods (and scipy)
+            # only when it builds an optimizer.
+            from repro.methods.nested import NestedBayesianOptimizer
             optimizer = NestedBayesianOptimizer(
                 search_space, self.rngs.stream(f"opt/{site_name}"))
         else:

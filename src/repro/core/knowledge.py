@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from repro.methods.transfer import TransferAdapter
 from repro.net.transport import Network, NetworkError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,6 +44,9 @@ class KnowledgeNode:
     """One site's view of the shared knowledge."""
 
     def __init__(self, site: str, optimizer, space: "ParameterSpace") -> None:
+        # Imported here, like every repro.methods import outside the
+        # package: importing repro.core loads neither it nor scipy.
+        from repro.methods.transfer import TransferAdapter
         self.site = site
         self.optimizer = optimizer
         self.adapter = TransferAdapter(space)

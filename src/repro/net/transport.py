@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.net.faults import FaultInjector
-from repro.net.topology import LOCAL_LINK, NoPath, Topology
+from repro.net.topology import LOCAL_LINK, Link, NoPath, Topology
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -114,10 +114,13 @@ class Network:
         compensates on Python 3.12) or ``np.sum`` (pairwise) would round
         differently.
         """
-        if len(path) <= 1:
+        return self._delay(self.topology.path_links(path), size_bytes)
+
+    def _delay(self, links: list[Link], size_bytes: float) -> float:
+        """:meth:`sample_delay` over a path's links (none: a local hop)."""
+        if not links:
             link = LOCAL_LINK
             return link.latency_s + size_bytes / link.bandwidth_Bps
-        links = self.topology.path_links(path)
         jittered = [link for link in links if link.jitter_s > 0]
         draws = iter(self.rng.standard_normal(len(jittered)).tolist()
                      if jittered else ())
@@ -128,15 +131,14 @@ class Network:
                 total += max(0.0, link.jitter_s * next(draws))
         return total
 
-    def _lost(self, path: list[str]) -> bool:
-        if len(path) <= 1:
+    def _lost(self, path: list[str], links: list[Link]) -> bool:
+        if not links:
             return False
         faults = self.faults
         # With no degradation recorded, extra_loss is 0.0 for every link
         # and has no side effect, so it is not asked.
         degraded = faults.any_degraded()
-        for (a, b), link in zip(zip(path, path[1:]),
-                                self.topology.path_links(path)):
+        for (a, b), link in zip(zip(path, path[1:]), links):
             p = link.loss_prob
             if degraded:
                 p += faults.extra_loss(a, b)
@@ -163,8 +165,10 @@ class Network:
             # Unreachability is detected after a connect-timeout-ish delay.
             ev.fail(exc, delay=0.001)
             return ev
-        delay = self.sample_delay(path, size_bytes)
-        if self._lost(path):
+        # One link list for both draws; jitter is drawn before loss.
+        links = self.topology.path_links(path)
+        delay = self._delay(links, size_bytes)
+        if self._lost(path, links):
             self.stats["lost"] += 1
             ev.fail(PacketLost(f"{src} -> {dst} transfer dropped"), delay=delay)
             return ev

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.campaign import CampaignSpec
 from repro.labsci.quantum_dots import QuantumDotLandscape
-from repro.methods.bayesopt import BayesianOptimizer
 from repro.testbed import Testbed
 
 __all__ = ["bo_world", "mesh_world", "testbed_world", "service_world",
@@ -39,6 +38,8 @@ def bo_world(seed: int, config: dict) -> dict:
     The decision sequence is the full encoded (params, value) trajectory,
     so the hash is sensitive to *every* ask/tell — not just the winner.
     """
+    # Imported here, so the other worlds never load repro.methods.
+    from repro.methods.bayesopt import BayesianOptimizer
     budget = int(config.get("budget", 40))
     n_init = int(config.get("n_init", 8))
     n_candidates = int(config.get("n_candidates", 128))

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.campaign import CampaignSpec
 from repro.core.report import CampaignReport
-from repro.service.errors import AdmissionError
+from repro.service.errors import AdmissionError, QueueFull
 from repro.service.service import CampaignService
 from repro.service.tenants import TenantQuota
 from repro.sim.kernel import Simulator
@@ -143,8 +143,17 @@ class LoadGenerator:
         waiter on its campaigns' done events, as it is for every caller
         in this repository and the benchmark: another waiter called
         before it could push its own events ahead of the wake.
+
+        Only :class:`~repro.service.errors.QueueFull` while the tenant's
+        ``max_queued`` is above 0 is backpressure that clears, so only it
+        is retried.  Every other rejection is final: a spent budget is
+        never refunded and every campaign of a load is the same size, a
+        deadline already lapsed at submit means ``deadline_s <= 0``, and
+        an unknown tenant stays unknown.  It is counted once and the loop
+        submits no more; the campaigns already in flight still finish.
         """
         sim = self.service.sim
+        campaigns = load.campaigns  # cut to `submitted` by a final rejection
         submitted = 0
         in_flight: list = []      # done events of the campaigns in flight
         wake = None               # what the loop waits on, while it does
@@ -159,18 +168,21 @@ class LoadGenerator:
             elif not wake.triggered:
                 wake.succeed()
 
-        while submitted < load.campaigns or in_flight:
-            while submitted < load.campaigns \
-                    and len(in_flight) < load.concurrency:
+        while submitted < campaigns or in_flight:
+            while submitted < campaigns and len(in_flight) < load.concurrency:
                 try:
                     done = self._submit(load, submitted)._done
-                except AdmissionError:
+                except AdmissionError as exc:
                     self.rejections[load.name] += 1
-                    # Bounded-queue backpressure: back off, then retry
-                    # the same campaign index (jitter keeps tenants from
-                    # thundering back in lockstep).
-                    yield sim.timeout(
-                        self.retry_backoff_s * (0.5 + rng.random()))
+                    if isinstance(exc, QueueFull) and self.service.tenant(
+                            load.name).quota.max_queued > 0:
+                        # Bounded-queue backpressure: back off, then retry
+                        # the same campaign index (jitter keeps tenants
+                        # from thundering back in lockstep).
+                        yield sim.timeout(
+                            self.retry_backoff_s * (0.5 + rng.random()))
+                    else:
+                        campaigns = submitted  # final: submit no more
                     continue
                 done.callbacks.append(on_done)
                 in_flight.append(done)

@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from repro.methods.rl_scheduler import (MultiTenantSchedulingState,
-                                        QLearningScheduler)
 from repro.service.handle import CampaignHandle
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.methods.rl_scheduler import (MultiTenantSchedulingState,
+                                            QLearningScheduler)
 
 _INF = float("inf")
 
@@ -220,11 +222,15 @@ class RLFairShareScheduler(FairShareScheduler):
         # Actions are fixed at first dispatch; registering tenants after
         # traffic starts would change the action space under the table.
         if self._agent is None:
+            # repro.methods (and scipy) load with the first RL dispatch,
+            # not with repro.service.
+            from repro.methods.rl_scheduler import QLearningScheduler
             self._agent = QLearningScheduler(self.tenants, self._rng,
                                              **self._agent_kw)
         return self._agent
 
     def _state(self, now: float) -> MultiTenantSchedulingState:
+        from repro.methods.rl_scheduler import MultiTenantSchedulingState
         slack = _INF
         for tenant in self.tenants:
             head = self._prune(tenant)

@@ -110,6 +110,27 @@ def test_mixed_open_closed_population():
     assert 0.9 <= out["fairness"] <= 1.0
 
 
+@pytest.mark.parametrize("quota, experiments, completed", [
+    # max_queued=0: every submit is QueueFull, and no completion clears it.
+    (TenantQuota(max_in_flight=1, max_queued=0), 8, 0),
+    # Two 4-experiment campaigns spend 8 of 10; the third never fits.
+    (TenantQuota(experiment_budget=10), 4, 2),
+], ids=["no-queue", "budget-spent"])
+def test_closed_loop_stops_on_a_rejection_that_cannot_clear(
+        quota, experiments, completed):
+    svc = make_service(1)
+    gen = LoadGenerator(svc, [TenantLoad(name="t", campaigns=5,
+                                         concurrency=2,
+                                         experiments=experiments,
+                                         quota=quota)], seed=3)
+    gen.run(until=1e5)
+    out = gen.run(until=1e6)
+    # Nothing is left to run: the loop did not keep backing off.
+    assert svc.sim.peek() == float("inf")
+    assert out["rejections"] == 1
+    assert out["campaigns_completed"] == completed
+
+
 def test_bad_load_shapes_rejected():
     with pytest.raises(ValueError):
         TenantLoad(name="x", mode="sideways")
