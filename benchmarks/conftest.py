@@ -17,9 +17,11 @@ def run_seeded(entrypoint, seeds, config=None, workers=None):
     """Fan a ``(seed, config) -> data`` world across seeds, in seed order.
 
     The sanctioned multi-seed path for benchmarks: honours the
-    ``REPRO_WORKERS`` knob (default serial), and because every result
-    carries a decision hash, ``REPRO_WORKERS=4`` runs are checkably
-    identical to serial ones (see the CI ``parallel-equivalence`` job).
+    ``REPRO_WORKERS`` knob (unset means ``WorldRunner``'s default of
+    ``min(8, cpu_count)`` workers; ``REPRO_WORKERS=1`` is serial), and
+    because every result carries a decision hash, ``REPRO_WORKERS=4``
+    runs are checkably identical to serial ones (see the CI
+    ``parallel-equivalence`` job).
     Entrypoints must be module-level and return plain picklable data.
     """
     runner = WorldRunner(workers)

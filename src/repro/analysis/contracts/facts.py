@@ -52,7 +52,7 @@ __all__ = ["FACTS_VERSION", "ModuleFacts", "TopicFact", "MetricFact",
 
 #: Bump whenever the extraction output changes shape or semantics — the
 #: incremental cache discards entries recorded under a different version.
-FACTS_VERSION = 5
+FACTS_VERSION = 6
 
 #: A formatted (non-literal) f-string segment: matches any one topic
 #: segment.  Kept as a string marker so facts stay JSON-round-trippable.
@@ -342,10 +342,17 @@ def _sink_arg(call: ast.Call, index: int, keyword: str) -> Optional[ast.expr]:
     return None
 
 
-def _handler_escapes(handler: ast.ExceptHandler) -> bool:
-    """Does the except handler leave the loop (raise/return/break)?"""
-    for node in ast.walk(handler):
-        if isinstance(node, (ast.Raise, ast.Return, ast.Break)):
+def _always_exits(body: list[ast.stmt]) -> bool:
+    """Does every path through ``body`` raise, return or break?
+
+    Only top-level statements and ``if`` branches count: a ``break`` in a
+    nested loop leaves that loop, and a nested def runs elsewhere.
+    """
+    for stmt in body:
+        if isinstance(stmt, (ast.Raise, ast.Return, ast.Break)):
+            return True
+        if isinstance(stmt, ast.If) and _always_exits(stmt.body) \
+                and _always_exits(stmt.orelse):
             return True
     return False
 
@@ -625,7 +632,7 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
             if not isinstance(sub, ast.Try):
                 continue
             for handler in sub.handlers:
-                if _handler_escapes(handler):
+                if _always_exits(handler.body):
                     continue
                 if _handler_continues(handler) or _is_while_true(node):
                     facts.resilience.append(ResilienceFact(

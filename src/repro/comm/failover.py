@@ -110,6 +110,7 @@ class FailoverGroup:
         self._monitor_proc = self.sim.process(self._monitor(client))
 
     def _monitor(self, client: RpcClient):
+        # detlint: ignore[C003] heartbeat loop, not a retry: each pass probes whichever replica is primary after a fresh interval; it ends once every replica is down
         while True:
             yield self.sim.timeout(self.heartbeat_interval_s)
             primary = self.primary

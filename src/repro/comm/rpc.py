@@ -226,46 +226,6 @@ class RpcClient:
         yield self.network.send(server.site, self.site, resp_size)
         return result
 
-    def call_with_retries_on(self, server: RpcServer, method: str,
-                             payload: Any = None, *,
-                             retry_exceptions: tuple = (NetworkError,),
-                             deadline_s: float = 5.0, retries: int = 2,
-                             backoff_s: float = 0.05):
-        """Like :meth:`call` but retries on transient transport failures.
-
-        Each attempt is a full :meth:`call` with its own (fresh) deadline;
-        ``retry_exceptions`` consume the retry budget, everything else
-        propagates immediately.
-        """
-        policy = RetryPolicy(retries + 1, base_delay_s=backoff_s)
-
-        def attempt(_n: int):
-            try:
-                result = yield from self.call(
-                    server, method, payload, deadline_s=deadline_s,
-                    retries=0, backoff_s=backoff_s)
-            except retry_exceptions:
-                self.stats["failures"] += 1
-                raise
-            return result
-
-        def on_retry(_attempt: int, _exc: Optional[BaseException]) -> None:
-            self.stats["retries"] += 1
-
-        try:
-            # detlint: ignore[C003] every inner attempt carries its own per-call deadline; the outer wrapper is bounded by policy.max_attempts
-            result = yield from resilient_call(
-                self.sim, attempt, policy=policy,
-                retry_on=retry_exceptions,
-                name=f"rpc.{server.name}.{method}.outer",
-                tracer=self.tracer, metrics=self.metrics,
-                on_retry=on_retry)
-        except RetriesExhausted as exc:
-            if exc.last_error is not None:
-                raise exc.last_error
-            raise
-        return result
-
     def mean_latency(self) -> float:
         return (self.stats["total_latency"] / len(self.latencies)
                 if self.latencies else 0.0)

@@ -82,20 +82,10 @@ class FluidicReactor(Instrument):
 
         Returns a list of samples.  Sweeps amortize priming across
         conditions sharing a chemistry — the access pattern fluidic SDLs
-        are built for.  Ground truth for the whole sweep is computed in
-        one vectorized :meth:`Sample.synthesize_batch` call up front
-        (truth is a pure function of params); the simulated per-condition
-        timing, priming and reagent accounting are unchanged.
+        are built for.  Each condition runs through :meth:`synthesize`.
         """
-        samples = Sample.synthesize_batch(list(param_list), self.landscape,
-                                          site=self.site)
-        for params, sample in zip(param_list, samples):
-            duration = self._condition_time(params)
-            request = OperationRequest(operation="synthesize",
-                                       params=dict(params),
-                                       requester=requester)
-            yield from self.operate(request, duration)
-            self.reagent_used_mL += self.reagent_per_sample_mL
-            self.samples_made += 1
-            sample.record(self.sim.now, self.name, "synthesize(flow)")
+        samples = []
+        for params in param_list:
+            sample = yield from self.synthesize(params, requester)
+            samples.append(sample)
         return samples

@@ -8,13 +8,15 @@ response peaks in that space, seeded per instance, yielding smooth
 multi-modal objectives whose global optimum is known to the test harness
 but not to the optimizer.
 
-Batch fast path and the canonical draw-order contract
------------------------------------------------------
+Batch sampling, encoding and the canonical draw-order contract
+--------------------------------------------------------------
 
-Campaign inner loops (``BayesianOptimizer.ask``, the oracle in
-:meth:`SyntheticLandscape.best_estimate`, instrument sweeps) touch the
-space thousands of times per decision, so the space carries a vectorized
-*raw-matrix* representation next to the per-point dict one:
+Planners and the oracle in :meth:`SyntheticLandscape.best_estimate` draw
+and encode thousands of candidate points per decision, so the space
+carries a vectorized *raw-matrix* representation next to the per-point
+dict one.  The batch layer covers the sampler and the encoder only: a
+landscape's physics lives in one place, :meth:`Landscape.evaluate`, and
+:meth:`Landscape.evaluate_batch` is a loop over it.
 
 - a **raw matrix** is ``(n, len(space))`` float64, one column per
   declared dimension — continuous columns hold raw (un-normalized)
@@ -46,7 +48,7 @@ space thousands of times per decision, so the space carries a vectorized
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -309,20 +311,6 @@ class ParameterSpace:
         return np.asarray([d.normalize(params[d.name])
                            for d in self.continuous])
 
-    def continuous_matrix(
-            self, params_seq: Sequence[Mapping[str, Any]]) -> np.ndarray:
-        """Normalized continuous coordinates for many points at once.
-
-        Row ``i`` equals ``continuous_vector(params_seq[i])`` bit-for-bit.
-        """
-        n = len(params_seq)
-        X = np.empty((n, len(self.continuous)), dtype=np.float64)
-        for j, d in enumerate(self.continuous):
-            col = np.fromiter((float(p[d.name]) for p in params_seq),
-                              dtype=np.float64, count=n)
-            X[:, j] = (col - d.low) / (d.high - d.low)
-        return X
-
     def discrete_key(self, params: Mapping[str, Any]) -> tuple[str, ...]:
         """The tuple of discrete choices (identifies a continuous subspace)."""
         return tuple(str(params[d.name]) for d in self.discrete)
@@ -364,11 +352,15 @@ class Landscape:
     ) -> dict[str, np.ndarray]:
         """Columnar truth for many points: property name -> ``(n,)`` array.
 
-        Concrete landscapes implement this with a vectorized body that
-        keeps ``evaluate_batch(ps)[k][i] == evaluate(ps[i])[k]`` bit for
-        bit.
+        Each point goes through :meth:`evaluate`, and each property, in
+        :attr:`properties` order, is stacked into a float64 column, so
+        ``evaluate_batch(ps)[k][i] == evaluate(ps[i])[k]`` holds by
+        construction.  An empty ``params_seq`` gives zero-length columns.
         """
-        raise NotImplementedError
+        rows = [self.evaluate(p) for p in params_seq]
+        return {name: np.fromiter((row[name] for row in rows),
+                                  dtype=np.float64, count=len(rows))
+                for name in self.properties}
 
     def objective_value(self, params: Mapping[str, Any]) -> float:
         """The optimization objective (already sign-adjusted: higher=better)."""
@@ -445,43 +437,6 @@ class SyntheticLandscape(Landscape):
         dist2 = np.sum((peaks["centers"] - x) ** 2, axis=1)
         response = float(np.sum(
             peaks["heights"] * np.exp(-dist2 / (2 * peaks["widths"] ** 2))))
-        lo, hi = self.output_range
-        return {"response": lo + response * (hi - lo)}
-
-    def _response_batch(self, keys: Sequence[tuple[str, ...]],
-                        Xc: np.ndarray) -> np.ndarray:
-        """Raw (unscaled) responses for normalized continuous rows ``Xc``.
-
-        Rows are grouped by discrete key so each combo's peak set is
-        fetched once and its Gaussian mixture evaluated for the whole
-        group in one broadcast — the same reductions, in the same order,
-        as the scalar :meth:`evaluate`, so results are bit-identical.
-        """
-        n = len(keys)
-        if Xc.shape[1] == 0:
-            Xc = np.zeros((n, 1))
-        response = np.empty(n, dtype=np.float64)
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for i, key in enumerate(keys):
-            groups.setdefault(key, []).append(i)
-        for key, rows in groups.items():
-            peaks = self._combo_peaks(key)
-            idx = np.asarray(rows, dtype=np.intp)
-            diff = Xc[idx][:, None, :] - peaks["centers"][None, :, :]
-            dist2 = np.sum(diff ** 2, axis=2)
-            response[idx] = np.sum(
-                peaks["heights"]
-                * np.exp(-dist2 / (2 * peaks["widths"] ** 2)), axis=1)
-        return response
-
-    def evaluate_batch(
-            self, params_seq: Sequence[Mapping[str, Any]],
-    ) -> dict[str, np.ndarray]:
-        for p in params_seq:
-            self.space.validate(p)
-        keys = [self.space.discrete_key(p) for p in params_seq]
-        response = self._response_batch(
-            keys, self.space.continuous_matrix(params_seq))
         lo, hi = self.output_range
         return {"response": lo + response * (hi - lo)}
 

@@ -9,7 +9,7 @@ composition islands are glass formers.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -66,25 +66,3 @@ class MetallicGlassLandscape(Landscape):
         cooling_term = 1.0 / (1.0 + np.exp(-(rate - 3.0)))
         gfa = min(1.0, composition_term * (0.4 + 0.6 * cooling_term))
         return {"gfa": gfa, "is_glass": 1.0 if gfa >= 0.5 else 0.0}
-
-    def evaluate_batch(
-            self, params_seq: Sequence[Mapping[str, Any]],
-    ) -> dict[str, np.ndarray]:
-        for p in params_seq:
-            self.space.validate(p)
-        n = len(params_seq)
-        x = np.fromiter((float(p["frac_zr"]) for p in params_seq),
-                        dtype=np.float64, count=n)
-        y = np.fromiter((float(p["frac_cu"]) for p in params_seq),
-                        dtype=np.float64, count=n)
-        rate = np.fromiter((float(p["cooling_rate"]) for p in params_seq),
-                           dtype=np.float64, count=n)
-        pos = np.stack([x, y], axis=1)
-        diff = pos[:, None, :] - self._centers[None, :, :]
-        dist2 = np.sum(diff ** 2, axis=2)
-        composition_term = np.max(
-            self._heights * np.exp(-dist2 / (2 * self._widths ** 2)), axis=1)
-        cooling_term = 1.0 / (1.0 + np.exp(-(rate - 3.0)))
-        gfa = np.minimum(1.0, composition_term * (0.4 + 0.6 * cooling_term))
-        gfa = np.where(x + y > 1.0, 0.0, gfa)
-        return {"gfa": gfa, "is_glass": (gfa >= 0.5).astype(np.float64)}

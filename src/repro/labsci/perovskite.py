@@ -15,7 +15,7 @@ must cope with.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -89,35 +89,3 @@ class PerovskiteLandscape(SyntheticLandscape):
                 "quality": float(quality)}
 
     _CATION_SHIFT = {"Sn": 0.0, "Bi": 35.0, "Sb": 18.0, "Ge": -12.0}
-
-    def evaluate_batch(
-            self, params_seq: Sequence[Mapping[str, Any]],
-    ) -> dict[str, np.ndarray]:
-        for p in params_seq:
-            self.space.validate(p)
-        n = len(params_seq)
-        # Effective (site-calibrated) continuous columns, normalized in
-        # declared order — same clip + normalize ops as _effective_params
-        # feeding the scalar path.
-        Xc = np.empty((n, len(self.space.continuous)), dtype=np.float64)
-        halide_eff = None
-        for j, d in enumerate(self.space.continuous):
-            col = np.fromiter((float(p[d.name]) for p in params_seq),
-                              dtype=np.float64, count=n)
-            if d.name == "temperature":
-                col = np.clip(col + self._temp_offset, d.low, d.high)
-            elif d.name == "halide_ratio":
-                col = np.clip(col + self._halide_offset, d.low, d.high)
-                halide_eff = col
-            Xc[:, j] = (col - d.low) / (d.high - d.low)
-        keys = [self.space.discrete_key(p) for p in params_seq]
-        lo, hi = self.output_range
-        response = lo + self._response_batch(keys, Xc) * (hi - lo)
-        plqy = np.minimum(response, 1.0)
-        shift = np.fromiter(
-            (self._CATION_SHIFT[str(p["b_cation"])] for p in params_seq),
-            dtype=np.float64, count=n)
-        emission = 690.0 - 210.0 * halide_eff + shift
-        wavelength_match = np.exp(-((emission - self.target_nm) / 30.0) ** 2)
-        quality = plqy * (0.25 + 0.75 * wavelength_match)
-        return {"plqy": plqy, "emission_nm": emission, "quality": quality}

@@ -9,7 +9,7 @@ property that characterization instruments can image.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -65,35 +65,4 @@ class PolymerFilmLandscape(Landscape):
         uniformity = float(np.clip(
             1.0 - 0.012 * float(params["coating_speed"])
             + 0.0006 * (temp - 60.0), 0.0, 1.0))
-        return {"conductivity": conductivity, "uniformity": uniformity}
-
-    def evaluate_batch(
-            self, params_seq: Sequence[Mapping[str, Any]],
-    ) -> dict[str, np.ndarray]:
-        for p in params_seq:
-            self.space.validate(p)
-        n = len(params_seq)
-        blend_dim = self.space.dim("solvent_blend")
-        blend_idx = np.fromiter(
-            (blend_dim.index(p["solvent_blend"]) for p in params_seq),
-            dtype=np.intp, count=n)
-        opt_ls = np.asarray([self._opt_log_speed[s]
-                             for s in SOLVENT_BLENDS])[blend_idx]
-        opt_t = np.asarray([self._opt_temp[s]
-                            for s in SOLVENT_BLENDS])[blend_idx]
-        gain = np.asarray([self._solvent_gain[s]
-                           for s in SOLVENT_BLENDS])[blend_idx]
-        speed = np.fromiter((float(p["coating_speed"]) for p in params_seq),
-                            dtype=np.float64, count=n)
-        temp = np.fromiter((float(p["anneal_temp"]) for p in params_seq),
-                           dtype=np.float64, count=n)
-        dop = np.fromiter((float(p["dopant_fraction"]) for p in params_seq),
-                          dtype=np.float64, count=n)
-        speed_term = np.exp(-((np.log(speed) - opt_ls) / 0.8) ** 2)
-        temp_term = np.exp(-((temp - opt_t) / 45.0) ** 2)
-        dope_term = np.exp(-((dop - 0.18) / 0.1) ** 2)
-        conductivity = (1200.0 * gain * speed_term * temp_term
-                        * (0.3 + 0.7 * dope_term))
-        uniformity = np.clip(
-            1.0 - 0.012 * speed + 0.0006 * (temp - 60.0), 0.0, 1.0)
         return {"conductivity": conductivity, "uniformity": uniformity}

@@ -11,7 +11,7 @@ stability) that reward a narrow region of one particular chemistry.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -77,25 +77,6 @@ class QuantumDotLandscape(SyntheticLandscape):
         t_penalty = ((t - 140.0) / 160.0) ** 2
         stability = max(0.0, min(1.0, 0.6 * plqy + 0.4 * (1.0 - t_penalty)))
         return {"plqy": plqy, "emission_nm": float(emission),
-                "stability": stability}
-
-    def evaluate_batch(
-            self, params_seq: Sequence[Mapping[str, Any]],
-    ) -> dict[str, np.ndarray]:
-        base = super().evaluate_batch(params_seq)
-        n = len(params_seq)
-        plqy = np.minimum(base["response"], 1.0)
-        t = np.fromiter((float(p["temperature"]) for p in params_seq),
-                        dtype=np.float64, count=n)
-        conc = np.fromiter((float(p["dopant_conc"]) for p in params_seq),
-                           dtype=np.float64, count=n)
-        base_nm = np.fromiter(
-            (self._BASE_NM[str(p["dopant"])] for p in params_seq),
-            dtype=np.float64, count=n)
-        emission = base_nm + 60.0 * np.tanh(3.0 * conc) + 0.08 * (t - 140.0)
-        t_penalty = ((t - 140.0) / 160.0) ** 2
-        stability = np.clip(0.6 * plqy + 0.4 * (1.0 - t_penalty), 0.0, 1.0)
-        return {"plqy": plqy, "emission_nm": emission,
                 "stability": stability}
 
     def n_conditions_at_sdl_resolution(self) -> float:

@@ -55,20 +55,6 @@ class Sample:
         return cls(params=dict(params), site=site,
                    _true_properties=dict(true_props))
 
-    @classmethod
-    def synthesize_batch(cls, params_list: "list[Mapping[str, Any]]",
-                         landscape, site: str = "") -> "list[Sample]":
-        """Create many samples from one vectorized landscape evaluation.
-
-        Truth values match per-sample :meth:`synthesize` exactly; sample
-        ids are minted in list order.
-        """
-        props = landscape.evaluate_batch(params_list)
-        names = list(props)
-        return [cls(params=dict(p), site=site,
-                    _true_properties={k: float(props[k][i]) for k in names})
-                for i, p in enumerate(params_list)]
-
     def true_property(self, name: str) -> float:
         """Ground truth access — instruments only."""
         return self._true_properties[name]

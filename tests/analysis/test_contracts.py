@@ -120,6 +120,50 @@ def test_fingerprints_do_not_depend_on_invocation(tmp_path, monkeypatch):
         ["C002:d/m.py:unread:x.lonely_total", "D002:d/m.py:emit"]
 
 
+def test_retry_loop_handler_escapes_only_when_every_path_exits(tmp_path):
+    # A handler leaves the loop only if it always raises, returns or
+    # breaks: a break on one branch, or one that leaves a nested loop,
+    # still lets the retry loop spin.
+    (tmp_path / "m.py").write_text(
+        "def break_on_one_branch(client, fatal):\n"
+        "    while True:\n"
+        "        try:\n"
+        "            return client.call()\n"
+        "        except IOError as exc:\n"
+        "            if fatal(exc):\n"
+        "                break\n"
+        "\n"
+        "def break_in_nested_loop(client, items):\n"
+        "    while True:\n"
+        "        try:\n"
+        "            return client.call()\n"
+        "        except IOError:\n"
+        "            for item in items:\n"
+        "                if item:\n"
+        "                    break\n"
+        "\n"
+        "def reraises(client):\n"
+        "    while True:\n"
+        "        try:\n"
+        "            return client.call()\n"
+        "        except IOError:\n"
+        "            client.reset()\n"
+        "            raise\n"
+        "\n"
+        "def returns_on_both_branches(client, fatal):\n"
+        "    while True:\n"
+        "        try:\n"
+        "            return client.call()\n"
+        "        except IOError as exc:\n"
+        "            if fatal(exc):\n"
+        "                return None\n"
+        "            else:\n"
+        "                return exc\n", "utf-8")
+    report = analyze([tmp_path], refs=(), cache_path=None)
+    assert sorted(f.key for f in report.findings if f.code == "C003") == [
+        "retry:break_in_nested_loop", "retry:break_on_one_branch"]
+
+
 # -- pragma suppression -------------------------------------------------------
 
 def test_pragma_suppresses_contract_finding(tmp_path):

@@ -283,8 +283,8 @@ def test_detlint_self_check_repo_is_clean(repo_report):
     #   retries of one failed call.
     sanctioned = {("ids.py", "D001"), ("__main__.py", "D002"),
                   ("runner.py", "D006"), ("failover.py", "C003"),
-                  ("rpc.py", "C003"), ("faulttol.py", "C003"),
-                  ("ingest.py", "C003"), ("service.py", "C003")}
+                  ("faulttol.py", "C003"), ("ingest.py", "C003"),
+                  ("service.py", "C003")}
     suppressed = [f for f in report.findings if f.suppressed]
     assert suppressed, "expected the sanctioned pragmas to be exercised"
     for f in suppressed:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.comm import RpcClient, RpcError, RpcServer, RpcTimeout
 from repro.comm.rpc import ServerDown
-from repro.net import PacketLost
 
 
 @pytest.fixture
@@ -131,21 +130,6 @@ def test_method_decorator(sim, server, client):
         return p["x"] * p["y"]
 
     assert run(sim, client.call(server, "mul", {"x": 3, "y": 4})) == 12
-
-
-def test_call_with_retries_on_custom_exceptions(sim, two_site_topo, rngs,
-                                                server):
-    from repro.net import FaultInjector, Network
-    faults = FaultInjector(sim)
-    net = Network(sim, two_site_topo, rngs.stream("net"), faults)
-    client = RpcClient(sim, net, site="a")
-    faults.degrade_link("a", "b", extra_loss=1.0, duration=0.02)
-
-    result = run(sim, client.call_with_retries_on(
-        server, "add", {"x": 1, "y": 2},
-        retry_exceptions=(PacketLost, RpcTimeout),
-        deadline_s=2.0, retries=6, backoff_s=0.01))
-    assert result == 3
 
 
 def test_latency_stats_accumulate(sim, server, client):

@@ -7,6 +7,7 @@ from repro.instruments import (BatchSynthesisRobot, ElectronMicroscope,
                                FluidicReactor, LiquidHandler, PLSpectrometer,
                                TubeFurnace, XRayDiffractometer)
 from repro.labsci import Sample
+from repro.sim import RngRegistry, Simulator
 
 
 def bright_params(landscape, min_plqy=0.3):
@@ -196,6 +197,38 @@ def test_flow_reactor_reprimes_on_chemistry_change(sim, rngs, qd_landscape):
 
     sim.process(proc())
     sim.run()
+
+
+def test_flow_reactor_sweep_matches_back_to_back_synthesize(qd_landscape):
+    rng = np.random.default_rng(3)
+    p1 = qd_landscape.space.sample(rng)
+    p2 = dict(qd_landscape.space.sample(rng), dopant=next(
+        c for c in qd_landscape.space.dim("dopant").choices
+        if c != p1["dopant"]))
+    conditions = [p1, p1, p2, p1, p2, p2]    # three chemistry swaps
+
+    def reactor():
+        sim = Simulator()
+        return sim, FluidicReactor(sim, "flow-1", "ornl", RngRegistry(7),
+                                   qd_landscape, sample_time_s=10.0,
+                                   prime_time_s=100.0)
+
+    def back_to_back(flow):
+        samples = []
+        for params in conditions:
+            samples.append((yield from flow.synthesize(params)))
+        return samples
+
+    sim, flow = reactor()
+    swept = run(sim, flow.sweep(conditions))
+    twin_sim, twin = reactor()
+    singles = run(twin_sim, back_to_back(twin))
+    assert [s.true_properties() for s in swept] \
+        == [s.true_properties() for s in singles]
+    assert [s.provenance for s in swept] == [s.provenance for s in singles]
+    assert sim.now == twin_sim.now == 6 * 10.0 + 4 * 100.0
+    assert flow.reagent_used_mL == twin.reagent_used_mL
+    assert flow.samples_made == twin.samples_made == len(conditions)
 
 
 def test_flow_vs_batch_acquisition_rate(sim, rngs, qd_landscape, qd_params):

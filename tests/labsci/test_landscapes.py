@@ -218,14 +218,6 @@ def test_raw_point_decode_roundtrip(space):
         assert space.decode_batch(space.raw_point(p))[0] == p
 
 
-def test_continuous_matrix_matches_vector(space):
-    rng = np.random.default_rng(7)
-    points = [space.sample(rng) for _ in range(30)]
-    mat = space.continuous_matrix(points)
-    for i, p in enumerate(points):
-        assert np.array_equal(mat[i], space.continuous_vector(p))
-
-
 def test_sample_batch_marginals_match_scalar(space):
     """Per-dim marginals of the batched and scalar samplers agree (KS)."""
     n = 3000
