@@ -190,6 +190,11 @@ class RpcClient:
                 name=f"rpc.{server.name}.{method}",
                 tracer=self.tracer, metrics=self.metrics,
                 on_retry=on_retry)
+        except RpcError:
+            # The server raised or has no such method (a ServerDown past
+            # the last retry ends in RetriesExhausted, counted below).
+            self.stats["failures"] += 1
+            raise
         except DeadlineExceeded:
             self.stats["timeouts"] += 1
             raise RpcTimeout(

@@ -17,7 +17,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.campaign import CampaignResult
@@ -134,8 +134,18 @@ class CampaignReport:
             counters=dict(result.counters), decisions=decisions)
 
     def with_tenant(self, tenant: str) -> "CampaignReport":
-        """Copy of this report attributed to ``tenant``."""
-        return replace(self, tenant=tenant)
+        """Copy of this report attributed to ``tenant``.
+
+        Equal, field for field, to ``dataclasses.replace(self,
+        tenant=tenant)``, which shares ``counters``, ``decisions`` and
+        ``best_params`` the same way, but copies ``__dict__`` instead of
+        re-running the generated 17-field ``__init__`` (the service cuts
+        one copy per completed campaign).
+        """
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        copy.__dict__["tenant"] = tenant
+        return copy
 
     # -- views -------------------------------------------------------------
 

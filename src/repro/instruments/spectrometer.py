@@ -33,6 +33,11 @@ class PLSpectrometer(Instrument):
         self.wavelength_noise_nm = wavelength_noise_nm
         self.wavelength_range = wavelength_range
         self.n_channels = n_channels
+        # The wavelength axis and its baseline are the same on every scan,
+        # so they are built once per instrument.
+        lo, hi = wavelength_range
+        self._wavelengths = np.linspace(lo, hi, n_channels)
+        self._baseline = 0.02 + 0.005 * np.sin(self._wavelengths / 120.0)
 
     def operating_envelope(self) -> dict[str, tuple[float, float]]:
         return {"integration_time": (0.001, 600.0)}
@@ -40,13 +45,11 @@ class PLSpectrometer(Instrument):
     def _synthesize_spectrum(self, center_nm: float,
                              intensity: float) -> np.ndarray:
         """Gaussian emission peak + baseline + shot noise."""
-        lo, hi = self.wavelength_range
-        wl = np.linspace(lo, hi, self.n_channels)
+        wl = self._wavelengths
         width = 18.0 + 6.0 * self.rng.random()
         signal = intensity * np.exp(-((wl - center_nm) / width) ** 2)
-        baseline = 0.02 + 0.005 * np.sin(wl / 120.0)
         noise = self.rng.normal(0.0, 0.004, size=wl.shape)
-        return np.vstack([wl, signal + baseline + noise])
+        return np.vstack([wl, signal + self._baseline + noise])
 
     def measure(self, sample: Sample, requester: str = ""):
         """Generator: acquire a PL spectrum; returns a :class:`Measurement`."""

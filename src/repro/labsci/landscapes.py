@@ -27,16 +27,22 @@ landscape's physics lives in one place, :meth:`Landscape.evaluate`, and
   ``rng.integers(n_choices, size=n)``).  This per-dim column draw order
   is the space's one *draw-order contract*: any consumer that wants to
   reproduce a draw stream must consume the generator in exactly this
-  order.  :meth:`ParameterSpace.sample` is its one-row case: it makes
-  the same per-dim calls in the same order, as scalar calls without
-  ``size=`` (numpy's ``size=`` path costs about 3x a scalar call, and
-  planners draw thousands of single rows per campaign).  numpy runs both
-  forms through the same C routines, so ``sample(rng)`` equals
-  ``decode_batch(sample_batch(rng, 1))[0]``, leaves the generator in the
-  same state, and consumes the stream exactly as the old scalar per-dim
-  loop did (kept as the ``legacy_sample`` helper in
-  ``tests/test_properties.py``, the property test that pins all three).
-  ``n`` calls to :meth:`~ParameterSpace.sample` do *not* equal one
+  order.  :meth:`ParameterSpace.sample` is its one-row case: one scalar
+  variate per dim in the same order, without ``size=`` (numpy's
+  ``size=`` path costs about 3x a scalar call, and planners draw
+  thousands of single rows per campaign).  A discrete dim calls
+  ``rng.integers(0, k)``; a continuous dim returns
+  ``low + span * rng.random()`` from a per-space draw plan, the
+  expression numpy's ``uniform`` evaluates in C on the same variate, at
+  about a third of the cost of a scalar ``uniform`` call.  So
+  ``sample(rng)`` equals ``decode_batch(sample_batch(rng, 1))[0]``,
+  leaves the generator in the same state, and consumes the stream
+  exactly as the old scalar per-dim loop did (kept as the
+  ``legacy_sample`` helper in ``tests/test_properties.py``, the property
+  test that pins all three).  That holds while numpy's C does not fuse
+  the expression into an FMA; on a numpy build that does, the property
+  test fails (see DESIGN.md).  ``n`` calls to
+  :meth:`~ParameterSpace.sample` do *not* equal one
   ``sample_batch(rng, n)``: the batch fills each column before moving to
   the next dim, so the two agree in distribution, not in variates (see
   DESIGN.md);
@@ -54,6 +60,8 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.sim.rng import RngRegistry
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,24 @@ class ParameterSpace:
         self._choices: tuple[Optional[tuple[str, ...]], ...] = tuple(
             None if isinstance(d, ContinuousDim) else d.choices
             for d in self.dims)
+        self._discrete_names: tuple[str, ...] = tuple(
+            d.name for d in self.discrete)
+        # The draw plan :meth:`sample` walks: (name, choices, low, span)
+        # per dim in declared order, choices ``None`` for continuous dims.
+        # ``span`` is ``inf`` where numpy's ``uniform`` raises
+        # OverflowError: ``high - low`` is not finite, or a bound does not
+        # fit a double.
+        plan: list[tuple[str, Optional[tuple[str, ...]], float, float]] = []
+        for name, options, d in zip(self._names, self._choices, self.dims):
+            low, span = 0.0, 0.0
+            if options is None:
+                try:
+                    low = float(d.low)
+                    span = float(d.high) - low
+                except OverflowError:
+                    span = _INF
+            plan.append((name, options, low, span))
+        self._plan = tuple(plan)
         # Per-dim (start, width) column spans in the encoded vector, in
         # declared order, so batch encoders scatter without re-deriving
         # offsets per row.
@@ -184,17 +210,26 @@ class ParameterSpace:
         """Uniform random point in the space: one scalar variate per
         dimension in declared order.
 
-        The same generator calls as ``sample_batch(rng, 1)`` minus
-        ``size=``, so it returns ``decode_batch(sample_batch(rng, 1))[0]``
-        and leaves the generator in the same state.  ``n`` calls do not
-        reproduce one ``sample_batch(rng, n)`` — see the module docstring.
+        A discrete dim calls ``rng.integers(0, k)``; a continuous dim
+        returns ``low + span * rng.random()``, the expression numpy's
+        ``uniform`` evaluates in C, at about a third of the cost of a
+        scalar ``uniform`` call.  So it returns
+        ``decode_batch(sample_batch(rng, 1))[0]`` and leaves the generator
+        in the same state, and a dim whose ``high - low`` overflows raises
+        ``OverflowError`` before its draw, as ``uniform`` does.  ``n``
+        calls do not reproduce one ``sample_batch(rng, n)`` — see the
+        module docstring.
         """
+        random, integers = rng.random, rng.integers
         out: dict[str, Any] = {}
-        for d in self.dims:
-            if isinstance(d, ContinuousDim):
-                out[d.name] = float(rng.uniform(d.low, d.high))
+        for name, choices, low, span in self._plan:
+            if choices is not None:
+                out[name] = choices[integers(0, len(choices))]
+            elif span < _INF:
+                out[name] = low + span * random()
             else:
-                out[d.name] = d.choices[int(rng.integers(0, len(d.choices)))]
+                raise OverflowError(
+                    f"{name}: high - low range exceeds valid bounds")
         return out
 
     # -- batched raw-matrix fast path ----------------------------------------------
@@ -313,7 +348,7 @@ class ParameterSpace:
 
     def discrete_key(self, params: Mapping[str, Any]) -> tuple[str, ...]:
         """The tuple of discrete choices (identifies a continuous subspace)."""
-        return tuple(str(params[d.name]) for d in self.discrete)
+        return tuple([str(params[name]) for name in self._discrete_names])
 
     def discrete_combinations(self) -> list[tuple[str, ...]]:
         """All combinations of discrete choices (cartesian product)."""

@@ -41,6 +41,8 @@ def test_unknown_method_raises_rpc_error(sim, server, client):
             yield from client.call(server, "nope")
     sim.process(proc())
     sim.run()
+    assert client.stats["failures"] == 1
+    assert client.stats["timeouts"] == 0
 
 
 def test_handler_exception_wrapped(sim, server, client):
@@ -52,6 +54,8 @@ def test_handler_exception_wrapped(sim, server, client):
     sim.process(proc())
     sim.run()
     assert server.stats["errors"] == 1
+    assert client.stats["failures"] == 1
+    assert client.stats["timeouts"] == 0
 
 
 def test_generator_handler_spends_sim_time(sim, server, client):
@@ -79,6 +83,7 @@ def test_deadline_timeout(sim, server, client):
     sim.process(proc())
     sim.run()
     assert client.stats["timeouts"] == 1
+    assert client.stats["failures"] == 0
     # The client observed the timeout at the deadline, even though the
     # abandoned server-side handler kept running in simulated time.
     assert observed["t"] == pytest.approx(0.5, abs=0.01)

@@ -73,6 +73,26 @@ def test_with_tenant_and_sim_seconds():
     assert CampaignReport.from_result(_result()).sim_seconds == 350.0
 
 
+def test_with_tenant_equals_dataclasses_replace():
+    """The ``__dict__`` copy is ``replace(report, tenant=...)``: every
+    field, the shared (not copied) containers, ``to_dict`` and the
+    frozen contract."""
+    rep = CampaignReport.from_result(_result(target=0.5), tenant="lab-a",
+                                     sim_seconds=1000.0)
+    got, want = rep.with_tenant("lab-b"), replace(rep, tenant="lab-b")
+    assert type(got) is CampaignReport
+    assert got == want
+    assert vars(got) == vars(want)
+    assert list(vars(got)) == list(vars(want))
+    for name in ("counters", "decisions", "best_params"):
+        assert getattr(got, name) is getattr(want, name)
+    assert got.to_dict() == want.to_dict()
+    assert decision_hash(got) == decision_hash(want)
+    assert rep.tenant == "lab-a"
+    with pytest.raises(AttributeError):
+        got.tenant = "lab-c"
+
+
 def test_to_dict_is_stable_superset_of_legacy_summary_shape():
     d = CampaignReport.from_result(_result()).to_dict()
     assert d["schema"] == REPORT_SCHEMA

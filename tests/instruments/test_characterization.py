@@ -76,6 +76,43 @@ def test_spectrometer_noise_varies_between_scans(sim, rngs, bright_sample):
     assert m1.measurement_id != m2.measurement_id
 
 
+class _PerScanAxisSpectrometer(PLSpectrometer):
+    """The spectrum as it was built before the axis was cached: a fresh
+    ``linspace`` axis and ``sin`` baseline on every scan."""
+
+    def _synthesize_spectrum(self, center_nm, intensity):
+        lo, hi = self.wavelength_range
+        wl = np.linspace(lo, hi, self.n_channels)
+        width = 18.0 + 6.0 * self.rng.random()
+        signal = intensity * np.exp(-((wl - center_nm) / width) ** 2)
+        baseline = 0.02 + 0.005 * np.sin(wl / 120.0)
+        noise = self.rng.normal(0.0, 0.004, size=wl.shape)
+        return np.vstack([wl, signal + baseline + noise])
+
+
+@pytest.mark.parametrize("kw", [{}, {"wavelength_range": (400.0, 700.5),
+                                     "n_channels": 333}])
+def test_spectrometer_cached_axis_matches_per_scan_axis(bright_sample, kw):
+    """Two successive spectra equal, bit for bit, the per-scan expression
+    on a same-seed twin, and a later scan leaves an earlier one intact."""
+    got, want = [], []
+    for cls, out in ((PLSpectrometer, got),
+                     (_PerScanAxisSpectrometer, want)):
+        sim = Simulator()
+        spec = cls(sim, "spec-1", "ornl", RngRegistry(7), **kw)
+        for _ in range(2):
+            m = run(sim, spec.measure(bright_sample))
+            spectrum = m.raw["spectrum"]
+            out.append((m.values, spectrum, spectrum.tobytes()))
+    for (g_values, g_spec, g_bytes), (w_values, w_spec, w_bytes) in zip(
+            got, want):
+        assert g_values == w_values
+        assert g_spec.shape == w_spec.shape
+        assert g_bytes == w_bytes
+        assert g_spec.tobytes() == g_bytes  # unchanged by the later scan
+    assert got[0][2] != got[1][2]
+
+
 # -- XRD --------------------------------------------------------------------------
 
 def test_xrd_pattern_shape_and_crystallinity(sim, rngs, sample):

@@ -3,7 +3,7 @@
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.comm.bus import topic_matches
@@ -60,15 +60,29 @@ def test_property_unit_conversion_round_trips(unit, value):
 
 # -- parameter spaces ------------------------------------------------------------------
 
-_bounds = (st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
-           .map(sorted).filter(lambda b: b[0] < b[1]))
+def _bound_pairs(values):
+    return (st.tuples(values, values).map(sorted)
+            .filter(lambda b: b[0] < b[1]))
+
+
+_bounds = _bound_pairs(st.floats(-1e6, 1e6))
+
+#: Bounds for the sampler oracle, where ``sample``'s Python arithmetic
+#: must round exactly as numpy's C ``uniform``: the usual range, integer
+#: bounds, magnitudes near +-1e300 and subnormal spans.
+_wide_bounds = st.one_of(
+    _bounds,
+    _bound_pairs(st.integers(-10**6, 10**6)),
+    _bound_pairs(st.floats(-1e300, 1e300)),
+    _bound_pairs(st.floats(-1e-310, 1e-310)),
+)
 
 
 @st.composite
-def _spaces(draw):
+def _spaces(draw, bounds=_bounds):
     """1-6 dims, continuous and discrete interleaved in any declared order
     (the domain spaces declare their discrete dims first)."""
-    kinds = draw(st.lists(st.one_of(_bounds, st.integers(2, 64)),
+    kinds = draw(st.lists(st.one_of(bounds, st.integers(2, 64)),
                           min_size=1, max_size=6))
     dims = []
     for i, kind in enumerate(kinds):
@@ -111,12 +125,30 @@ def legacy_sample(space, rng):
     return out
 
 
-@given(_spaces(), st.integers(0, 2**32 - 1), st.integers(1, 5))
+def _continuous(*bounds):
+    return ParameterSpace([ContinuousDim(f"x{i}", low, high)
+                           for i, (low, high) in enumerate(bounds)])
+
+
+@given(_spaces(_wide_bounds), st.integers(0, 2**32 - 1), st.integers(1, 5))
+@example(_continuous((0, 7), (-10**6, 3), (True, 2)), 11, 5)
+@example(_continuous((-1e300, 1e300), (1e300, 1.7e308),
+                     (-1.7e308, -1e300)), 11, 5)
+@example(_continuous((0.0, 5e-324), (-1e-320, 3e-321),
+                     (2.2e-308, 2.3e-308)), 11, 5)
+@example(_continuous((1.0, np.nextafter(1.0, 2.0)),
+                     (1e300, np.nextafter(1e300, np.inf)),
+                     (-1e-9, 1e-9)), 11, 5)
 @settings(max_examples=300, deadline=None)
 def test_property_sample_replays_scalar_oracle(space, seed, k):
     """``sample`` consumes the stream exactly as the retired per-dim
     scalar loop and as ``sample_batch``'s one-row case: same dicts, key
-    order and value types, and the same generator state afterwards."""
+    order and value types, and the same generator state afterwards.
+
+    ``sample`` computes ``low + span * rng.random()`` in Python while
+    ``legacy_sample`` and ``sample_batch`` call numpy's ``uniform``, which
+    evaluates that expression in C; on a numpy build whose compiler fuses
+    it into an FMA, the two round differently and this test fails."""
     rng = np.random.default_rng(seed)
     twin, twin2 = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(k):
@@ -128,6 +160,35 @@ def test_property_sample_replays_scalar_oracle(space, seed, k):
                     == list(map(type, want.values())))
     assert (rng.bit_generator.state == twin.bit_generator.state
             == twin2.bit_generator.state)
+
+
+#: Continuous bounds numpy's ``uniform`` refuses with OverflowError,
+#: before it draws: ``high - low`` is not finite, or a bound does not fit
+#: a double.
+_OVERFLOWING = [(-1e308, 1e308), (-np.inf, 0.0), (0.0, np.inf),
+                (-np.inf, np.inf), (0, 10**400), (-10**400, 0)]
+
+
+@given(_spaces(), st.data(), st.sampled_from(_OVERFLOWING),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_property_overflowing_span_raises_like_uniform(space, data, bounds,
+                                                       seed):
+    """A dim whose range overflows makes ``sample`` raise OverflowError
+    after the draws of the dims declared before it, leaving the generator
+    where ``legacy_sample`` and ``sample_batch`` leave it."""
+    at = data.draw(st.integers(0, len(space)))
+    dims = list(space.dims)
+    dims.insert(at, ContinuousDim("wide", *bounds))
+    space = ParameterSpace(dims)
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    draws = (space.sample, lambda rng: legacy_sample(space, rng),
+             lambda rng: space.sample_batch(rng, 1))
+    for draw, rng in zip(draws, rngs):
+        with pytest.raises(OverflowError):
+            draw(rng)
+    states = [rng.bit_generator.state for rng in rngs]
+    assert states[0] == states[1] == states[2]
 
 
 def _ks_statistic(a, b):
