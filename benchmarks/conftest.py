@@ -10,7 +10,7 @@ wins, by roughly what factor) per the reproduction contract.
 
 import pytest
 
-from repro.scale import WorldRunner, WorldSpec
+from repro.scale import WorldRunner
 
 
 def run_seeded(entrypoint, seeds, config=None, workers=None):
@@ -24,10 +24,7 @@ def run_seeded(entrypoint, seeds, config=None, workers=None):
     ``parallel-equivalence`` job).
     Entrypoints must be module-level and return plain picklable data.
     """
-    runner = WorldRunner(workers)
-    batch = runner.run(WorldSpec(seed=int(s), entrypoint=entrypoint,
-                                 config=dict(config or {})) for s in seeds)
-    return batch.values
+    return WorldRunner(workers).map(entrypoint, seeds, config)
 
 
 def report(title: str, header: list[str], rows: list[list]) -> None:

@@ -25,12 +25,13 @@ C003  resilience hygiene (no Deadline; bare retry loops)        warn
 C004  per-shard class mutates state without a merge protocol    error
 ====  ========================================================  ========
 
-Matching uses :func:`repro.comm.bus.topic_matches` (the PR 5 iterative
-NFA) as the oracle whenever both sides are concrete, and a small
-template NFA with the same semantics when either side carries f-string
-placeholder segments (a placeholder publish segment matches any one
-pattern segment and vice versa — *may-match* semantics, so the rules
-stay conservative: a finding means no instantiation can ever match).
+Matching uses :func:`repro.comm.bus.topic_matches` (the iterative NFA
+``Broker.route`` runs) as the oracle whenever both sides are concrete,
+and a small template NFA with the same semantics when either side
+carries f-string placeholder segments (a placeholder publish segment
+matches any one pattern segment and vice versa — *may-match* semantics,
+so the rules stay conservative: a finding means no instantiation can
+ever match).
 """
 
 from __future__ import annotations

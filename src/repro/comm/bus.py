@@ -3,7 +3,9 @@
 Brokers live at sites; publishers send envelopes to a broker over the
 simulated WAN; the broker fans messages out to queues whose *bindings*
 match the topic (AMQP topic-exchange semantics: ``*`` matches one
-dot-separated segment, ``#`` matches any number).  Consumers pull from
+dot-separated segment, ``#`` matches any number).  A route scans the
+broker's bindings in binding order with :func:`topic_matches`, the same
+matcher contract rule C001 uses as its oracle.  Consumers pull from
 queues with explicit ack/nack and at-least-once redelivery — the
 "reliable message delivery" the paper's §3.4 research priorities call for.
 """
@@ -69,103 +71,6 @@ def topic_matches(pattern: str, topic: str) -> bool:
             return False
         states = close(nxt)
     return n_pat in states
-
-
-class _TrieNode:
-    """One node of the compiled subscription trie."""
-
-    __slots__ = ("edges", "star", "hash", "is_hash", "queues")
-
-    def __init__(self, is_hash: bool = False) -> None:
-        self.edges: dict[str, _TrieNode] = {}   # exact-segment children
-        self.star: Optional[_TrieNode] = None   # '*' child (one segment)
-        self.hash: Optional[_TrieNode] = None   # '#' child (zero or more)
-        self.is_hash = is_hash
-        # (binding order, queue name) terminals ending at this node.
-        self.queues: list[tuple[int, str]] = []
-
-
-class RouteIndex:
-    """Compiled segment-trie over a broker's bindings.
-
-    Built once from the binding list (exact segments, ``*`` and ``#``
-    edges), then matched by simulating the resulting NFA over the topic's
-    segments — one pass, no recursion, cost proportional to the live
-    state set instead of the full binding list.  ``route()`` used to scan
-    every binding and run :func:`topic_matches` per pattern; with
-    thousands of subscriptions that linear scan dominated publish cost.
-
-    The index is *routing-equivalent* to the scan by contract:
-    :meth:`match` returns exactly the queues the oracle scan would push
-    to, deduplicated, in first-binding order (covered exhaustively in
-    tests/comm/test_bus_index.py).
-    """
-
-    def __init__(self, bindings: "list[tuple[str, str]]") -> None:
-        self._root = _TrieNode()
-        for order, (pattern, qname) in enumerate(bindings):
-            self._insert(pattern.split("."), qname, order)
-
-    def _insert(self, segments: list[str], qname: str, order: int) -> None:
-        node = self._root
-        for seg in segments:
-            if seg == "*":
-                if node.star is None:
-                    node.star = _TrieNode()
-                node = node.star
-            elif seg == "#":
-                if node.hash is None:
-                    node.hash = _TrieNode(is_hash=True)
-                node = node.hash
-            else:
-                child = node.edges.get(seg)
-                if child is None:
-                    child = node.edges[seg] = _TrieNode()
-                node = child
-        node.queues.append((order, qname))
-
-    @staticmethod
-    def _closure(nodes: "list[_TrieNode]") -> "list[_TrieNode]":
-        """Nodes plus everything reachable through zero-width ``#`` hops."""
-        out: list[_TrieNode] = []
-        seen: set[int] = set()
-        stack = list(nodes)
-        while stack:
-            node = stack.pop()
-            marker = id(node)  # membership only, never an ordering key
-            if marker in seen:
-                continue
-            seen.add(marker)
-            out.append(node)
-            if node.hash is not None:
-                stack.append(node.hash)
-        return out
-
-    def match(self, topic: str) -> "tuple[str, ...]":
-        """Queue names bound to ``topic``, deduplicated, in first-binding
-        order (exactly the oracle scan's delivery set)."""
-        active = self._closure([self._root])
-        for seg in topic.split("."):
-            nxt: list[_TrieNode] = []
-            for node in active:
-                child = node.edges.get(seg)
-                if child is not None:
-                    nxt.append(child)
-                if node.star is not None:
-                    nxt.append(node.star)
-                if node.is_hash:
-                    nxt.append(node)    # '#' consumes the segment in place
-            if not nxt:
-                return ()
-            active = self._closure(nxt)
-        first_order: dict[str, int] = {}
-        for node in active:
-            for order, qname in node.queues:
-                prev = first_order.get(qname)
-                if prev is None or order < prev:
-                    first_order[qname] = order
-        return tuple(q for _, q in
-                     sorted((o, q) for q, o in first_order.items()))
 
 
 class Queue:
@@ -263,16 +168,9 @@ class Broker:
         self.metrics = metrics or MetricsRegistry()
         self.queues: dict[str, Queue] = {}
         self._bindings: list[tuple[str, str]] = []  # (pattern, queue name)
-        # Compiled lazily on first route after any (re)bind or liveness
-        # change; None means "rebuild before next use".
-        self._index: Optional[RouteIndex] = None
         self.stats = self.metrics.stats(
             "bus.broker", {"published": 0, "routed": 0, "unroutable": 0},
             broker=name, site=site)
-        self._index_hits = self.metrics.counter(
-            "bus.route_index_hits", broker=name, site=site)
-        self._index_rebuilds = self.metrics.counter(
-            "bus.route_index_rebuilds", broker=name, site=site)
 
     def declare_queue(self, name: str, max_attempts: int = 5,
                       redelivery: Optional[RetryPolicy] = None) -> Queue:
@@ -286,23 +184,23 @@ class Broker:
         if queue_name not in self.queues:
             raise KeyError(f"no queue {queue_name!r} on broker {self.name!r}")
         self._bindings.append((pattern, queue_name))
-        self._index = None  # invalidate: recompiled on next route
 
     def route(self, topic: str, envelope: Envelope) -> int:
-        """Fan an envelope out to all queues bound to ``topic``."""
+        """Fan an envelope out to all queues bound to ``topic``.
+
+        Scans the bindings in the order they were made and pushes to each
+        queue once, the first time one of its patterns matches; overlapping
+        patterns to one queue deliver a single copy.
+        """
         if not self.alive:
             raise BrokerDown(self.name)
         self.stats["published"] += 1
-        index = self._index
-        if index is None:
-            index = self._index = RouteIndex(self._bindings)
-            self._index_rebuilds.inc()
-        else:
-            self._index_hits.inc()
-        matched = 0
-        for qname in index.match(topic):
-            self.queues[qname].push(envelope)
-            matched += 1
+        pushed: set[str] = set()
+        for pattern, qname in self._bindings:
+            if qname not in pushed and topic_matches(pattern, topic):
+                pushed.add(qname)
+                self.queues[qname].push(envelope)
+        matched = len(pushed)
         if matched:
             self.stats["routed"] += matched
         else:
@@ -312,11 +210,9 @@ class Broker:
     def kill(self) -> None:
         """Simulate broker crash (used by failover experiments)."""
         self.alive = False
-        self._index = None  # conservative: recompile after a crash
 
     def revive(self) -> None:
         self.alive = True
-        self._index = None
 
 
 class MessageBus:

@@ -76,6 +76,15 @@ class ContinuousDim:
     def __post_init__(self) -> None:
         if not self.low < self.high:
             raise ValueError(f"{self.name}: low must be < high")
+        # An infinite span cannot be sampled, encoded or denormalized;
+        # ``float()`` overflows on an integer bound beyond a double.
+        try:
+            span = float(self.high) - float(self.low)
+        except OverflowError:
+            span = _INF
+        if not span < _INF:
+            raise ValueError(
+                f"{self.name}: high - low must be a finite double")
 
     def clip(self, value: float) -> float:
         return float(min(max(value, self.low), self.high))
@@ -143,18 +152,12 @@ class ParameterSpace:
             d.name for d in self.discrete)
         # The draw plan :meth:`sample` walks: (name, choices, low, span)
         # per dim in declared order, choices ``None`` for continuous dims.
-        # ``span`` is ``inf`` where numpy's ``uniform`` raises
-        # OverflowError: ``high - low`` is not finite, or a bound does not
-        # fit a double.
         plan: list[tuple[str, Optional[tuple[str, ...]], float, float]] = []
         for name, options, d in zip(self._names, self._choices, self.dims):
             low, span = 0.0, 0.0
             if options is None:
-                try:
-                    low = float(d.low)
-                    span = float(d.high) - low
-                except OverflowError:
-                    span = _INF
+                low = float(d.low)
+                span = float(d.high) - low
             plan.append((name, options, low, span))
         self._plan = tuple(plan)
         # Per-dim (start, width) column spans in the encoded vector, in
@@ -215,21 +218,17 @@ class ParameterSpace:
         ``uniform`` evaluates in C, at about a third of the cost of a
         scalar ``uniform`` call.  So it returns
         ``decode_batch(sample_batch(rng, 1))[0]`` and leaves the generator
-        in the same state, and a dim whose ``high - low`` overflows raises
-        ``OverflowError`` before its draw, as ``uniform`` does.  ``n``
-        calls do not reproduce one ``sample_batch(rng, n)`` — see the
-        module docstring.
+        in the same state (every span is finite: :class:`ContinuousDim`
+        rejects the rest).  ``n`` calls do not reproduce one
+        ``sample_batch(rng, n)`` — see the module docstring.
         """
         random, integers = rng.random, rng.integers
         out: dict[str, Any] = {}
         for name, choices, low, span in self._plan:
             if choices is not None:
                 out[name] = choices[integers(0, len(choices))]
-            elif span < _INF:
-                out[name] = low + span * random()
             else:
-                raise OverflowError(
-                    f"{name}: high - low range exceeds valid bounds")
+                out[name] = low + span * random()
         return out
 
     # -- batched raw-matrix fast path ----------------------------------------------

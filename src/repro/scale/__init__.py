@@ -9,7 +9,8 @@ worlds can execute *anywhere* in any order and still agree with a serial
 replay.  The pieces:
 
 - :mod:`repro.scale.runner` — :class:`WorldRunner` fans
-  :class:`WorldSpec`\\ s across a ``ProcessPoolExecutor`` (serial
+  :class:`WorldSpec`\\ s across a ``ProcessPoolExecutor`` forked for the
+  batch and joined before :meth:`~WorldRunner.run` returns (serial
   in-process fallback, ``REPRO_WORKERS`` env knob), returning results in
   spec order with a per-world decision hash;
 - :mod:`repro.scale.hashing` — canonical plain-data hashing

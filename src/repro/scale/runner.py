@@ -19,16 +19,12 @@ Worker count resolution (:func:`resolve_workers`)::
     REPRO_WORKERS=N  (N>=1)  -> N workers; 1 means serial in-process
     REPRO_WORKERS=0 / auto   -> os.cpu_count()
 
-The pool is *warm and persistent*: the first parallel batch forks the
-workers (``fork`` context, so the parent's imports and ground-truth
-tables are shared copy-on-write instead of re-imported per world) and
-later batches reuse them, with specs dispatched in chunks to amortize
-pickling.  Worlds are pure functions of ``(seed, entrypoint, config)``
-by the determinism contract, so a worker forked before your latest
-parent-process mutation cannot change any result — anything a world
-reads is in its spec.  :meth:`WorldRunner.warm` pre-forks outside your
-timed region; :meth:`WorldRunner.close` (or using the runner as a
-context manager) releases the workers.
+Each parallel :meth:`WorldRunner.run` forks its own pool of
+``min(workers, len(specs))`` workers (``fork`` context, so the parent's
+imports and ground-truth tables are shared copy-on-write instead of
+re-imported per world), dispatches the specs in chunks to amortize
+pickling, and joins the workers before it returns: no process outlives
+the batch.
 
 Entrypoints must be module-level callables (or ``"pkg.mod:fn"`` strings)
 taking ``(seed, config)`` and returning plain picklable data — the
@@ -188,11 +184,6 @@ def _resolve_entrypoint(entrypoint: Entrypoint) -> Callable[[int, dict], Any]:
     return fn
 
 
-def _warm_probe(index: int) -> int:
-    """No-op worker task used by :meth:`WorldRunner.warm` to pre-fork."""
-    return index
-
-
 def _execute(spec: WorldSpec) -> WorldResult:
     """Run one world to completion (in this or a worker process).
 
@@ -231,14 +222,6 @@ class WorldRunner:
     strict:
         Raise :class:`WorldFailure` on the first failed world (default).
         When ``False`` the failures stay in the batch as data.
-
-    Notes
-    -----
-    The worker pool is created on the first parallel batch and kept warm
-    across :meth:`run` calls (``scale.pools_forked`` vs
-    ``scale.pool_reuses`` counters track the amortization).  Call
-    :meth:`close` — or use the runner as a context manager — when done;
-    an unclosed runner releases its workers best-effort on finalization.
     """
 
     def __init__(self, workers: Optional[int] = None, *,
@@ -248,7 +231,6 @@ class WorldRunner:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.verify = verify
         self.strict = strict
-        self._pool: Optional[futures.ProcessPoolExecutor] = None
 
     # -- execution ---------------------------------------------------------
 
@@ -283,74 +265,27 @@ class WorldRunner:
                                    config=cfg) for s in seeds)
         return batch.values
 
-    # -- pool lifecycle ----------------------------------------------------
-
-    def warm(self) -> "WorldRunner":
-        """Pre-fork the worker pool outside any timed region.
-
-        Runs one trivial probe task per worker so the executor spawns
-        its processes (and pays the fork + pickle-protocol handshake)
-        now instead of inside the first measured batch.  Serial runners
-        (``workers <= 1``) are a no-op.  Returns ``self`` for chaining.
-        """
-        if self.workers > 1:
-            pool = self._ensure_pool()
-            list(pool.map(_warm_probe, range(self.workers)))
-        return self
-
-    def close(self) -> None:
-        """Shut the warm pool down and release its worker processes."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "WorldRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - finalizer timing varies
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
     # -- internals ---------------------------------------------------------
 
-    def _ensure_pool(self) -> futures.ProcessPoolExecutor:
+    def _run_parallel(self, specs: list[WorldSpec],
+                      used: int) -> list[WorldResult]:
         # The sanctioned process-pool call site (detlint D006): everything
         # else in the repo must fan out through this runner.  ``fork`` is
         # pinned on POSIX so worker state is a copy-on-write snapshot of
         # this process — imports and ground-truth tables are shared, and
         # string/callable entrypoints resolve without re-importing.
-        if self._pool is not None:
-            self.metrics.counter("scale.pool_reuses").inc()
-            return self._pool
         try:
             import multiprocessing  # detlint: ignore[D006] — WorldRunner is the sanctioned runner
             ctx = multiprocessing.get_context("fork")  # detlint: ignore[D006] — WorldRunner is the sanctioned runner
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = None
-        self._pool = futures.ProcessPoolExecutor(  # detlint: ignore[D006] — WorldRunner is the sanctioned runner
-            max_workers=self.workers, mp_context=ctx)
-        self.metrics.counter("scale.pools_forked").inc()
-        return self._pool
-
-    def _run_parallel(self, specs: list[WorldSpec],
-                      used: int) -> list[WorldResult]:
-        pool = self._ensure_pool()
         # Chunked dispatch: ship several specs per worker round-trip so
         # pickling and queue wakeups amortize, while keeping ~4 chunks
         # per worker in flight for load balance across uneven worlds.
         chunksize = max(1, len(specs) // (used * 4))
-        self.metrics.gauge("scale.dispatch_chunksize").set(chunksize)
-        try:
+        with futures.ProcessPoolExecutor(  # detlint: ignore[D006] — WorldRunner is the sanctioned runner
+                max_workers=used, mp_context=ctx) as pool:
             return list(pool.map(_execute, specs, chunksize=chunksize))
-        except futures.process.BrokenProcessPool:
-            # A worker died (OOM kill, signal); drop the broken pool so a
-            # retry can fork a fresh one, then surface the failure.
-            self.close()
-            raise
 
     @staticmethod
     def _compare(serial: WorldBatch, parallel: WorldBatch) -> None:

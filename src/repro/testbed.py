@@ -25,7 +25,7 @@ keep working — the builder is sugar, not a fork.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.campaign import CampaignResult, CampaignSpec
@@ -66,7 +66,6 @@ class _SiteConfig:
     fault_tolerant: bool = False
     alternates: tuple[str, ...] = ()
     share_knowledge: bool = True
-    extra_orchestrator_kw: dict[str, Any] = field(default_factory=dict)
 
 
 class SiteBuilder:
@@ -141,11 +140,6 @@ class SiteBuilder:
     def isolated(self) -> "SiteBuilder":
         """Opt this site out of the shared knowledge base (the cold arm)."""
         self._config.share_knowledge = False
-        return self
-
-    def with_orchestrator_options(self, **kw: Any) -> "SiteBuilder":
-        """Escape hatch: extra HierarchicalOrchestrator kwargs."""
-        self._config.extra_orchestrator_kw.update(kw)
         return self
 
     # -- chaining ----------------------------------------------------------
@@ -339,8 +333,7 @@ class Testbed:
             orchestrators[cfg.name] = fed.make_orchestrator(
                 lab, verified=cfg.verified, knowledge=kb,
                 fault_tolerant=cfg.fault_tolerant,
-                alternates=alternates or None,
-                **cfg.extra_orchestrator_kw)
+                alternates=alternates or None)
         return BuiltTestbed(fed, orchestrators, knowledge)
 
 

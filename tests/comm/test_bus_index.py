@@ -1,5 +1,8 @@
-"""Tests for the compiled route index: trie-vs-oracle equivalence and
-broker-side invalidation (bind after traffic, kill/revive, overlap dedup).
+"""Tests for ``Broker.route`` against a regex linear-scan oracle, and for
+routing after a late bind, a kill/revive and overlapping patterns.
+
+"Route index" in the test names is the broker's binding table, which
+``Broker.route`` scans in binding order with ``topic_matches``.
 """
 
 import re
@@ -11,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import Message, MessageBus, Performative
-from repro.comm.bus import RouteIndex, topic_matches
+from repro.comm.bus import Broker, BrokerDown, topic_matches
+from repro.comm.message import Envelope
+from repro.sim import Simulator
 
 
-# -- RouteIndex vs a regex linear-scan oracle ----------------------------------
+# -- Broker.route vs a regex linear-scan oracle --------------------------------
 
 @lru_cache(maxsize=None)
 def _oracle_regex(pattern):
@@ -33,6 +38,36 @@ def _oracle_match(bindings, topic):
             seen.add(qname)
             out.append(qname)
     return tuple(out)
+
+
+class _Recorder:
+    """A broker whose queues log every push, so a test sees which queues
+    ``Broker.route`` pushed a topic to, and in what order."""
+
+    def __init__(self, bindings=()):
+        self.broker = Broker(Simulator(), "main", site="a")
+        self.pushed = []
+        for pattern, qname in bindings:
+            self.bind(qname, pattern)
+
+    def bind(self, qname, pattern):
+        if qname not in self.broker.queues:
+            queue = self.broker.declare_queue(qname)
+            push = queue.push
+
+            def logged(envelope, qname=qname):
+                self.pushed.append(qname)
+                push(envelope)
+            queue.push = logged
+        self.broker.bind(qname, pattern)
+
+    def route(self, topic):
+        self.pushed.clear()
+        envelope = Envelope(Message(Performative.INFORM, "src", topic),
+                            src_site="b", dst_site="a")
+        matched = self.broker.route(topic, envelope)
+        assert matched == len(self.pushed)
+        return tuple(self.pushed)
 
 
 def _random_tables(seed, n_bindings=120, n_topics=300):
@@ -102,9 +137,10 @@ def test_federation_broker_table_is_pinned():
     """Seed 0 draws the table the routing benchmark always used: 697
     bindings, 1,500 topics and 39,236 deliveries in all."""
     bindings, topics = _routing_tables(0)
-    index = RouteIndex(bindings)
+    recorder = _Recorder(bindings)
     assert (len(bindings), len(topics)) == (697, 1500)
-    assert sum(len(index.match(topic)) for topic in topics) == 39_236
+    assert sum(len(recorder.route(topic)) for topic in topics) == 39_236
+    assert recorder.broker.stats["routed"] == 39_236
 
 
 @pytest.mark.parametrize("tables", [
@@ -113,63 +149,83 @@ def test_federation_broker_table_is_pinned():
 ])
 def test_route_index_equals_oracle_on_random_tables(tables):
     bindings, topics = tables
-    index = RouteIndex(bindings)
+    recorder = _Recorder(bindings)
     for topic in topics:
-        assert index.match(topic) == _oracle_match(bindings, topic), topic
+        assert recorder.route(topic) == _oracle_match(bindings, topic), topic
 
 
 _pattern_segments = st.sampled_from(("a", "b", "", "*", "#", "#"))
 _topic_segments = st.sampled_from(("a", "b", "", "*"))
+_patterns = st.lists(_pattern_segments, min_size=1, max_size=6).map(".".join)
+_topics = st.lists(_topic_segments, min_size=1, max_size=6).map(".".join)
+_queues = st.sampled_from(("q0", "q1", "q2", "q3"))
 
 
-@given(bindings=st.lists(st.tuples(
-           st.lists(_pattern_segments, min_size=1, max_size=6).map(".".join),
-           st.sampled_from(("q0", "q1", "q2", "q3"))), max_size=12),
-       topics=st.lists(st.lists(_topic_segments, min_size=1,
-                                max_size=6).map(".".join), max_size=12))
+@given(bindings=st.lists(st.tuples(_patterns, _queues), max_size=12),
+       ops=st.lists(st.one_of(
+           st.tuples(st.just("route"), _topics),
+           st.tuples(st.just("bind"), _patterns, _queues),
+           st.just(("kill",)), st.just(("revive",))), max_size=24))
 @settings(max_examples=200, deadline=None)
-def test_property_route_index_matches_regex_oracle(bindings, topics):
-    """Generated bindings with several ``#``, ``*`` and empty segments:
-    ``topic_matches`` and ``RouteIndex.match`` agree with the oracle."""
-    index = RouteIndex(bindings)
-    for topic in topics:
-        for pattern, _ in bindings:
-            assert topic_matches(pattern, topic) == bool(
-                _oracle_regex(pattern).fullmatch("." + topic)), (pattern, topic)
-        assert index.match(topic) == _oracle_match(bindings, topic), topic
+def test_property_route_index_matches_regex_oracle(bindings, ops):
+    """Generated bindings with several ``#``, ``*`` and empty segments,
+    then routes interleaved with late binds and kill/revive:
+    ``topic_matches`` agrees with the oracle pattern by pattern, and a
+    live broker pushes to the oracle's queues in the oracle's order."""
+    recorder = _Recorder(bindings)
+    bound = list(bindings)
+    for op in ops:
+        if op[0] == "bind":
+            _, pattern, qname = op
+            recorder.bind(qname, pattern)
+            bound.append((pattern, qname))
+        elif op[0] == "kill":
+            recorder.broker.kill()
+        elif op[0] == "revive":
+            recorder.broker.revive()
+        else:
+            topic = op[1]
+            for pattern, _ in bound:
+                assert topic_matches(pattern, topic) == bool(
+                    _oracle_regex(pattern).fullmatch("." + topic)), \
+                    (pattern, topic)
+            if recorder.broker.alive:
+                assert recorder.route(topic) == _oracle_match(bound, topic)
+            else:
+                with pytest.raises(BrokerDown):
+                    recorder.route(topic)
+                assert recorder.pushed == []
 
 
 def test_route_index_empty_bindings():
-    assert RouteIndex([]).match("a.b.c") == ()
+    assert _Recorder().route("a.b.c") == ()
 
 
 def test_route_index_dedups_in_first_binding_order():
     bindings = [("lab.#", "late"), ("lab.*.xrd", "early"),
                 ("lab.a.#", "late"), ("#", "early")]
-    # 'late' first binding precedes 'early' first binding? No: 'late' is
-    # binding 0, 'early' is binding 1 — delivery order follows that.
-    assert RouteIndex(bindings).match("lab.a.xrd") == ("late", "early")
+    # 'late' is bound first (binding 0), 'early' second (binding 1), so
+    # delivery follows that order whatever the names suggest.
+    assert _Recorder(bindings).route("lab.a.xrd") == ("late", "early")
 
 
 def test_route_index_hash_tail_and_middle():
-    bindings = [("a.#", "q1"), ("a.#.z", "q2"), ("#.z", "q3")]
-    index = RouteIndex(bindings)
-    assert index.match("a") == ("q1",)
-    assert index.match("a.z") == ("q1", "q2", "q3")
-    assert index.match("a.b.c.z") == ("q1", "q2", "q3")
-    assert index.match("z") == ("q3",)
+    recorder = _Recorder([("a.#", "q1"), ("a.#.z", "q2"), ("#.z", "q3")])
+    assert recorder.route("a") == ("q1",)
+    assert recorder.route("a.z") == ("q1", "q2", "q3")
+    assert recorder.route("a.b.c.z") == ("q1", "q2", "q3")
+    assert recorder.route("z") == ("q3",)
 
 
 def test_route_index_adversarial_hash_patterns_fast():
     # The worst cases for the old recursive matcher stay linear here.
-    bindings = [(".".join(["#"] * 12 + ["end"]), "q")]
-    index = RouteIndex(bindings)
+    recorder = _Recorder([(".".join(["#"] * 12 + ["end"]), "q")])
     long_topic = ".".join(["x"] * 80)
-    assert index.match(long_topic) == ()
-    assert index.match(long_topic + ".end") == ("q",)
+    assert recorder.route(long_topic) == ()
+    assert recorder.route(long_topic + ".end") == ("q",)
 
 
-# -- broker-side invalidation --------------------------------------------------
+# -- routing through the bus -----------------------------------------------------
 
 def make_bus(sim, network):
     bus = MessageBus(sim, network)
@@ -190,7 +246,7 @@ def test_bind_after_traffic_invalidates_index(sim, network):
 
     def scenario(sim, bus):
         yield from _publish(bus, "lab.a.xrd", results, "before")
-        # Index is now compiled; a late subscriber must still be seen.
+        # A subscriber bound after traffic must still be seen.
         broker.declare_queue("q2")
         broker.bind("q2", "lab.#")
         yield from _publish(bus, "lab.a.xrd", results, "after")
@@ -212,7 +268,7 @@ def test_kill_revive_invalidates_and_restores_routing(sim, network):
         yield from _publish(bus, "t.x", results, "first")
         broker.kill()
         broker.revive()
-        # Binds applied while the index was already compiled pre-kill.
+        # A bind after the revive routes alongside the earlier ones.
         broker.declare_queue("q2")
         broker.bind("q2", "t.x")
         yield from _publish(bus, "t.x", results, "second")
@@ -239,26 +295,3 @@ def test_overlapping_patterns_deliver_exactly_once(sim, network):
     assert results["n"] == 1
     assert len(queue) == 1
     assert broker.stats["routed"] == 1
-
-
-def test_index_hit_and_rebuild_counters(sim, network):
-    bus, broker = make_bus(sim, network)
-    broker.declare_queue("q")
-    broker.bind("q", "t")
-    hits = broker.metrics.counter("bus.route_index_hits",
-                                  broker="main", site="a")
-    rebuilds = broker.metrics.counter("bus.route_index_rebuilds",
-                                      broker="main", site="a")
-    results = {}
-
-    def scenario(sim, bus):
-        yield from _publish(bus, "t", results, "a")   # compile
-        yield from _publish(bus, "t", results, "b")   # hit
-        yield from _publish(bus, "t", results, "c")   # hit
-        broker.bind("q", "t.extra")                   # invalidate
-        yield from _publish(bus, "t", results, "d")   # recompile
-
-    sim.process(scenario(sim, bus))
-    sim.run()
-    assert rebuilds.value == 2
-    assert hits.value == 2

@@ -1,5 +1,6 @@
 """Tests for the deterministic parallel world runner."""
 
+import multiprocessing
 import os
 
 import pytest
@@ -179,49 +180,18 @@ def test_empty_specs():
     assert batch.values == []
 
 
-# -- warm persistent pool ------------------------------------------------------
-
-def test_pool_persists_across_batches():
-    metrics = MetricsRegistry()
-    specs = [WorldSpec(seed=s, entrypoint=square_world) for s in range(4)]
-    with WorldRunner(2, metrics=metrics) as runner:
-        first = runner.run(specs)
-        second = runner.run(specs)
-    assert first.hashes == second.hashes
-    # One fork, then reuse: the second batch must not pay startup again.
-    assert metrics.counter("scale.pools_forked").value == 1
-    assert metrics.counter("scale.pool_reuses").value >= 1
-
-
-def test_warm_preforks_pool_and_counts_one_fork():
-    metrics = MetricsRegistry()
-    runner = WorldRunner(2, metrics=metrics).warm()
-    try:
-        assert metrics.counter("scale.pools_forked").value == 1
-        runner.run([WorldSpec(seed=s, entrypoint=square_world)
-                    for s in range(4)])
-        assert metrics.counter("scale.pools_forked").value == 1
-        assert metrics.counter("scale.pool_reuses").value >= 1
-    finally:
-        runner.close()
-    assert runner._pool is None
-
-
-def test_warm_is_noop_for_serial_runner():
-    metrics = MetricsRegistry()
-    runner = WorldRunner(1, metrics=metrics).warm()
-    assert runner._pool is None
-    assert metrics.counter("scale.pools_forked").value == 0
-    runner.close()  # harmless with no pool
-
-
-def test_chunked_dispatch_reports_chunksize():
-    metrics = MetricsRegistry()
+def test_chunked_dispatch_keeps_spec_order():
     specs = [WorldSpec(seed=s, entrypoint=square_world) for s in range(16)]
-    with WorldRunner(2, metrics=metrics) as runner:
-        batch = runner.run(specs)
-    assert [r.seed for r in batch] == list(range(16))  # spec order kept
-    assert metrics.gauge("scale.dispatch_chunksize").value == 2  # 16//(2*4)
+    batch = WorldRunner(2).run(specs)  # chunks of 2: 16 // (2 workers * 4)
+    assert [r.seed for r in batch] == list(range(16))
+
+
+def test_parallel_run_leaves_no_worker_alive():
+    # The pool is forked for the batch and joined before ``run`` returns.
+    specs = [WorldSpec(seed=s, entrypoint=square_world) for s in range(4)]
+    batch = WorldRunner(2).run(specs)
+    assert batch.workers == 2
+    assert multiprocessing.active_children() == []
 
 
 # -- the CLI / parallel-equivalence shape --------------------------------------

@@ -162,33 +162,19 @@ def test_property_sample_replays_scalar_oracle(space, seed, k):
             == twin2.bit_generator.state)
 
 
-#: Continuous bounds numpy's ``uniform`` refuses with OverflowError,
-#: before it draws: ``high - low`` is not finite, or a bound does not fit
-#: a double.
+#: Continuous bounds whose ``high - low`` is not a finite double: numpy's
+#: ``uniform`` refuses them with OverflowError, and ``encode`` would turn
+#: ``1e308`` into ``nan``.
 _OVERFLOWING = [(-1e308, 1e308), (-np.inf, 0.0), (0.0, np.inf),
                 (-np.inf, np.inf), (0, 10**400), (-10**400, 0)]
 
 
-@given(_spaces(), st.data(), st.sampled_from(_OVERFLOWING),
-       st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_property_overflowing_span_raises_like_uniform(space, data, bounds,
-                                                       seed):
-    """A dim whose range overflows makes ``sample`` raise OverflowError
-    after the draws of the dims declared before it, leaving the generator
-    where ``legacy_sample`` and ``sample_batch`` leave it."""
-    at = data.draw(st.integers(0, len(space)))
-    dims = list(space.dims)
-    dims.insert(at, ContinuousDim("wide", *bounds))
-    space = ParameterSpace(dims)
-    rngs = [np.random.default_rng(seed) for _ in range(3)]
-    draws = (space.sample, lambda rng: legacy_sample(space, rng),
-             lambda rng: space.sample_batch(rng, 1))
-    for draw, rng in zip(draws, rngs):
-        with pytest.raises(OverflowError):
-            draw(rng)
-    states = [rng.bit_generator.state for rng in rngs]
-    assert states[0] == states[1] == states[2]
+def test_overflowing_span_rejected_at_construction():
+    """A dim whose span has no finite double never builds, so no space can
+    sample, encode or denormalize it."""
+    for bounds in _OVERFLOWING:
+        with pytest.raises(ValueError, match="finite"):
+            ContinuousDim("wide", *bounds)
 
 
 def _ks_statistic(a, b):
