@@ -77,14 +77,16 @@ class ContinuousDim:
         if not self.low < self.high:
             raise ValueError(f"{self.name}: low must be < high")
         # An infinite span cannot be sampled, encoded or denormalized;
-        # ``float()`` overflows on an integer bound beyond a double.
+        # ``float()`` overflows on an integer bound beyond a double.  A
+        # zero one (integer bounds that round to the same double) would
+        # encode ``high`` as ``low`` and always sample ``low``.
         try:
             span = float(self.high) - float(self.low)
         except OverflowError:
             span = _INF
-        if not span < _INF:
+        if not 0.0 < span < _INF:
             raise ValueError(
-                f"{self.name}: high - low must be a finite double")
+                f"{self.name}: high - low must be a positive finite double")
 
     def clip(self, value: float) -> float:
         return float(min(max(value, self.low), self.high))

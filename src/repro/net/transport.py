@@ -81,6 +81,11 @@ class Network:
             "transfers": 0, "bytes": 0.0, "lost": 0, "unreachable": 0,
             "total_latency": 0.0,
         })
+        # send() updates the counters behind ``stats`` through these.
+        self._n_transfers = self.stats.counter_for("transfers")
+        self._n_bytes = self.stats.counter_for("bytes")
+        self._n_lost = self.stats.counter_for("lost")
+        self._total_latency = self.stats.counter_for("total_latency")
         self.latency_hist = self.metrics.histogram("net.transfer_latency")
 
     # -- path/latency computation -------------------------------------------
@@ -156,8 +161,8 @@ class Network:
         (after the time the failure took to manifest).
         """
         ev = self.sim.event()
-        self.stats["transfers"] += 1
-        self.stats["bytes"] += size_bytes
+        self._n_transfers.inc()
+        self._n_bytes.inc(size_bytes)
         try:
             path = self.route(src, dst)
         except Unreachable as exc:
@@ -169,10 +174,10 @@ class Network:
         links = self.topology.path_links(path)
         delay = self._delay(links, size_bytes)
         if self._lost(path, links):
-            self.stats["lost"] += 1
+            self._n_lost.inc()
             ev.fail(PacketLost(f"{src} -> {dst} transfer dropped"), delay=delay)
             return ev
-        self.stats["total_latency"] += delay
+        self._total_latency.inc(delay)
         self.latency_hist.observe(delay)
         ev.succeed(delay, delay=delay)
         return ev

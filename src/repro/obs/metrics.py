@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import MutableMapping
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Hashable, Iterator, Optional
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -224,6 +224,10 @@ class StatsDict(MutableMapping):
     def __init__(self, counters: dict[str, Counter]) -> None:
         self._counters = counters
 
+    def counter_for(self, key: str) -> Counter:
+        """The registry counter behind ``key``, for a hot path to bind."""
+        return self._counters[key]
+
     def __getitem__(self, key: str) -> float:
         return self._counters[key].value
 
@@ -265,8 +269,22 @@ class MetricsRegistry:
         self._counters: dict[tuple[str, LabelKey], Counter] = {}
         self._gauges: dict[tuple[str, LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, LabelKey], Histogram] = {}
+        self._bound: dict[Hashable, Any] = {}
 
     # -- factories ---------------------------------------------------------
+
+    def bound(self, key: Hashable, bind: Callable[[], Any]) -> Any:
+        """``bind()``'s handles, built on the first call with ``key``.
+
+        A caller that updates the same metrics on every call looks them
+        up once per registry and key, and reuses the handles after that.
+        ``bind`` creates the metrics the first lookup would create, so the
+        registry ends up holding the same metrics either way.
+        """
+        handles = self._bound.get(key)
+        if handles is None:
+            handles = self._bound[key] = bind()
+        return handles
 
     def counter(self, name: str, **labels: Any) -> Counter:
         key = (name, _label_key(labels))

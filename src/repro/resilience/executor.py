@@ -20,6 +20,7 @@ from repro.resilience.policy import (CircuitBreaker, CircuitOpen, Deadline,
                                      RetryPolicy)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.events import Event
     from repro.sim.kernel import Simulator
 
 
@@ -45,6 +46,16 @@ class RetriesExhausted(Exception):
         super().__init__(f"{name} failed after {attempts} attempt(s){detail}")
         self.attempts = attempts
         self.last_error = last_error
+
+
+#: The ``resilience.call.*`` counters every call name gets.
+_CALL_COUNTERS = ("calls", "attempts", "retries", "successes", "failures",
+                  "deadline_exceeded", "breaker_rejected")
+
+
+def _defuse(event: "Event") -> None:
+    """Callback: nobody waits on ``event``, so its failure is handled."""
+    event._defused = True
 
 
 def resilient_call(sim: "Simulator",
@@ -76,8 +87,12 @@ def resilient_call(sim: "Simulator",
     deadline:
         Optional cumulative simulated-time budget.  Finite deadlines race
         each in-flight attempt against the remaining budget: if the clock
-        wins, the attempt process is interrupted (and its eventual
-        failure defused) and :class:`DeadlineExceeded` is raised.
+        wins, the attempt process is interrupted and
+        :class:`DeadlineExceeded` is raised.  The attempt is abandoned,
+        so the failures of its process and of the event it was waiting on
+        (a send still in flight, a server's dispatch process) are
+        defused: a transfer dropped after the deadline does not crash
+        ``sim.run()``.
     breaker:
         Optional circuit breaker consulted *before* each attempt; an open
         breaker raises :class:`CircuitOpen` without spending time.
@@ -86,8 +101,11 @@ def resilient_call(sim: "Simulator",
         Anything else propagates immediately.
     name / tracer / metrics:
         Observability: each attempt runs inside a ``resilience.attempt``
-        span, and the registry (when given) accumulates
-        ``resilience.call.*`` counters labelled with ``call=name``.
+        span, and the registry (when given) accumulates the seven
+        ``resilience.call.*`` counters labelled with ``call=name``.  The
+        first call of a name on a registry creates all seven and binds
+        them (:meth:`~repro.obs.metrics.MetricsRegistry.bound`); later
+        calls of that name reuse the handles without a registry lookup.
     on_retry:
         Plain callback ``(next_attempt, last_error)`` fired before each
         retry — the hook call sites use to keep their public ``stats``
@@ -108,10 +126,9 @@ def resilient_call(sim: "Simulator",
     """
     counters = None
     if metrics is not None:
-        counters = {key: metrics.counter(f"resilience.call.{key}", call=name)
-                    for key in ("calls", "attempts", "retries", "successes",
-                                "failures", "deadline_exceeded",
-                                "breaker_rejected")}
+        counters = metrics.bound(("resilience.call", name), lambda: {
+            key: metrics.counter(f"resilience.call.{key}", call=name)
+            for key in _CALL_COUNTERS})
         counters["calls"].inc()
 
     attempts = 0
@@ -152,12 +169,16 @@ def resilient_call(sim: "Simulator",
                     continue
                 if work not in fired:
                     # The deadline won the race: detach from the in-flight
-                    # attempt and absorb its eventual interrupt quietly.
+                    # attempt, and absorb the failures of the attempt and
+                    # of the event it was waiting on, which no one waits
+                    # for any more.
                     if work.is_alive:
+                        abandoned = work.target
                         work.interrupt("deadline")
-                        if work.callbacks is not None:
-                            work.callbacks.append(
-                                lambda ev: setattr(ev, "_defused", True))
+                        for event in (work, abandoned):
+                            if event is not None \
+                                    and event.callbacks is not None:
+                                event.callbacks.append(_defuse)
                     if counters is not None:
                         counters["deadline_exceeded"].inc()
                     raise DeadlineExceeded(

@@ -129,6 +129,46 @@ def test_retries_exhausted_raises_timeout(sim, two_site_topo, rngs, server):
     sim.run()
 
 
+def _timed_out_at(sim, gen):
+    """Run ``gen`` to its RpcTimeout and the kernel to exhaustion."""
+    observed = {}
+
+    def proc():
+        with pytest.raises(RpcTimeout):
+            yield from gen
+        observed["t"] = sim.now
+    sim.process(proc())
+    sim.run()
+    return observed["t"]
+
+
+def test_deadline_abandons_a_transfer_that_fails_later(sim, network, server,
+                                                       client):
+    # Regression: the deadline (5 ms) fires while the request is in flight
+    # on a 10 ms link that drops it.  The attempt was abandoned, but the
+    # dropped transfer's PacketLost at t=0.01 crashed sim.run().
+    network.faults.degrade_link("a", "b", extra_loss=1.0)
+    t = _timed_out_at(sim, client.call(server, "add", 1, deadline_s=0.005,
+                                       retries=0))
+    assert t == pytest.approx(0.005)
+    assert sim.now > 0.01
+    assert network.stats["lost"] == 1
+    assert client.stats["timeouts"] == 1
+
+
+def test_deadline_abandons_a_dispatch_that_fails_later(sim, server, client):
+    # The same for the server's dispatch process: its RpcError, raised
+    # after the caller timed out, has no one left to deliver it to.
+    def late_failure(payload):
+        yield sim.timeout(0.05)
+        raise ValueError("too late")
+    server.register("late", late_failure)
+    t = _timed_out_at(sim, client.call(server, "late", deadline_s=0.03,
+                                       retries=0))
+    assert t == pytest.approx(0.03)
+    assert server.stats["errors"] == 1
+
+
 def test_method_decorator(sim, server, client):
     @server.method("mul")
     def mul(p):

@@ -7,6 +7,7 @@ from repro.obs.trace import Tracer
 from repro.resilience import (CircuitBreaker, CircuitOpen, Deadline,
                               DeadlineExceeded, RetriesExhausted, RetryPolicy,
                               resilient_call)
+from repro.sim import Simulator
 
 
 class Flaky(Exception):
@@ -187,3 +188,90 @@ def test_attempts_run_inside_tracer_spans(sim):
               if e.kind == "span-start" and e.name == "resilience.attempt"]
     assert [e.attrs["attempt"] for e in starts] == [1, 2]
     assert all(e.attrs["call"] == "traced" for e in starts)
+
+
+# -- counters bound once per call name ----------------------------------------
+
+class _CountingRegistry(MetricsRegistry):
+    """Records every ``counter`` lookup as (name, call label)."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = []
+
+    def counter(self, name, **labels):
+        self.lookups.append((name, labels.get("call")))
+        return super().counter(name, **labels)
+
+
+class _PerCallRegistry(MetricsRegistry):
+    """Looks the handles up again on every call (no binding)."""
+
+    def bound(self, key, bind):
+        return bind()
+
+
+_SEVEN = sorted(f"resilience.call.{key}" for key in (
+    "calls", "attempts", "retries", "successes", "failures",
+    "deadline_exceeded", "breaker_rejected"))
+
+
+def _mixed_calls(sim, reg):
+    """Every exit of resilient_call, twice per name, on one registry."""
+    open_breaker = CircuitBreaker(sim, failure_threshold=1,
+                                  recovery_time_s=1e9)
+    open_breaker.record_failure()
+    outcomes = []
+
+    def one(name, attempt, **kw):
+        try:
+            result = yield from resilient_call(
+                sim, attempt, policy=RetryPolicy(3, base_delay_s=0.1),
+                name=name, metrics=reg, **kw)
+            outcomes.append((name, sim.now, result))
+        except (CircuitOpen, DeadlineExceeded, RetriesExhausted) as exc:
+            outcomes.append((name, sim.now, type(exc).__name__))
+
+    def driver():
+        for _ in range(2):
+            yield from one("rejected", flaky_then_ok(sim, 0),
+                           breaker=open_breaker)
+            yield from one("expired", flaky_then_ok(sim, 0),
+                           deadline=Deadline(sim, 0.0))
+            yield from one("flaky", flaky_then_ok(sim, 1))
+            yield from one("doomed", flaky_then_ok(sim, 99))
+            yield from one("slow", flaky_then_ok(sim, 0, duration_s=5.0),
+                           deadline=Deadline(sim, 1.0))
+
+    run(sim, driver())
+    return outcomes
+
+
+def test_first_call_of_a_name_binds_its_seven_counters():
+    reg = _CountingRegistry()
+    outcomes = _mixed_calls(Simulator(), reg)
+    assert [o[2] for o in outcomes[:5]] == [
+        "CircuitOpen", "RetriesExhausted", "ok@2", "RetriesExhausted",
+        "DeadlineExceeded"]
+    names = ["rejected", "expired", "flaky", "doomed", "slow"]
+    # The first call of each name creates all seven counters, whichever
+    # way it ends (a rejected breaker and an expired deadline included);
+    # the second call of each name looks none up.
+    assert sorted(reg.lookups) == sorted(
+        (metric, name) for name in names for metric in _SEVEN)
+    for name in names:
+        assert sorted(n for n, call in reg.lookups if call == name) == _SEVEN
+    snap = reg.snapshot()["counters"]
+    assert snap["resilience.call.calls{call=rejected}"] == 2
+    assert snap["resilience.call.breaker_rejected{call=rejected}"] == 2
+    assert snap["resilience.call.failures{call=expired}"] == 2
+    assert snap["resilience.call.attempts{call=expired}"] == 0
+    assert snap["resilience.call.retries{call=flaky}"] == 2
+    assert snap["resilience.call.deadline_exceeded{call=slow}"] == 2
+
+
+def test_bound_counters_leave_the_registry_state_of_per_call_lookups():
+    bound, per_call = MetricsRegistry(), _PerCallRegistry()
+    assert _mixed_calls(Simulator(), bound) == _mixed_calls(Simulator(),
+                                                            per_call)
+    assert bound.state() == per_call.state()

@@ -177,6 +177,16 @@ def test_overflowing_span_rejected_at_construction():
             ContinuousDim("wide", *bounds)
 
 
+def test_zero_float_span_rejected_at_construction():
+    """Integer bounds whose doubles are equal leave no float span: the
+    high bound would encode as the low one, and every sample be ``low``."""
+    for bounds in [(10**20, 10**20 + 1), (-2**53 - 1, -2**53)]:
+        assert bounds[0] < bounds[1]
+        with pytest.raises(ValueError, match="positive finite"):
+            ContinuousDim("flat", *bounds)
+    ContinuousDim("narrow", 2**53, 2**53 + 2)  # two doubles apart: builds
+
+
 def _ks_statistic(a, b):
     """Two-sample Kolmogorov-Smirnov statistic (no p-value machinery)."""
     a, b = np.sort(a), np.sort(b)
