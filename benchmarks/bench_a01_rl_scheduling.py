@@ -10,8 +10,6 @@ tabular Q-learner observes queue pressure and learns burst-aware routing
 online.
 """
 
-import numpy as np
-
 from benchmarks.conftest import fmt, report
 from repro.instruments import FluidicReactor
 from repro.labsci import QuantumDotLandscape

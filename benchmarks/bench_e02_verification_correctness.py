@@ -10,8 +10,6 @@ Correctness = fraction of executed experiments that produced usable,
 physically sensible data.
 """
 
-import pytest
-
 from benchmarks.conftest import fmt, report
 from repro.core import (CampaignSpec, FederationManager,
                         PhysicsConstraintVerifier, TwinVerifier,

@@ -13,8 +13,6 @@ Three measurements, swept over federation size:
    a protocol agreement with the replacement.
 """
 
-import numpy as np
-
 from benchmarks.conftest import fmt, report
 from repro.comm import (CapabilityOffer, DnsSd, Negotiator, RpcClient,
                         RpcServer, ServiceAnnouncement, ServiceRegistry)

@@ -14,8 +14,8 @@ and the trust-calibration improvement of trained operators supervising a
 import numpy as np
 
 from benchmarks.conftest import fmt, report
-from repro.hitl import (COMPETENCIES, CompetencyAssessment, Trainee,
-                        TrustModel, VirtualLabCurriculum)
+from repro.hitl import (CompetencyAssessment, Trainee, TrustModel,
+                        VirtualLabCurriculum)
 from repro.hitl.assessment import standard_battery
 from repro.sim import RngRegistry, Simulator
 

@@ -17,7 +17,7 @@ once and accounts for the activity in each:
 
 import numpy as np
 
-from benchmarks.conftest import fmt, report
+from benchmarks.conftest import report
 from repro.core import CampaignSpec, FederationManager
 from repro.hitl import OperatorOverride, Trainee, TrustModel
 from repro.labsci import QuantumDotLandscape

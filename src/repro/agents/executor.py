@@ -11,13 +11,13 @@ outcome — exactly how a hallucinated recipe manifests in a real lab.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.agents.base import Agent, AgentRuntime
 from repro.agents.planner import ExperimentPlan
 from repro.instruments.base import Measurement, OperationRequest
-from repro.instruments.errors import InstrumentError, InstrumentFault, OutOfSpec
+from repro.instruments.errors import InstrumentFault, OutOfSpec
 from repro.instruments.hal import HardwareAbstractionLayer
 
 

@@ -4,9 +4,8 @@
 that an agent died.  The :class:`Supervisor` watches heartbeats and
 restarts agents whose beacons go silent — the agent-level half of E11's
 fault-tolerance story (the instrument-level half lives in
-:mod:`repro.core.faulttol`).  Restart pacing is a
-:class:`~repro.resilience.RetryPolicy`, so crash-looping agents can be
-backed off exponentially instead of thrashing the scheduler.
+:mod:`repro.core.faulttol`).  Every restart waits a fixed
+``restart_delay_s``, however often the agent has crashed.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.agents.base import Agent, AgentState
-from repro.resilience import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
@@ -33,35 +31,25 @@ class Supervisor:
         An agent is declared dead after
         ``timeout_multiplier * heartbeat_interval_s`` of silence.
     restart_delay_s:
-        Time to re-provision a crashed agent (ignored when
-        ``restart_policy`` is given).
+        Time to re-provision a crashed agent; every restart waits this
+        long, and an agent is restarted as often as it dies.
     auto_restart:
         Disable to measure the no-fault-tolerance baseline.
-    restart_policy:
-        Optional :class:`~repro.resilience.RetryPolicy` pacing successive
-        restarts of the *same* agent; the default is a fixed
-        ``restart_delay_s`` per restart (historical behaviour).  An
-        exponential policy turns the supervisor into a crash-loop
-        back-off.  ``max_attempts`` bounds restarts per agent; once
-        exhausted the agent is left dead and a ``gave-up`` event is
-        recorded.
     """
 
     def __init__(self, sim: "Simulator", *, check_interval_s: float = 5.0,
                  timeout_multiplier: float = 3.0,
                  restart_delay_s: float = 30.0,
-                 auto_restart: bool = True,
-                 restart_policy: Optional[RetryPolicy] = None) -> None:
+                 auto_restart: bool = True) -> None:
+        if restart_delay_s < 0:
+            raise ValueError("restart_delay_s must be >= 0")
         self.sim = sim
         self.check_interval_s = check_interval_s
         self.timeout_multiplier = timeout_multiplier
-        self.restart_delay_s = restart_delay_s
+        self.restart_delay_s = float(restart_delay_s)
         self.auto_restart = auto_restart
-        self.restart_policy = (restart_policy
-                               or RetryPolicy.fixed(restart_delay_s))
         self._watched: list[Agent] = []
         self._restarting: set[str] = set()
-        self.restart_attempts: dict[str, int] = {}
         self.events: list[tuple[float, str, str]] = []
         self._proc = None
 
@@ -90,19 +78,11 @@ class Supervisor:
                 if dead:
                     self.events.append((now, "detected-dead", agent.name))
                     if self.auto_restart:
-                        attempts = self.restart_attempts.get(agent.name, 0)
-                        if not self.restart_policy.should_retry(attempts):
-                            self.events.append((now, "gave-up", agent.name))
-                            # Stop re-detecting it every sweep.
-                            self._restarting.add(agent.name)
-                            continue
                         self._restarting.add(agent.name)
                         self.sim.process(self._restart(agent))
 
     def _restart(self, agent: Agent):
-        attempt = self.restart_attempts.get(agent.name, 0) + 1
-        self.restart_attempts[agent.name] = attempt
-        yield self.sim.timeout(self.restart_policy.delay(attempt))
+        yield self.sim.timeout(self.restart_delay_s)
         if agent.state is AgentState.RUNNING:
             # Hung but nominally running (heartbeats silent): kill first.
             agent.crash()

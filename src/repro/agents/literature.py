@@ -16,7 +16,7 @@ honesty — exactly the trade the E-tests quantify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np

@@ -17,12 +17,12 @@ techniques."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 import numpy as np
 
-from repro.labsci.landscapes import ContinuousDim, ParameterSpace
+from repro.labsci.landscapes import ParameterSpace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.comm.message import Envelope, Message
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience import RetryPolicy
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,22 +75,20 @@ def topic_matches(pattern: str, topic: str) -> bool:
 class Queue:
     """A named broker-side queue with ack/nack redelivery semantics.
 
-    Redelivery follows a :class:`~repro.resilience.RetryPolicy`: the
-    attempt budget decides when a message is dead-lettered, and any
-    non-zero backoff in the policy delays the requeue on the simulated
-    clock (the default policy redelivers immediately, the classic AMQP
-    behaviour).
+    A nacked message is requeued at once, the classic AMQP behaviour,
+    until it has been delivered ``max_attempts`` times; the nack after
+    that dead-letters it.
     """
 
     def __init__(self, sim: "Simulator", name: str,
                  max_attempts: int = 5,
                  metrics: Optional[MetricsRegistry] = None,
-                 site: str = "",
-                 redelivery: Optional[RetryPolicy] = None) -> None:
+                 site: str = "") -> None:
+        if max_attempts < 1:
+            raise ValueError("need max_attempts >= 1")
         self.sim = sim
         self.name = name
-        self.redelivery = redelivery or RetryPolicy.immediate(max_attempts)
-        self.max_attempts = self.redelivery.max_attempts
+        self.max_attempts = int(max_attempts)
         self._store: Store = Store(sim)
         self._unacked: dict[int, Envelope] = {}
         self.dead_letters: list[Envelope] = []
@@ -133,21 +130,12 @@ class Queue:
         """Reject; requeue for redelivery (or dead-letter after too many)."""
         self._unacked.pop(envelope.message.msg_id, None)
         self.stats["nacked"] += 1
-        if not requeue or not self.redelivery.should_retry(envelope.attempt):
+        if not requeue or envelope.attempt >= self.max_attempts:
             self.dead_letters.append(envelope)
             self.stats["dead"] += 1
             return
-        delay = self.redelivery.delay(envelope.attempt)
         envelope.attempt += 1
-        if delay > 0:
-            self.sim.schedule_callback(delay,
-                                       lambda: self._requeue(envelope))
-        else:
-            self._requeue(envelope)
-
-    def _requeue(self, envelope: Envelope) -> None:
-        self._store.put(envelope)
-        self._depth.set(len(self._store))
+        self.push(envelope)
 
     @property
     def unacked_count(self) -> int:
@@ -172,12 +160,10 @@ class Broker:
             "bus.broker", {"published": 0, "routed": 0, "unroutable": 0},
             broker=name, site=site)
 
-    def declare_queue(self, name: str, max_attempts: int = 5,
-                      redelivery: Optional[RetryPolicy] = None) -> Queue:
+    def declare_queue(self, name: str, max_attempts: int = 5) -> Queue:
         if name not in self.queues:
             self.queues[name] = Queue(self.sim, name, max_attempts,
-                                      metrics=self.metrics, site=self.site,
-                                      redelivery=redelivery)
+                                      metrics=self.metrics, site=self.site)
         return self.queues[name]
 
     def bind(self, queue_name: str, pattern: str) -> None:

@@ -1,7 +1,7 @@
 """Automatic failover across replicated endpoints (milestone M11).
 
 A :class:`FailoverGroup` fronts a primary RPC server and ordered standbys.
-Health tracking is a shared :class:`~repro.resilience.CircuitBreaker` per
+Health tracking is one :class:`~repro.resilience.CircuitBreaker` per
 endpoint: the heartbeat monitor records probe outcomes into the current
 primary's breaker and promotes the next healthy standby when it trips;
 client calls routed through the group prefer endpoints whose breaker
@@ -39,26 +39,17 @@ class FailoverGroup:
         Monitor probe period — the dominant term in failover latency.
     heartbeat_misses:
         Consecutive missed probes that trip an endpoint's breaker (and,
-        for the primary, trigger promotion).
-    recovery_time_s:
-        Quarantine before a tripped endpoint is probed again; defaults to
-        ten heartbeat intervals.
+        for the primary, trigger promotion).  A tripped endpoint is
+        quarantined for ten heartbeat intervals before it is probed again.
     metrics:
         Optional shared registry the per-endpoint breaker counters
         (trips, rejections) report into.
-    breakers:
-        Optional pre-built breakers keyed by replica name — pass the same
-        objects to other layers (e.g. a fault-tolerant executor) to share
-        one health view per endpoint.
     """
 
     def __init__(self, sim: "Simulator", replicas: list[RpcServer],
                  heartbeat_interval_s: float = 0.1,
                  heartbeat_misses: int = 2, *,
-                 recovery_time_s: Optional[float] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 breakers: Optional[dict[str, CircuitBreaker]] = None
-                 ) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         if not replicas:
             raise ValueError("need at least one replica")
         self.sim = sim
@@ -66,15 +57,12 @@ class FailoverGroup:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_misses = heartbeat_misses
         self.metrics = metrics or MetricsRegistry()
-        if recovery_time_s is None:
-            recovery_time_s = 10.0 * heartbeat_interval_s
-        self.breakers: dict[str, CircuitBreaker] = dict(breakers or {})
-        for replica in self.replicas:
-            if replica.name not in self.breakers:
-                self.breakers[replica.name] = CircuitBreaker(
-                    sim, failure_threshold=heartbeat_misses,
-                    recovery_time_s=recovery_time_s,
-                    name=f"failover.{replica.name}", metrics=self.metrics)
+        self.breakers: dict[str, CircuitBreaker] = {
+            replica.name: CircuitBreaker(
+                sim, failure_threshold=heartbeat_misses,
+                recovery_time_s=10.0 * heartbeat_interval_s,
+                name=f"failover.{replica.name}", metrics=self.metrics)
+            for replica in self.replicas}
         self._primary_idx = 0
         self.events: list[tuple[float, str, str]] = []
         self._monitor_proc = None
@@ -85,10 +73,6 @@ class FailoverGroup:
 
     def healthy_replicas(self) -> list[RpcServer]:
         return [r for r in self.replicas if r.alive]
-
-    def breaker_for(self, replica_name: str) -> CircuitBreaker:
-        """The shared health breaker for one endpoint."""
-        return self.breakers[replica_name]
 
     # -- promotion ------------------------------------------------------------
 
@@ -154,13 +138,13 @@ class FailoverGroup:
         return candidates[0] if candidates else None
 
     def call(self, client: RpcClient, method: str, payload: Any = None,
-             *, deadline_s: float = 5.0, retries_per_replica: int = 1):
+             *, deadline_s: float = 5.0):
         """Generator: call through the group, failing over on errors.
 
         Tries the current primary first, then walks the healthy standbys
-        (breaker-admitted ones first).  Every outcome is recorded into
-        the endpoint's shared breaker.  Raises :class:`NoHealthyReplica`
-        when everything is down.
+        (breaker-admitted ones first), with one retry per replica.  Every
+        outcome is recorded into the endpoint's breaker.  Raises
+        :class:`NoHealthyReplica` when everything is down.
         """
         tried: set[str] = set()
         last_exc: Optional[Exception] = None
@@ -174,7 +158,7 @@ class FailoverGroup:
             try:
                 result = yield from client.call(
                     target, method, payload, deadline_s=deadline_s,
-                    retries=retries_per_replica)
+                    retries=1)
             except (RpcTimeout, ServerDown, NetworkError) as exc:
                 last_exc = exc
                 breaker.record_failure()
@@ -186,11 +170,18 @@ class FailoverGroup:
         raise NoHealthyReplica(f"no replica answered {method!r}: {last_exc}")
 
     def recovery_time(self) -> Optional[float]:
-        """Sim-seconds between the last kill-observed miss and promotion."""
-        promote_times = [t for t, kind, _ in self.events if kind == "promote"]
-        miss_times = [t for t, kind, _ in self.events if kind == "miss"]
-        if not promote_times or not miss_times:
-            return None
-        first_promote = promote_times[0]
-        first_miss = min(t for t in miss_times if t <= first_promote)
-        return first_promote - first_miss
+        """Sim-seconds from an outage's first missed heartbeat to its
+        promotion.
+
+        Measures the first promotion that a miss precedes, from the
+        earliest miss after the promotion before it; a planned
+        :meth:`promote_next` with no miss before it is skipped.  ``None``
+        when no promotion follows a miss.
+        """
+        outage_start = None
+        for t, kind, _ in self.events:
+            if kind == "miss" and outage_start is None:
+                outage_start = t
+            elif kind == "promote" and outage_start is not None:
+                return t - outage_start
+        return None

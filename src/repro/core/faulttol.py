@@ -4,12 +4,13 @@ Wraps an executor with the "adaptive fault-tolerant coordination
 mechanisms" the roadmap calls for:
 
 - **retry with repair**: on an instrument fault, dispatch repair and
-  retry the plan (bounded attempts under a
-  :class:`~repro.resilience.RetryPolicy`);
+  retry the plan (three attempts per plan, with no backoff pause: repair
+  time paces the loop);
 - **failover**: if alternate executors are registered (another site's
   identical rig), re-route the plan there while repair proceeds; the
   primary route is guarded by a :class:`~repro.resilience.CircuitBreaker`
-  so repeatedly-faulting hardware is quarantined instead of re-tried;
+  so repeatedly-faulting hardware is quarantined instead of re-tried
+  (two consecutive primary faults quarantine it for 900 s);
 - **supervision**: agent crashes are already covered by
   :class:`repro.agents.lifecycle.Supervisor`; this class handles the
   hardware side.
@@ -52,34 +53,23 @@ class FaultTolerantExecutor:
         characterization instrument, typically).
     alternates:
         Executors at other sites that can run the same plan.
-    max_attempts:
-        Total execution attempts per plan across all routes (ignored when
-        ``retry_policy`` is given).
     metrics:
         Optional shared :class:`~repro.obs.metrics.MetricsRegistry` the
         fault-handling counters and repair-time histogram report into.
-    retry_policy:
-        Optional explicit attempt policy (defaults to ``max_attempts``
-        immediate retries — repair time, not backoff, paces the loop).
-    breaker:
-        Optional shared breaker guarding the primary route; one is built
-        when omitted (two consecutive primary faults quarantine it for
-        ``breaker_recovery_s``).  Only consulted when alternates exist —
-        with a single route there is nothing to re-route to.
-    breaker_recovery_s:
-        Quarantine window for the default primary-route breaker.
     tracer:
         Optional tracer; attempts run inside ``resilience.attempt`` spans.
+
+    Each plan gets three attempts across all routes, retried at once
+    (``RetryPolicy.immediate(3)``).  The primary route's breaker trips
+    after two consecutive faults and quarantines the primary for 900 s;
+    it is only consulted when alternates exist — with a single route
+    there is nothing to re-route to.
     """
 
     def __init__(self, sim: "Simulator", primary: ExecutorAgent,
                  primary_instruments: Optional[list[Instrument]] = None,
                  alternates: Optional[list[ExecutorAgent]] = None,
-                 max_attempts: int = 3,
                  metrics: Optional[MetricsRegistry] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 breaker_recovery_s: float = 900.0,
                  tracer=NULL_TRACER) -> None:
         self.sim = sim
         self.primary = primary
@@ -87,10 +77,9 @@ class FaultTolerantExecutor:
         self.alternates = list(alternates or [])
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer
-        self.retry_policy = retry_policy or RetryPolicy.immediate(max_attempts)
-        self.max_attempts = self.retry_policy.max_attempts
-        self.breaker = breaker or CircuitBreaker(
-            sim, failure_threshold=2, recovery_time_s=breaker_recovery_s,
+        self.retry_policy = RetryPolicy.immediate(3)
+        self.breaker = CircuitBreaker(
+            sim, failure_threshold=2, recovery_time_s=900.0,
             name=f"faulttol.{primary.site}", metrics=self.metrics)
         self.stats = self.metrics.stats(
             "faulttol",
@@ -168,7 +157,7 @@ class FaultTolerantExecutor:
         attempt is exhausted.
         """
         try:
-            # detlint: ignore[C003] bounded by retry_policy.max_attempts over a finite route set; a sim-time budget would abort mid-repair
+            # detlint: ignore[C003] bounded by three immediate attempts over a finite route set; a sim-time budget would abort mid-repair
             outcome: ExperimentOutcome = yield from resilient_call(
                 self.sim, lambda _n: self._attempt(plan),
                 policy=self.retry_policy,

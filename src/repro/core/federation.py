@@ -9,7 +9,7 @@ examples and multi-site experiments (E3, E10, F1) share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.agents.base import AgentRuntime
@@ -31,7 +31,7 @@ from repro.instruments.hal import HardwareAbstractionLayer
 from repro.instruments.spectrometer import PLSpectrometer
 from repro.instruments.synthesis import BatchSynthesisRobot
 from repro.instruments.twin import DigitalTwin
-from repro.instruments.vendors import VENDOR_DIALECTS, make_vendor_protocol
+from repro.instruments.vendors import make_vendor_protocol
 from repro.labsci.landscapes import Landscape
 from repro.net.faults import FaultInjector
 from repro.obs.metrics import MetricsRegistry
@@ -113,26 +113,27 @@ class FederationManager:
     secure:
         Wire the zero-trust stack (identity, ABAC, gateway).
     with_mesh:
-        Attach a federated data mesh node per lab.
-    mesh_shards:
-        ``None`` (default) backs the mesh with one flat
-        :class:`~repro.data.mesh.DiscoveryIndex`; a positive count backs
-        it with a :class:`~repro.data.shard.ShardedDiscoveryIndex` of
-        that many facility-routed shards (the 1000-lab configuration).
+        Attach a federated data mesh node per lab, over one flat
+        :class:`~repro.data.mesh.DiscoveryIndex`.
     metrics:
         Optional shared :class:`~repro.obs.metrics.MetricsRegistry`; one
         is created when omitted so ``fed.metrics`` always sees the whole
         federation (transport, HAL, fault tolerance, campaigns).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` threaded into every
-        orchestrator built by :meth:`make_orchestrator` (no-op default).
+        orchestrator and fault-tolerant executor built by
+        :meth:`make_orchestrator` (no-op default).
+
+    The WAN is :meth:`~repro.net.topology.Topology.national_lab_testbed`
+    at its defaults (0.02 s per link, 0.002 s jitter), and every lab built
+    by :meth:`add_lab` gets :data:`DEFAULT_SAFETY_ENVELOPE`,
+    :data:`DEFAULT_FORBIDDEN` and a
+    :class:`~repro.methods.nested.NestedBayesianOptimizer`.
     """
 
     def __init__(self, seed: int = 0, n_sites: int = 3, *,
                  objective_key: str = "plqy", secure: bool = False,
                  with_mesh: bool = False,
-                 mesh_shards: Optional[int] = None,
-                 wan_latency_s: float = 0.02,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  sim: Optional[Simulator] = None) -> None:
@@ -141,8 +142,7 @@ class FederationManager:
         self.objective_key = objective_key
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.topology = Topology.national_lab_testbed(
-            n_sites, latency_s=wan_latency_s, jitter_s=wan_latency_s / 10.0)
+        self.topology = Topology.national_lab_testbed(n_sites)
         self.faults = FaultInjector(self.sim)
         self.chaos = ChaosController(self.sim, self.faults,
                                      rngs=self.rngs, metrics=self.metrics)
@@ -171,13 +171,8 @@ class FederationManager:
                                             site_institution=site_institution)
 
         self.mesh: Optional[FederatedDataMesh] = None
-        if with_mesh or mesh_shards is not None:
-            index = None
-            if mesh_shards is not None:
-                from repro.data.shard import ShardedDiscoveryIndex
-                index = ShardedDiscoveryIndex(mesh_shards)
-            self.mesh = FederatedDataMesh(self.sim, self.network,
-                                          index=index)
+        if with_mesh:
+            self.mesh = FederatedDataMesh(self.sim, self.network)
 
     # -- lab construction ----------------------------------------------------------
 
@@ -186,9 +181,6 @@ class FederationManager:
                 synthesis_kind: str = "flow", vendor: str = "aisle-ref",
                 planner_mode: str = "hierarchical",
                 hallucination_rate: float = 0.25,
-                optimizer_factory: Optional[Callable[..., Any]] = None,
-                safety_envelope: Optional[dict] = None,
-                forbidden: Optional[list[dict]] = None,
                 mtbf_hours: float = float("inf"),
                 repair_time_s: float = 3600.0) -> LabSite:
         """Create a fully wired laboratory at ``site_name``."""
@@ -199,10 +191,9 @@ class FederationManager:
         site = self.topology.site(site_name)
         institution = site.institution or site_name
         landscape = landscape_factory(site_name)
-        safety = dict(safety_envelope if safety_envelope is not None
-                      else DEFAULT_SAFETY_ENVELOPE)
-        forbidden = list(forbidden if forbidden is not None
-                         else DEFAULT_FORBIDDEN)
+        # Copies: the twin and the planner each hold on to them.
+        safety = dict(DEFAULT_SAFETY_ENVELOPE)
+        forbidden = list(DEFAULT_FORBIDDEN)
 
         # Instruments behind a vendor protocol + HAL (M1).
         hal = HardwareAbstractionLayer(metrics=self.metrics)
@@ -236,15 +227,11 @@ class FederationManager:
         # operating region, so only free-form LLM proposals can stray
         # (which is exactly what verification exists to catch).
         search_space = clip_space_to_envelope(landscape.space, safety)
-        if optimizer_factory is None:
-            # Imported here, so a world pays for repro.methods (and scipy)
-            # only when it builds an optimizer.
-            from repro.methods.nested import NestedBayesianOptimizer
-            optimizer = NestedBayesianOptimizer(
-                search_space, self.rngs.stream(f"opt/{site_name}"))
-        else:
-            optimizer = optimizer_factory(
-                search_space, self.rngs.stream(f"opt/{site_name}"))
+        # Imported here, so a world pays for repro.methods (and scipy)
+        # only when it builds an optimizer.
+        from repro.methods.nested import NestedBayesianOptimizer
+        optimizer = NestedBayesianOptimizer(
+            search_space, self.rngs.stream(f"opt/{site_name}"))
         llm = SimulatedLLM(self.sim, self.rngs.stream(f"llm/{site_name}"),
                            hallucination_rate=hallucination_rate)
         planner = PlannerAgent(self.sim, f"planner.{site_name}", site_name,
@@ -297,7 +284,7 @@ class FederationManager:
                 self.sim, lab.executor,
                 primary_instruments=lab.instruments(),
                 alternates=[alt.executor for alt in (alternates or [])],
-                metrics=self.metrics)
+                metrics=self.metrics, tracer=self.tracer)
         return HierarchicalOrchestrator(
             self.sim, lab.planner, lab.executor, lab.evaluator,
             verification=verification, knowledge=knowledge,

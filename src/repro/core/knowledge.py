@@ -20,7 +20,7 @@ Three policies, ablated in E3:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.net.transport import Network, NetworkError

@@ -35,6 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import Tracer
     from repro.sim.kernel import Simulator
 
+#: Verification retries of a rejected plan: each failed check is followed
+#: by a repair, up to ``_MAX_REPAIR_ATTEMPTS + 1`` of them, and the last
+#: repaired plan gets one final check.
+_MAX_REPAIR_ATTEMPTS = 2
+
 
 class HierarchicalOrchestrator:
     """Drives one site's campaign loop.
@@ -56,8 +61,6 @@ class HierarchicalOrchestrator:
     mesh_node:
         Optional data-fabric node; valid measurements are ingested with
         full provenance.
-    max_repair_attempts:
-        Plans repaired at most this many times before being skipped.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; every campaign becomes
         a span tree (campaign > experiment > plan/verify/execute/evaluate)
@@ -75,7 +78,6 @@ class HierarchicalOrchestrator:
                  knowledge: Optional[KnowledgeBase] = None,
                  fault_tolerant: Optional["FaultTolerantExecutor"] = None,
                  mesh_node: Optional["DataMeshNode"] = None,
-                 max_repair_attempts: int = 2,
                  tracer: Optional["Tracer"] = None,
                  metrics: Optional["MetricsRegistry"] = None) -> None:
         self.sim = sim
@@ -86,7 +88,6 @@ class HierarchicalOrchestrator:
         self.knowledge = knowledge
         self.fault_tolerant = fault_tolerant
         self.mesh_node = mesh_node
-        self.max_repair_attempts = max_repair_attempts
         self.site = executor.site
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
@@ -171,7 +172,7 @@ class HierarchicalOrchestrator:
         """Generator: returns (plan, accepted)."""
         if self.verification is None:
             return plan, True
-        for _attempt in range(self.max_repair_attempts + 1):
+        for _attempt in range(_MAX_REPAIR_ATTEMPTS + 1):
             verdict = yield from self.verification.verify(plan)
             if verdict.ok:
                 return plan, True

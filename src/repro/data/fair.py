@@ -10,7 +10,7 @@ licenses from institutional defaults, and reports compliance over time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.data.metadata import MetadataExtractor
 from repro.data.record import DataRecord

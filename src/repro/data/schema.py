@@ -11,7 +11,7 @@ defaults — failing loudly only when no safe mapping exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
 

@@ -11,7 +11,7 @@ Scoring separates the two distinct failure modes: accepting bad proposals
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

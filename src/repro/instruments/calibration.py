@@ -8,8 +8,6 @@ bias, and automated calibration resets it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 

@@ -27,7 +27,7 @@ old scalar sampler's distribution is a tier-1 test against a scalar
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 import numpy as np
 

@@ -1,9 +1,8 @@
 """Unified resilience kernel: retry, deadline, breaker, and chaos (M3/M11).
 
 The paper's "adaptive fault-tolerant coordination" (M3) and "automatic
-failover" (M11) used to be reproduced by five independent reliability
-loops, each with its own backoff arithmetic and attempt accounting.
-This package is the single deterministic policy engine they all share:
+failover" (M11) are reproduced by a few reliability loops.  This package
+holds the deterministic policy engine and fault injection they use:
 
 - :mod:`repro.resilience.policy` —
   :class:`~repro.resilience.policy.RetryPolicy` (exponential backoff,
@@ -19,19 +18,21 @@ This package is the single deterministic policy engine they all share:
   :class:`~repro.resilience.faults.ChaosController`, one scenario API
   over network, instrument, and agent failure injection.
 
-Consumers: :class:`~repro.comm.rpc.RpcClient` call retries,
-:class:`~repro.comm.bus.Queue` redelivery,
-:class:`~repro.comm.failover.FailoverGroup` routing,
-:class:`~repro.core.faulttol.FaultTolerantExecutor` repair/failover, and
-:class:`~repro.agents.lifecycle.Supervisor` restart delays.
+Consumers: :class:`~repro.comm.rpc.RpcClient` call retries and
+:class:`~repro.core.faulttol.FaultTolerantExecutor` repair/failover run
+through :func:`resilient_call` under a :class:`RetryPolicy`, and
+:class:`~repro.comm.failover.FailoverGroup` keeps one
+:class:`CircuitBreaker` per replica.  Two loops need none of it:
+:class:`~repro.comm.bus.Queue` redelivers a nacked message at once, up to
+``max_attempts`` deliveries, and :class:`~repro.agents.lifecycle.Supervisor`
+waits a fixed ``restart_delay_s`` before each restart.
 """
 
 from repro.resilience.executor import (DeadlineExceeded, RetriesExhausted,
                                        resilient_call)
 from repro.resilience.faults import ChaosController
-from repro.resilience.policy import (UNLIMITED_ATTEMPTS, CircuitBreaker,
-                                     CircuitOpen, CircuitState, Deadline,
-                                     RetryPolicy)
+from repro.resilience.policy import (CircuitBreaker, CircuitOpen,
+                                     CircuitState, Deadline, RetryPolicy)
 
 __all__ = [
     "ChaosController",
@@ -42,6 +43,5 @@ __all__ = [
     "DeadlineExceeded",
     "RetriesExhausted",
     "RetryPolicy",
-    "UNLIMITED_ATTEMPTS",
     "resilient_call",
 ]

@@ -1,9 +1,10 @@
 """Deterministic retry, deadline, and circuit-breaker policies.
 
-Every reliability loop in AISLE — RPC retries, bus redelivery,
-failover routing, fault-tolerant execution, supervisor restarts — used to
-carry its own backoff arithmetic and attempt accounting.  This module is
-the single policy vocabulary they all share now:
+The policy vocabulary of AISLE's reliability loops: RPC retries and
+fault-tolerant execution run under a :class:`RetryPolicy` (through
+:func:`~repro.resilience.executor.resilient_call`), and failover routing
+and the fault-tolerant executor's primary route are guarded by
+:class:`CircuitBreaker` objects.
 
 - :class:`RetryPolicy` — bounded attempts with exponential backoff and
   *deterministic* jitter (drawn from a named
@@ -30,9 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.sim.kernel import Simulator
-
-#: Effectively-unlimited attempt budget (supervisors restart forever).
-UNLIMITED_ATTEMPTS = 2 ** 31
 
 
 class RetryPolicy:
@@ -80,14 +78,9 @@ class RetryPolicy:
         self.rng = rng
 
     @classmethod
-    def fixed(cls, delay_s: float,
-              max_attempts: int = UNLIMITED_ATTEMPTS) -> "RetryPolicy":
-        """A flat schedule: every pause is exactly ``delay_s``."""
-        return cls(max_attempts, base_delay_s=delay_s, multiplier=1.0)
-
-    @classmethod
     def immediate(cls, max_attempts: int) -> "RetryPolicy":
-        """Bounded attempts with no pause (bus redelivery, repair loops)."""
+        """Bounded attempts with no pause (the fault-tolerant executor's
+        repair loop)."""
         return cls(max_attempts, base_delay_s=0.0)
 
     def should_retry(self, attempts_made: int) -> bool:

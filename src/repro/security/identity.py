@@ -9,7 +9,7 @@ IdPs trust each other, so a token minted at ORNL can be honoured at ANL —
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.security.tokens import Token

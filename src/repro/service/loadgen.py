@@ -87,14 +87,16 @@ class LoadGenerator:
     latency, and the Jain fairness index.
     """
 
+    #: Mean pause (sim seconds) before a closed-loop tenant retries a
+    #: submission its full queue rejected; each pause is jittered.
+    retry_backoff_s = 60.0
+
     def __init__(self, service: CampaignService,
-                 loads: "list[TenantLoad]", *, seed: int = 0,
-                 retry_backoff_s: float = 60.0) -> None:
+                 loads: "list[TenantLoad]", *, seed: int = 0) -> None:
         if not loads:
             raise ValueError("need at least one tenant load")
         self.service = service
         self.loads = list(loads)
-        self.retry_backoff_s = float(retry_backoff_s)
         self.handles: dict[str, list] = {}
         self.rejections: dict[str, int] = {}
         sim = service.sim
@@ -244,8 +246,8 @@ def synthetic_runner(sim: Simulator, *, seed: int = 0,
     Each experiment takes ``mean_experiment_s`` +/- ``jitter`` (seeded),
     and the campaign returns a ready :class:`CampaignReport`.  Useful
     for load tests and examples where real orchestrators would drown
-    the signal; for the full stack, build slots from
-    :meth:`CampaignService.from_testbed` instead.
+    the signal; for the full stack, build the service with
+    :meth:`repro.testbed.BuiltTestbed.as_service` instead.
     """
     rng = np.random.default_rng(seed)
 

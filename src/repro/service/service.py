@@ -457,20 +457,3 @@ class CampaignService:
     def decision_log(self) -> "list[list[Any]]":
         """Plain-data terminal-transition log, for decision hashing."""
         return [list(row) for row in self._decision_log]
-
-    # -- construction sugar ------------------------------------------------
-
-    @classmethod
-    def from_testbed(cls, built: Any, *, sites: Optional[list] = None,
-                     **kwargs: Any) -> "CampaignService":
-        """Service over a built testbed: one slot per (chosen) site.
-
-        ``built`` is a :class:`repro.testbed.BuiltTestbed`; each slot
-        runs campaigns through that site's orchestrator, so admission,
-        fair-share, and reporting wrap the full A1 stack.
-        """
-        names = list(built.orchestrators) if sites is None else list(sites)
-        slots = [FacilitySlot(name=n,
-                              runner=built.orchestrator(n).run_campaign)
-                 for n in names]
-        return cls(built.sim, slots, **kwargs)

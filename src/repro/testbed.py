@@ -14,6 +14,15 @@ half a dozen keywords, then ``make_orchestrator`` with more.  The
     result = built.run(CampaignSpec(name="qd", objective_key="plqy",
                                     max_experiments=60))
 
+Each setting has one entry point.  Federation-wide toggles (``secure``,
+``with_mesh``, ``with_knowledge``, ``with_metrics``, ``with_tracing``)
+live on :class:`Testbed`, so a chain sets them before its first
+``.site(...)``; per-lab settings live on :class:`SiteBuilder`.  Every
+lab gets the default safety envelope and a
+:class:`~repro.methods.nested.NestedBayesianOptimizer`, and the WAN is
+:meth:`~repro.net.topology.Topology.national_lab_testbed` at its default
+latency.
+
 Builders only *record* configuration; :meth:`Testbed.build` performs all
 construction in declaration order through the FederationManager, so a
 Testbed-built world is event-for-event identical to the hand-wired one on
@@ -57,9 +66,6 @@ class _SiteConfig:
     vendor: str = "aisle-ref"
     planner_mode: str = "hierarchical"
     hallucination_rate: float = 0.25
-    optimizer_factory: Optional[Callable[..., Any]] = None
-    safety_envelope: Optional[dict] = None
-    forbidden: Optional[list[dict]] = None
     mtbf_hours: float = float("inf")
     repair_time_s: float = 3600.0
     verified: bool = True
@@ -70,7 +76,12 @@ class _SiteConfig:
 
 class SiteBuilder:
     """Per-site fluent configuration; chain back with :meth:`site` or
-    finish with :meth:`build`."""
+    finish with :meth:`build`.
+
+    It holds only per-lab settings: landscape, instruments, planner,
+    verification, fault tolerance and knowledge isolation.  Federation
+    toggles are set on the :class:`Testbed` itself.
+    """
 
     def __init__(self, testbed: "Testbed", config: _SiteConfig) -> None:
         self._testbed = testbed
@@ -108,27 +119,12 @@ class SiteBuilder:
         self._config.hallucination_rate = hallucination_rate
         return self
 
-    def with_optimizer(self, factory: Callable[..., Any]) -> "SiteBuilder":
-        """Optimizer factory ``(space, rng) -> AskTellOptimizer``."""
-        self._config.optimizer_factory = factory
-        return self
-
-    def with_safety(self, envelope: Optional[dict] = None,
-                    forbidden: Optional[list[dict]] = None) -> "SiteBuilder":
-        self._config.safety_envelope = envelope
-        self._config.forbidden = forbidden
-        return self
-
     # -- orchestration -----------------------------------------------------
 
     def with_verification(self, enabled: bool = True) -> "SiteBuilder":
         """Vet every plan through the physics + twin stack (M8)."""
         self._config.verified = enabled
         return self
-
-    def without_verification(self) -> "SiteBuilder":
-        """The "agent usage without verification tools" arm of M8."""
-        return self.with_verification(False)
 
     def with_fault_tolerance(self, *alternates: str) -> "SiteBuilder":
         """Retry/repair/failover execution; name alternate sites to
@@ -151,48 +147,6 @@ class SiteBuilder:
     def build(self) -> "BuiltTestbed":
         return self._testbed.build()
 
-    # -- testbed-level toggles (explicit pass-throughs) --------------------
-    # These mirror the federation-level methods on :class:`Testbed` so a
-    # chain can flip them without breaking out of the site builder::
-    #
-    #     Testbed(seed=1).site("a").with_knowledge().site("b").build()
-    #
-    # Each delegates to the owning testbed and returns *this* builder,
-    # keeping the chain anchored on the current site.
-
-    def secure(self, enabled: bool = True) -> "SiteBuilder":
-        """Testbed-level: see :meth:`Testbed.secure`."""
-        self._testbed.secure(enabled)
-        return self
-
-    def with_mesh(self, enabled: bool = True, *,
-                  shards: Optional[int] = None) -> "SiteBuilder":
-        """Testbed-level: see :meth:`Testbed.with_mesh`."""
-        self._testbed.with_mesh(enabled, shards=shards)
-        return self
-
-    def with_knowledge(self, policy: str = "corrected") -> "SiteBuilder":
-        """Testbed-level: see :meth:`Testbed.with_knowledge`."""
-        self._testbed.with_knowledge(policy)
-        return self
-
-    def with_metrics(self, registry: Optional["MetricsRegistry"] = None,
-                     ) -> "SiteBuilder":
-        """Testbed-level: see :meth:`Testbed.with_metrics`."""
-        self._testbed.with_metrics(registry)
-        return self
-
-    def with_tracing(self, tracer: Optional["Tracer"] = None,
-                     ) -> "SiteBuilder":
-        """Testbed-level: see :meth:`Testbed.with_tracing`."""
-        self._testbed.with_tracing(tracer)
-        return self
-
-    def wan_latency(self, latency_s: float) -> "SiteBuilder":
-        """Testbed-level: see :meth:`Testbed.wan_latency`."""
-        self._testbed.wan_latency(latency_s)
-        return self
-
 
 class Testbed:
     """Declarative builder for a federation of autonomous laboratories.
@@ -209,22 +163,24 @@ class Testbed:
     sim:
         Optional externally owned :class:`~repro.sim.kernel.Simulator`
         (``Testbed(sim=sim)``); one is created when omitted.
+
+    The federation toggles (:meth:`secure`, :meth:`with_mesh`,
+    :meth:`with_knowledge`, :meth:`with_metrics`, :meth:`with_tracing`)
+    are methods of this class only, so a one-expression chain sets them
+    before its first :meth:`site`.
     """
 
     __test__ = False  # not a pytest test class, despite the name
 
     def __init__(self, seed: int = 0, *, n_sites: Optional[int] = None,
                  objective_key: str = "plqy",
-                 sim: Optional[Simulator] = None,
-                 wan_latency_s: float = 0.02) -> None:
+                 sim: Optional[Simulator] = None) -> None:
         self._seed = seed
         self._n_sites = n_sites
         self._objective_key = objective_key
         self._sim = sim
-        self._wan_latency_s = wan_latency_s
         self._secure = False
         self._with_mesh = False
-        self._mesh_shards: Optional[int] = None
         self._knowledge_policy: Optional[str] = None
         self._metrics: Optional[MetricsRegistry] = None
         self._tracer: Optional[Tracer] = None
@@ -237,16 +193,9 @@ class Testbed:
         self._secure = enabled
         return self
 
-    def with_mesh(self, enabled: bool = True, *,
-                  shards: Optional[int] = None) -> "Testbed":
-        """Attach a federated data-mesh node to every lab.
-
-        ``shards`` backs the discovery index with a facility-sharded
-        :class:`~repro.data.shard.ShardedDiscoveryIndex` of that many
-        shards instead of the flat default.
-        """
+    def with_mesh(self, enabled: bool = True) -> "Testbed":
+        """Attach a federated data-mesh node to every lab."""
         self._with_mesh = enabled
-        self._mesh_shards = shards if enabled else None
         return self
 
     def with_knowledge(self, policy: str = "corrected") -> "Testbed":
@@ -267,10 +216,6 @@ class Testbed:
         bound to the built simulator, and exposed as ``built.tracer``.
         """
         self._tracer = tracer if tracer is not None else _DEFERRED_TRACER
-        return self
-
-    def wan_latency(self, latency_s: float) -> "Testbed":
-        self._wan_latency_s = latency_s
         return self
 
     # -- sites -------------------------------------------------------------
@@ -302,9 +247,7 @@ class Testbed:
         fed = FederationManager(
             seed=self._seed, n_sites=n_sites,
             objective_key=self._objective_key, secure=self._secure,
-            with_mesh=self._with_mesh, mesh_shards=self._mesh_shards,
-            wan_latency_s=self._wan_latency_s,
-            metrics=self._metrics, sim=self._sim,
+            with_mesh=self._with_mesh, metrics=self._metrics, sim=self._sim,
             tracer=None if tracer is _DEFERRED_TRACER else tracer)
         if tracer is _DEFERRED_TRACER:
             fed.tracer = Tracer(fed.sim, run_id=f"testbed-{self._seed}")
@@ -315,9 +258,6 @@ class Testbed:
                         synthesis_kind=cfg.synthesis_kind, vendor=cfg.vendor,
                         planner_mode=cfg.planner_mode,
                         hallucination_rate=cfg.hallucination_rate,
-                        optimizer_factory=cfg.optimizer_factory,
-                        safety_envelope=cfg.safety_envelope,
-                        forbidden=cfg.forbidden,
                         mtbf_hours=cfg.mtbf_hours,
                         repair_time_s=cfg.repair_time_s)
 
@@ -412,12 +352,12 @@ class BuiltTestbed:
                                           sim_seconds=float(self.sim.now),
                                           target=spec.target)
 
-    def as_service(self, *, sites: Optional[list] = None,
-                   **kwargs: Any) -> "CampaignService":
-        """A multi-tenant :class:`~repro.service.CampaignService` whose
-        facility slots are this testbed's sites (one slot per site; pass
-        ``sites=[...]`` to choose).  Keyword arguments forward to the
-        service constructor (``scheduler=``, ``default_quota=``, ...).
-        """
-        from repro.service.service import CampaignService
-        return CampaignService.from_testbed(self, sites=sites, **kwargs)
+    def as_service(self) -> "CampaignService":
+        """A multi-tenant :class:`~repro.service.CampaignService` with one
+        facility slot per site; each slot runs campaigns through that
+        site's orchestrator, so admission, fair-share and reporting wrap
+        the full A1 stack."""
+        from repro.service.service import CampaignService, FacilitySlot
+        slots = [FacilitySlot(name=name, runner=orch.run_campaign)
+                 for name, orch in self.orchestrators.items()]
+        return CampaignService(self.sim, slots)

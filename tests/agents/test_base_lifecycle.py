@@ -168,6 +168,11 @@ def test_supervisor_without_autorestart_only_detects(sim, runtime):
     assert sup.detection_time("a1") is not None
 
 
+def test_supervisor_rejects_negative_restart_delay(sim):
+    with pytest.raises(ValueError):
+        Supervisor(sim, restart_delay_s=-1.0)
+
+
 def test_supervisor_double_start_rejected(sim):
     sup = Supervisor(sim)
     sup.start()

@@ -199,6 +199,12 @@ def test_nack_dead_letters_after_max_attempts(sim, network):
     assert len(queue) == 0
 
 
+def test_queue_rejects_max_attempts_below_one(sim, network):
+    _bus, broker = make_bus(sim, network)
+    with pytest.raises(ValueError):
+        broker.declare_queue("q", max_attempts=0)
+
+
 def test_publish_to_dead_broker_raises(sim, network):
     bus, broker = make_bus(sim, network)
     broker.kill()

@@ -60,6 +60,33 @@ def test_recovery_time_sub_second(sim, group, client):
     assert rt < 1.0
 
 
+def test_recovery_time_after_planned_switchover(sim, group, client):
+    """A planned promote_next has no miss before it: the outage that
+    counts is the kill of the new primary, from its first miss."""
+    group.promote_next()              # planned switchover at t=0
+    group.start_monitor(client)
+
+    def killer():
+        yield sim.timeout(1.0)
+        group.primary.kill()          # broker-1, the new primary
+
+    sim.process(killer())
+    sim.run(until=3.0)
+    kinds = [(kind, name) for _, kind, name in group.events]
+    assert kinds[0] == ("promote", "broker-1")
+    assert kinds[-1] == ("promote", "broker-2")
+    misses = [t for t, kind, _ in group.events if kind == "miss"]
+    assert misses and min(misses) > 1.0
+    rt = group.recovery_time()
+    assert rt == group.events[-1][0] - min(misses)
+    assert 0.0 < rt < 1.0
+
+
+def test_recovery_time_is_none_without_an_outage(sim, group):
+    group.promote_next()
+    assert group.recovery_time() is None
+
+
 def test_call_through_group_transparent_failover(sim, group, client):
     group.replicas[0].kill()
     out = {}

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.comm import CapabilityOffer, Negotiator, RpcClient, RpcServer
-from repro.comm.negotiation import (Agreement, NegotiationFailed,
-                                    intersect_offers)
+from repro.comm.negotiation import NegotiationFailed, intersect_offers
 
 
 def offer(**kw):

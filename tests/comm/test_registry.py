@@ -1,7 +1,5 @@
 """Tests for the service registry."""
 
-import pytest
-
 from repro.comm import ServiceRecord, ServiceRegistry
 
 

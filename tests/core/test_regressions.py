@@ -14,17 +14,14 @@ Each test pins a bug that once existed:
 """
 
 import numpy as np
-import pytest
 
-from repro.agents import (AgentRuntime, EvaluatorAgent, ExecutorAgent,
-                          PlannerAgent, SimulatedLLM)
+from repro.agents import AgentRuntime, PlannerAgent, SimulatedLLM
 from repro.agents.planner import ExperimentPlan
-from repro.core import (CampaignSpec, FederationManager,
-                        PhysicsConstraintVerifier, VerificationStack)
+from repro.core import CampaignSpec, FederationManager, VerificationStack
 from repro.core.federation import (DEFAULT_SAFETY_ENVELOPE,
                                    clip_space_to_envelope)
 from repro.core.orchestrator import HierarchicalOrchestrator
-from repro.labsci import ContinuousDim, ParameterSpace, QuantumDotLandscape
+from repro.labsci import QuantumDotLandscape
 
 
 def test_clip_space_to_envelope_intersects_bounds(qd_landscape):

@@ -1,6 +1,5 @@
 """Tests for metadata extraction (M5) and FAIR scoring/governance (M6)."""
 
-import numpy as np
 import pytest
 
 from repro.data import (DataRecord, FairGovernor, FieldSpec, MetadataExtractor,

@@ -7,7 +7,7 @@ from repro.agents.planner import ExperimentPlan
 from repro.hitl import (COMPETENCIES, CompetencyAssessment, OperatorOverride,
                         Trainee, TrustModel, VirtualLabCurriculum)
 from repro.hitl.assessment import standard_battery
-from repro.hitl.curriculum import TrainingModule, standard_curriculum
+from repro.hitl.curriculum import TrainingModule
 
 
 # -- trust --------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from repro.instruments import (BatchSynthesisRobot, CalibrationModel,
                                InstrumentFault, InstrumentStatus, OutOfSpec)
-from repro.sim import RngRegistry, Simulator
 
 
 def make_robot(sim, rngs, landscape, **kw):

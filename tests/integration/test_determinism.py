@@ -1,8 +1,6 @@
 """The DESIGN.md determinism contract: same seed, same campaign,
 event-for-event."""
 
-import numpy as np
-
 from repro.core import CampaignSpec, FederationManager
 from repro.labsci import QuantumDotLandscape
 

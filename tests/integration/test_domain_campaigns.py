@@ -12,7 +12,6 @@ import pytest
 from repro.labsci import (MetallicGlassLandscape, PerovskiteLandscape,
                           PolymerFilmLandscape)
 from repro.methods import BayesianOptimizer, LatinHypercube
-from repro.sim import RngRegistry, Simulator
 
 
 def test_metallic_glass_screening_finds_glass_formers():

@@ -1,12 +1,10 @@
 """Tests for remote instrument microservices (M10)."""
 
-import numpy as np
 import pytest
 
 from repro.instruments import (BatchSynthesisRobot, HardwareAbstractionLayer,
                                OperationRequest, PLSpectrometer,
                                make_vendor_protocol)
-from repro.instruments.errors import VendorError
 from repro.instruments.service import (InstrumentService,
                                        RemoteInstrumentClient)
 from repro.labsci import Sample

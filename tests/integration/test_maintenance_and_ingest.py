@@ -1,15 +1,14 @@
 """Tests: automated calibration maintenance (M4) + schema-negotiated
 ingest + secured message bus."""
 
-import numpy as np
 import pytest
 
-from repro.comm import Envelope, Message, MessageBus, Performative
+from repro.comm import Message, MessageBus, Performative
 from repro.data import DataRecord, FederatedDataMesh, FieldSpec, Schema
 from repro.data.schema import SchemaError
 from repro.instruments import (CalibrationModel, MaintenanceAgent,
                                PLSpectrometer)
-from repro.labsci import QuantumDotLandscape, Sample
+from repro.labsci import Sample
 
 
 # -- maintenance agent -----------------------------------------------------------

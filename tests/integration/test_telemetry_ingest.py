@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.comm import Message, MessageBus, Performative
-from repro.data import (AnomalyDetector, DiscoveryIndex, FederatedDataMesh,
-                        QualityAssessor, StreamProcessor)
-from repro.data.ingest import (MeshIngestor, TelemetryPublisher,
-                               wire_site_telemetry)
+from repro.data import (AnomalyDetector, FederatedDataMesh, QualityAssessor,
+                        StreamProcessor)
+from repro.data.ingest import TelemetryPublisher, wire_site_telemetry
 from repro.labsci import Sample
 
 

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, metrics_snapshot
 from repro.obs.metrics import Histogram, render_name
@@ -207,3 +209,72 @@ def test_registry_merge_keeps_labels_distinct():
     assert a.counter("served", site="site-1").value == 2
     snap = a.snapshot(site="site-1")
     assert list(snap["counters"].values()) == [2]
+
+
+# -- merge oracle: chunk- and order-independence -------------------------------
+
+_NAMES = ("m.alpha", "m.beta")
+_LABEL_SETS = ({}, {"site": "site-0"}, {"site": "site-1", "tenant": "t"})
+
+# Values on a bounded dyadic grid (k / 2**s, |k| <= 1024, s <= 4).  A
+# histogram's ``total`` and a gauge's or counter's value are float sums,
+# and a merge adds the chunks' sums in merge order, not the stream's
+# order.  Every partial sum of at most 80 grid values is a multiple of
+# 1/16 below 2**17, so each addition is exact and the order cannot show;
+# with arbitrary floats the last bit could differ between two correct
+# merges.
+_MAGNITUDE = st.builds(lambda k, s: k / 2 ** s,
+                       st.integers(0, 1024), st.integers(0, 4))
+_OP = st.one_of(
+    st.tuples(st.just("counter"), st.sampled_from(_NAMES),
+              st.integers(0, 2), _MAGNITUDE),
+    st.tuples(st.just("gauge"), st.sampled_from(_NAMES), st.integers(0, 2),
+              st.builds(lambda m, neg: -m if neg else m, _MAGNITUDE,
+                        st.booleans())),
+    st.tuples(st.just("histogram"), st.sampled_from(_NAMES),
+              st.integers(0, 2), _MAGNITUDE))
+
+
+def _apply(registry, op):
+    kind, name, label_set, value = op
+    labels = _LABEL_SETS[label_set]
+    if kind == "counter":
+        registry.counter(name, **labels).inc(value)
+    elif kind == "gauge":
+        registry.gauge(name, **labels).inc(value)
+    else:
+        registry.histogram(name, **labels).observe(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_OP, max_size=80), data=st.data())
+def test_property_registry_merge_is_chunk_and_order_independent(ops, data):
+    """Split a stream into 1-5 chunks, one registry each, and merge them
+    into a fresh registry in any order, each through ``merge_state`` or
+    ``merge``: the state equals that of one registry fed the stream."""
+    whole = MetricsRegistry()
+    for op in ops:
+        _apply(whole, op)
+
+    n_chunks = data.draw(st.integers(1, 5), label="chunks")
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(ops)),
+                                     min_size=n_chunks - 1,
+                                     max_size=n_chunks - 1), label="cuts"))
+    bounds = [0, *cuts, len(ops)]
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = MetricsRegistry()
+        for op in ops[lo:hi]:
+            _apply(part, op)
+        parts.append(part)
+
+    order = data.draw(st.permutations(range(n_chunks)), label="order")
+    via_state = data.draw(st.lists(st.booleans(), min_size=n_chunks,
+                                   max_size=n_chunks), label="via_state")
+    merged = MetricsRegistry()
+    for i in order:
+        if via_state[i]:
+            merged.merge_state(parts[i].state())
+        else:
+            merged.merge(parts[i])
+    assert merged.state() == whole.state()

@@ -37,10 +37,10 @@ def test_testbed_matches_hand_wired_federation():
 
 def test_builder_chains_site_and_federation_toggles():
     built = (Testbed(seed=1)
+             .with_knowledge()       # testbed-level: before the first site
              .site("site-0", landscape=QuantumDotLandscape(seed=7))
              .with_planner(mode="llm-direct", hallucination_rate=0.5)
-             .without_verification()
-             .with_knowledge()       # testbed-level, explicit pass-through
+             .with_verification(False)
              .site("site-1", landscape=QuantumDotLandscape(seed=8))
              .isolated()
              .build())
@@ -129,3 +129,26 @@ def test_run_report_is_canonical():
 def test_site_builder_has_no_magic_forwarding():
     with pytest.raises(AttributeError):
         Testbed(seed=1).site("site-0").no_such_toggle()
+
+
+def test_tracing_reaches_fault_tolerant_retries():
+    """A traced fault-tolerant site records each execution attempt as a
+    ``resilience.attempt`` span inside the experiment's ``execute`` span."""
+    built = (Testbed(seed=3, n_sites=3)
+             .with_tracing()
+             .site("site-0", landscape=QuantumDotLandscape(seed=7))
+             .with_instruments(mtbf_hours=0.02, repair_time_s=600.0)
+             .with_verification(False)
+             .with_fault_tolerance("site-1")
+             .site("site-1", landscape=QuantumDotLandscape(seed=7))
+             .build())
+    result = built.run(CampaignSpec(name="ft", objective_key="plqy",
+                                    max_experiments=25), site="site-0")
+    assert result.counters["fault_tolerance"]["faults_handled"] > 0
+    starts = {ev.span: ev for ev in built.tracer.events
+              if ev.kind == "span-start"}
+    attempts = [ev for ev in starts.values()
+                if ev.name == "resilience.attempt"]
+    assert attempts
+    assert all(starts[ev.parent].name == "execute" for ev in attempts)
+    assert any(ev.attrs["attempt"] >= 2 for ev in attempts)

@@ -5,8 +5,7 @@ import math
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience import (UNLIMITED_ATTEMPTS, CircuitBreaker, CircuitState,
-                              Deadline, RetryPolicy)
+from repro.resilience import CircuitBreaker, CircuitState, Deadline, RetryPolicy
 from repro.sim.rng import RngRegistry
 
 
@@ -25,11 +24,6 @@ class TestRetryPolicy:
         p = RetryPolicy(3)
         assert p.should_retry(0) and p.should_retry(2)
         assert not p.should_retry(3)
-
-    def test_fixed_is_flat_and_unbounded(self):
-        p = RetryPolicy.fixed(30.0)
-        assert p.max_attempts == UNLIMITED_ATTEMPTS
-        assert p.delay(1) == p.delay(7) == 30.0
 
     def test_immediate_has_no_pause(self):
         p = RetryPolicy.immediate(4)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.events import Event
 
 
 @pytest.fixture

@@ -6,8 +6,6 @@ the public API wiring works, not the full-scale result.
 
 import importlib
 
-import pytest
-
 
 def _run_main(module_name: str, monkeypatch, **overrides):
     mod = importlib.import_module(module_name)

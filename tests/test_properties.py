@@ -3,13 +3,13 @@
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.comm.bus import topic_matches
 from repro.core.metrics import reduction_fraction, speedup
 from repro.data import DataRecord, fair_score
-from repro.data.schema import _UNIT_CONVERSIONS, SchemaError, convert_unit
+from repro.data.schema import _UNIT_CONVERSIONS, convert_unit
 from repro.labsci import ContinuousDim, DiscreteDim, ParameterSpace
 from repro.labsci.quantum_dots import quantum_dot_space
 from repro.net import (FaultInjector, Link, Network, NoPath, Site, Topology,
