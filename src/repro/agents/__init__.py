@@ -16,8 +16,6 @@ from repro.agents.base import Agent, AgentRuntime, AgentState
 from repro.agents.evaluator import EvaluatorAgent
 from repro.agents.executor import ExecutorAgent, ExperimentOutcome
 from repro.agents.lifecycle import Supervisor
-from repro.agents.literature import (LiteratureAgent, PublishedResult,
-                                     SyntheticLiterature)
 from repro.agents.llm import LLMResponse, SimulatedLLM
 from repro.agents.planner import ExperimentPlan, PlannerAgent
 
@@ -30,10 +28,7 @@ __all__ = [
     "ExperimentOutcome",
     "ExperimentPlan",
     "LLMResponse",
-    "LiteratureAgent",
     "PlannerAgent",
-    "PublishedResult",
     "SimulatedLLM",
     "Supervisor",
-    "SyntheticLiterature",
 ]

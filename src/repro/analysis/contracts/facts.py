@@ -13,8 +13,9 @@ from a single ``ast.parse``:
   and ``broker.bind(...)``/``topic_matches(...)`` on the subscribe side.
   Literals are resolved through one level of local constant propagation
   (``topic = "a.b"; bus.publish(..., topic, ...)``) and through
-  literal-returning helper functions (``TelemetryPublisher.topic_for``),
-  so the analyzer sees the topics the runtime actually emits.
+  literal-returning helper functions (a ``topic_for`` method whose one
+  ``return`` is an f-string), so the analyzer sees the topics the
+  runtime actually emits.
 - **Metric sinks** — ``registry.counter/gauge/histogram("name")`` and
   ``registry.stats("prefix", {...})`` declarations, each with its kind,
   so drift and kind-collision checks can run project-wide.

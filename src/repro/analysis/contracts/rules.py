@@ -9,8 +9,8 @@
   scanned file (program and references) outside
   ``[tool.detlint] exclude``.
 - **C-rules** (C001–C004) are whole-program string-contract checks over
-  the *program* files: a publish in ``repro.data.ingest`` is only
-  correct relative to a bind in some *other* module, and a metric name
+  the *program* files: a publish in one module is only correct relative
+  to a bind in some *other* module, and a metric name
   is only alive if something on the read side (a report, a perf gate, a
   test) ever mentions it.
 

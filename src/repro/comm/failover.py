@@ -3,15 +3,13 @@
 A :class:`FailoverGroup` fronts a primary RPC server and ordered standbys.
 Health tracking is one :class:`~repro.resilience.CircuitBreaker` per
 endpoint: the heartbeat monitor records probe outcomes into the current
-primary's breaker and promotes the next healthy standby when it trips;
-client calls routed through the group prefer endpoints whose breaker
-admits traffic and transparently retry against the rest.  E4 measures the
-resulting recovery time.
+primary's breaker and promotes the next healthy standby when it trips.
+E4 measures the resulting recovery time.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.comm.rpc import RpcClient, RpcServer, RpcTimeout, ServerDown
 from repro.net.transport import NetworkError
@@ -39,11 +37,13 @@ class FailoverGroup:
         Monitor probe period — the dominant term in failover latency.
     heartbeat_misses:
         Consecutive missed probes that trip an endpoint's breaker (and,
-        for the primary, trigger promotion).  A tripped endpoint is
-        quarantined for ten heartbeat intervals before it is probed again.
+        for the primary, trigger promotion).  Only the primary is probed,
+        so a tripped breaker closes again only when its endpoint is
+        primary once more and answers; until then one missed probe
+        promotes past it.
     metrics:
         Optional shared registry the per-endpoint breaker counters
-        (trips, rejections) report into.
+        (successes, failures, trips) report into.
     """
 
     def __init__(self, sim: "Simulator", replicas: list[RpcServer],
@@ -70,9 +70,6 @@ class FailoverGroup:
     @property
     def primary(self) -> RpcServer:
         return self.replicas[self._primary_idx]
-
-    def healthy_replicas(self) -> list[RpcServer]:
-        return [r for r in self.replicas if r.alive]
 
     # -- promotion ------------------------------------------------------------
 
@@ -121,53 +118,6 @@ class FailoverGroup:
     def install_health_endpoint(server: RpcServer) -> None:
         """Add the ``_health`` probe method replied to by live replicas."""
         server.register("_health", lambda _payload: "ok")
-
-    # -- client-side routing --------------------------------------------------------------
-
-    def _route(self, tried: set[str]) -> Optional[RpcServer]:
-        """Next endpoint to try: primary, then admitted healthy standbys,
-        then (as a last resort) quarantined-but-alive standbys."""
-        primary = self.primary
-        if primary.name not in tried:
-            return primary
-        candidates = [r for r in self.healthy_replicas()
-                      if r.name not in tried]
-        for replica in candidates:
-            if self.breakers[replica.name].allow():
-                return replica
-        return candidates[0] if candidates else None
-
-    def call(self, client: RpcClient, method: str, payload: Any = None,
-             *, deadline_s: float = 5.0):
-        """Generator: call through the group, failing over on errors.
-
-        Tries the current primary first, then walks the healthy standbys
-        (breaker-admitted ones first), with one retry per replica.  Every
-        outcome is recorded into the endpoint's breaker.  Raises
-        :class:`NoHealthyReplica` when everything is down.
-        """
-        tried: set[str] = set()
-        last_exc: Optional[Exception] = None
-        # detlint: ignore[C003] this IS the resilience primitive: each pass tries a different replica, never re-invoking a failed one
-        for _ in range(len(self.replicas)):
-            target = self._route(tried)
-            if target is None:
-                break
-            tried.add(target.name)
-            breaker = self.breakers[target.name]
-            try:
-                result = yield from client.call(
-                    target, method, payload, deadline_s=deadline_s,
-                    retries=1)
-            except (RpcTimeout, ServerDown, NetworkError) as exc:
-                last_exc = exc
-                breaker.record_failure()
-                self.events.append((self.sim.now, "client-failover",
-                                    target.name))
-                continue
-            breaker.record_success()
-            return result
-        raise NoHealthyReplica(f"no replica answered {method!r}: {last_exc}")
 
     def recovery_time(self) -> Optional[float]:
         """Sim-seconds from an outage's first missed heartbeat to its

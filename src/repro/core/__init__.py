@@ -2,7 +2,7 @@
 
 - :mod:`repro.core.campaign` — campaign specs and results.
 - :mod:`repro.core.verification` — the M8 verification stack: physics
-  constraints + digital-twin in-situ checks + surrogate consistency.
+  constraints + digital-twin in-situ checks.
 - :mod:`repro.core.orchestrator` — the hierarchical orchestrator
   (LLM-as-orchestrator over sound methods) and its campaign loop.
 - :mod:`repro.core.manual` — the human-in-every-loop baseline (E1/E10).
@@ -27,7 +27,6 @@ from repro.core.metrics import speedup
 from repro.core.orchestrator import HierarchicalOrchestrator
 from repro.core.report import CampaignReport
 from repro.core.verification import (PhysicsConstraintVerifier,
-                                     SurrogateConsistencyVerifier,
                                      TwinVerifier, VerificationStack)
 from repro.core.workflow import WorkflowDAG, WorkflowStep
 
@@ -43,7 +42,6 @@ __all__ = [
     "LabSite",
     "ManualOrchestrator",
     "PhysicsConstraintVerifier",
-    "SurrogateConsistencyVerifier",
     "TwinVerifier",
     "VerificationStack",
     "WorkflowDAG",

@@ -5,15 +5,13 @@ incorporating digital twin-based in-situ simulations, formal methods,
 symbolic verification methods to enforce logical, physics-based
 constraints as hard boundaries."
 
-Three verifiers, composable in a :class:`VerificationStack`:
+Two verifiers, composable in a :class:`VerificationStack`:
 
 - :class:`PhysicsConstraintVerifier` — symbolic/logical checks: domain
   validity, safety envelopes, forbidden combinations, and physical sanity
   of *claimed* outcomes (a PLQY cannot exceed 1).  Instantaneous.
 - :class:`TwinVerifier` — digital-twin in-situ simulation of the plan
   (costs simulated time, catches claims that disagree with physics).
-- :class:`SurrogateConsistencyVerifier` — statistical check of the claim
-  against the campaign's own GP posterior.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.instruments.twin import DigitalTwin
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.labsci.landscapes import ParameterSpace
-    from repro.methods.bayesopt import BayesianOptimizer
     from repro.sim.kernel import Simulator
 
 
@@ -122,45 +119,6 @@ class TwinVerifier:
         if not verdict.ok:
             self.stats["rejections"] += 1
         return list(verdict.reasons)
-
-
-class SurrogateConsistencyVerifier:
-    """Flags claims wildly inconsistent with the campaign's own GP.
-
-    A claim more than ``z_threshold`` posterior standard deviations above
-    the surrogate mean is rejected — statistical grounding of agent
-    claims in accumulated evidence.
-    """
-
-    name = "surrogate-consistency"
-
-    def __init__(self, optimizer: "BayesianOptimizer",
-                 z_threshold: float = 6.0, min_observations: int = 8) -> None:
-        self.optimizer = optimizer
-        self.z_threshold = z_threshold
-        self.min_observations = min_observations
-        self.stats = {"checks": 0, "rejections": 0}
-
-    def check(self, plan: ExperimentPlan) -> list[str]:
-        self.stats["checks"] += 1
-        claimed = plan.expected.get("objective")
-        if claimed is None or self.optimizer.n_observed < self.min_observations:
-            return []
-        posterior = getattr(self.optimizer, "posterior_at", None)
-        if posterior is None:
-            return []
-        try:
-            mean, std = posterior(plan.params)
-        except Exception:
-            return []  # unencodable params are the physics verifier's job
-        if std in (0.0, float("inf")):
-            return []
-        z = (float(claimed) - mean) / std
-        if z > self.z_threshold:
-            self.stats["rejections"] += 1
-            return [f"claimed objective {claimed:.3g} is {z:.1f} sigma above "
-                    f"the surrogate posterior ({mean:.3g} +- {std:.3g})"]
-        return []
 
 
 class VerificationStack:

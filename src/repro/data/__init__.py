@@ -21,7 +21,7 @@ from repro.data.shard import ShardedDiscoveryIndex, shard_for
 from repro.data.proxystore import Proxy, ProxyStore
 from repro.data.quality import AnomalyDetector, QualityAssessor, QualityReport
 from repro.data.record import DataRecord
-from repro.data.schema import FieldSpec, Schema, SchemaNegotiator, SchemaRegistry
+from repro.data.schema import FieldSpec, Schema, SchemaRegistry
 from repro.data.streams import StreamProcessor
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "QualityReport",
     "ReplayTimeline",
     "Schema",
-    "SchemaNegotiator",
     "SchemaRegistry",
     "ShardedDiscoveryIndex",
     "StreamProcessor",

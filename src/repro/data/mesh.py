@@ -240,33 +240,6 @@ class DataMeshNode:
                                    lambda: self.index.publish(entry))
         return record
 
-    def normalize_and_ingest(self, record: DataRecord, schema_name: str,
-                             producer_units: Optional[dict[str, str]] = None
-                             ) -> DataRecord:
-        """Ingest a foreign-dialect record by negotiating onto a schema.
-
-        The §3.2 "implicit schema" path: the producer's field names/units
-        need not match ours — the negotiator maps via aliases and unit
-        suffixes (``temperature_K`` satisfies ``temperature``) and the
-        values are rewritten in canonical form before ingest.  Raises
-        :class:`~repro.data.schema.SchemaError` when required fields
-        cannot be satisfied.
-        """
-        from repro.data.schema import SchemaNegotiator
-        schema = self.schemas.latest(schema_name)
-        if schema is None:
-            from repro.data.schema import SchemaError
-            raise SchemaError(f"no schema named {schema_name!r} registered")
-        units = producer_units or record.metadata.get("units") or {}
-        producer_fields = {k: units.get(k, "") for k in record.values}
-        negotiator = SchemaNegotiator(self.schemas)
-        mappings = negotiator.negotiate(producer_fields, schema)
-        record.values = SchemaNegotiator.apply(mappings, record.values)
-        record.schema_id = schema.schema_id
-        record.metadata["units"] = {f.name: f.unit for f in schema.fields
-                                    if f.name in record.values}
-        return self.ingest(record)
-
     def __len__(self) -> int:
         return len(self._records)
 

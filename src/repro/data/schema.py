@@ -1,22 +1,21 @@
-"""Schemas, schema evolution, and agent-driven schema negotiation.
+"""Schemas and schema evolution.
 
 The paper names "dynamic schema evolution: how autonomous agents can
 negotiate schema changes when encountering new experiment types without
 manual intervention" as a critical research gap (§3.2).  Here a
-:class:`Schema` is versioned and immutable; :meth:`Schema.evolve` derives
-new versions; and :class:`SchemaNegotiator` automatically maps producer
-records onto consumer expectations using aliases, unit conversions, and
-defaults — failing loudly only when no safe mapping exists.
+:class:`Schema` is versioned and immutable, :meth:`Schema.evolve` derives
+new versions, and a :class:`SchemaRegistry` holds every version a mesh
+node knows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 
 class SchemaError(Exception):
-    """Validation or negotiation failure."""
+    """Validation or registry failure."""
 
 
 @dataclass(frozen=True)
@@ -48,39 +47,6 @@ class FieldSpec:
         if self.hi is not None and value > self.hi:
             return False
         return True
-
-
-#: unit -> (canonical unit, conversion to canonical)
-_UNIT_CONVERSIONS: dict[str, tuple[str, Callable[[float], float]]] = {
-    "K": ("C", lambda v: v - 273.15),
-    "F": ("C", lambda v: (v - 32.0) * 5.0 / 9.0),
-    "min": ("s", lambda v: v * 60.0),
-    "hr": ("s", lambda v: v * 3600.0),
-    "ms": ("s", lambda v: v / 1000.0),
-    "uL": ("mL", lambda v: v / 1000.0),
-    "L": ("mL", lambda v: v * 1000.0),
-    "A": ("nm", lambda v: v / 10.0),
-    "um": ("nm", lambda v: v * 1000.0),
-    "percent": ("fraction", lambda v: v / 100.0),
-}
-
-
-def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert between known units; identity when units already match."""
-    if from_unit == to_unit:
-        return value
-    entry = _UNIT_CONVERSIONS.get(from_unit)
-    if entry and entry[0] == to_unit:
-        return entry[1](value)
-    # Try the reverse direction via a linear probe of the table.
-    rev = _UNIT_CONVERSIONS.get(to_unit)
-    if rev and rev[0] == from_unit:
-        # Invert an affine map y = a*x + b numerically.
-        f = rev[1]
-        b = f(0.0)
-        a = f(1.0) - b
-        return (value - b) / a
-    raise SchemaError(f"no conversion {from_unit!r} -> {to_unit!r}")
 
 
 @dataclass(frozen=True)
@@ -181,101 +147,3 @@ class SchemaRegistry:
 
     def schema_ids(self) -> list[str]:
         return sorted(self._schemas)
-
-
-@dataclass
-class FieldMapping:
-    """How one consumer field is satisfied from producer data."""
-
-    consumer_field: str
-    producer_field: Optional[str] = None
-    conversion: Optional[tuple[str, str]] = None  # (from_unit, to_unit)
-    default: Optional[float] = None
-
-
-class SchemaNegotiator:
-    """Automatically maps producer records onto a consumer schema.
-
-    Resolution order per consumer field: exact name match -> alias match
-    -> unit-suffix match (``temperature_K`` satisfies ``temperature`` via
-    K->C conversion) -> declared default -> failure if required.
-    """
-
-    def __init__(self, registry: Optional[SchemaRegistry] = None) -> None:
-        self.registry = registry or SchemaRegistry()
-        self.stats = {"negotiations": 0, "failures": 0}
-
-    def negotiate(self, producer_fields: Mapping[str, str],
-                  consumer: Schema,
-                  defaults: Optional[Mapping[str, float]] = None
-                  ) -> list[FieldMapping]:
-        """Compute mappings for every consumer field.
-
-        ``producer_fields`` maps field name -> unit ("" when unknown).
-        Raises :class:`SchemaError` when a required field can't be mapped.
-        """
-        self.stats["negotiations"] += 1
-        defaults = defaults or {}
-        mappings: list[FieldMapping] = []
-        for f in consumer.fields:
-            mapping = self._map_field(f, producer_fields, defaults)
-            if mapping is None:
-                if f.required:
-                    self.stats["failures"] += 1
-                    raise SchemaError(
-                        f"cannot satisfy required field {f.name!r} from "
-                        f"producer fields {sorted(producer_fields)}")
-                continue
-            mappings.append(mapping)
-        return mappings
-
-    def _map_field(self, f: FieldSpec, producer: Mapping[str, str],
-                   defaults: Mapping[str, float]) -> Optional[FieldMapping]:
-        # 1. exact name
-        if f.name in producer:
-            unit = producer[f.name]
-            conv = ((unit, f.unit) if unit and f.unit and unit != f.unit
-                    else None)
-            if conv is not None:
-                convert_unit(0.0, *conv)  # raises if unconvertible
-            return FieldMapping(f.name, f.name, conversion=conv)
-        # 2. aliases
-        for alias in f.aliases:
-            if alias in producer:
-                unit = producer[alias]
-                conv = ((unit, f.unit) if unit and f.unit and unit != f.unit
-                        else None)
-                if conv is not None:
-                    convert_unit(0.0, *conv)
-                return FieldMapping(f.name, alias, conversion=conv)
-        # 3. unit-suffix heuristics: field_K, field_min, ...
-        for pname in producer:
-            if "_" not in pname:
-                continue
-            stem, suffix = pname.rsplit("_", 1)
-            if stem == f.name and suffix in _UNIT_CONVERSIONS:
-                target = _UNIT_CONVERSIONS[suffix][0]
-                if not f.unit or f.unit == target:
-                    return FieldMapping(f.name, pname,
-                                        conversion=(suffix, target))
-        # 4. defaults
-        if f.name in defaults:
-            return FieldMapping(f.name, None, default=defaults[f.name])
-        return None
-
-    @staticmethod
-    def apply(mappings: list[FieldMapping],
-              values: Mapping[str, Any]) -> dict[str, float]:
-        """Transform producer values into consumer-shaped values."""
-        out: dict[str, float] = {}
-        for m in mappings:
-            if m.producer_field is None:
-                out[m.consumer_field] = float(m.default)  # type: ignore[arg-type]
-                continue
-            if m.producer_field not in values:
-                continue
-            v = float(values[m.producer_field])
-            if m.conversion is not None:
-                v = convert_unit(v, *m.conversion)
-            out[m.consumer_field] = v
-        return out

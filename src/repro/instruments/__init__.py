@@ -1,7 +1,7 @@
 """Simulated scientific instruments and cyberinfrastructure (§3.1).
 
 Every instrument is a discrete-event model with realistic duty cycles,
-noise, calibration drift, and failure modes, fronted by vendor-specific
+noise and failure modes, fronted by vendor-specific
 protocol dialects (:mod:`repro.instruments.vendors`) and unified by the
 hardware abstraction layer of milestone M1 (:mod:`repro.instruments.hal`).
 Physics-aware digital twins (:mod:`repro.instruments.twin`) validate
@@ -17,24 +17,18 @@ Concrete instruments:
   characterization.
 - :class:`~repro.instruments.xrd.XRayDiffractometer` — structure.
 - :class:`~repro.instruments.microscope.ElectronMicroscope` — imaging.
-- :class:`~repro.instruments.furnace.TubeFurnace` — thermal processing.
 - :class:`~repro.instruments.liquid_handler.LiquidHandler` — sample prep.
 - :class:`~repro.instruments.hpc.HpcCluster` — computation as a resource.
 """
 
 from repro.instruments.base import (Instrument, InstrumentStatus, Measurement,
                                     OperationRequest)
-from repro.instruments.calibration import CalibrationModel
 from repro.instruments.errors import (InstrumentError, InstrumentFault,
                                       OutOfSpec, VendorError)
 from repro.instruments.flow_reactor import FluidicReactor
-from repro.instruments.furnace import TubeFurnace
 from repro.instruments.hal import HalAdapter, HardwareAbstractionLayer
 from repro.instruments.hpc import HpcCluster, JobResult
 from repro.instruments.liquid_handler import LiquidHandler
-from repro.instruments.maintenance import MaintenanceAgent
-from repro.instruments.service import (InstrumentService,
-                                       RemoteInstrumentClient)
 from repro.instruments.microscope import ElectronMicroscope
 from repro.instruments.spectrometer import PLSpectrometer
 from repro.instruments.synthesis import BatchSynthesisRobot
@@ -45,7 +39,6 @@ from repro.instruments.xrd import XRayDiffractometer
 
 __all__ = [
     "BatchSynthesisRobot",
-    "CalibrationModel",
     "DigitalTwin",
     "ElectronMicroscope",
     "FluidicReactor",
@@ -55,17 +48,13 @@ __all__ = [
     "Instrument",
     "InstrumentError",
     "InstrumentFault",
-    "InstrumentService",
     "InstrumentStatus",
     "JobResult",
     "LiquidHandler",
-    "MaintenanceAgent",
     "Measurement",
     "OperationRequest",
     "OutOfSpec",
     "PLSpectrometer",
-    "RemoteInstrumentClient",
-    "TubeFurnace",
     "VENDOR_DIALECTS",
     "VendorError",
     "VendorProtocol",

@@ -1,20 +1,19 @@
 """The common instrument model.
 
 Every instrument shares: a single-occupancy duty cycle (a queue forms when
-several agents want it), an operating-hours counter feeding calibration
-drift, a stochastic per-operation fault model with repair times, and a
-capability descriptor published to the service registry.
+several agents want it), an operating-hours counter, a stochastic
+per-operation fault model with repair times, and a capability descriptor
+published to the service registry.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
-from repro.instruments.calibration import CalibrationModel
 from repro.instruments.errors import InstrumentFault, OutOfSpec
 from repro.sim.ids import next_label
 from repro.sim.resources import Resource
@@ -27,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class InstrumentStatus(enum.Enum):
     IDLE = "idle"
     BUSY = "busy"
-    CALIBRATING = "calibrating"
     FAULT = "fault"
     OFFLINE = "offline"
 
@@ -100,8 +98,6 @@ class Instrument:
         Mean operating hours between faults; ``inf`` disables faults.
     repair_time_s:
         Time to repair after a fault.
-    calibration:
-        Optional drift model.
     """
 
     #: Subclasses set: instrument kind for registry/capability purposes.
@@ -111,15 +107,13 @@ class Instrument:
 
     def __init__(self, sim: "Simulator", name: str, site: str,
                  rngs: "RngRegistry", *, mtbf_hours: float = float("inf"),
-                 repair_time_s: float = 3600.0,
-                 calibration: Optional[CalibrationModel] = None) -> None:
+                 repair_time_s: float = 3600.0) -> None:
         self.sim = sim
         self.name = name
         self.site = site
         self.rng = rngs.stream(f"instrument/{name}")
         self.mtbf_hours = mtbf_hours
         self.repair_time_s = repair_time_s
-        self.calibration = calibration
         self.status = InstrumentStatus.IDLE
         self.duty = Resource(sim, capacity=1)
         self.operating_hours = 0.0
@@ -174,8 +168,8 @@ class Instrument:
         """Generator: the common envelope of every instrument operation.
 
         Acquires the duty cycle, checks interlocks, spends ``duration_s``
-        of simulated time, accumulates operating hours and drift, and
-        rolls the fault dice.  Subclasses wrap this and add their physics.
+        of simulated time, accumulates operating hours, and rolls the
+        fault dice.  Subclasses wrap this and add their physics.
 
         Raises
         ------
@@ -199,8 +193,6 @@ class Instrument:
             self.stats["operations"] += 1
             self.stats["busy_time"] += self.sim.now - start
             self.operating_hours += duration_s / 3600.0
-            if self.calibration is not None:
-                self.calibration.accumulate(duration_s / 3600.0)
             if request.sample is not None:
                 request.sample.record(self.sim.now, self.name,
                                       request.operation)
@@ -230,32 +222,11 @@ class Instrument:
         self.stats["repairs"] += 1
         self.status = InstrumentStatus.IDLE
 
-    # -- calibration ----------------------------------------------------------------------
+    # -- measurement noise ------------------------------------------------------------
 
-    def apply_calibration_bias(self, true_value: float,
-                               noise_scale: float) -> float:
-        """Observed value = truth + drift bias + white noise."""
-        bias = self.calibration.bias() if self.calibration is not None else 0.0
-        return float(true_value + bias
-                     + self.rng.normal(0.0, noise_scale))
-
-    def auto_calibrate(self):
-        """Generator: M4's automated calibration — resets drift."""
-        if self.calibration is None:
-            return
-        if self.status is InstrumentStatus.FAULT:
-            raise InstrumentFault(f"{self.name} needs repair first")
-        req = self.duty.request()
-        yield req
-        try:
-            self.status = InstrumentStatus.CALIBRATING
-            yield self.sim.timeout(self.calibration.procedure_time_s)
-            self.calibration.reset()
-            self.status = InstrumentStatus.IDLE
-        finally:
-            if self.status is InstrumentStatus.CALIBRATING:
-                self.status = InstrumentStatus.IDLE
-            req.release()
+    def add_noise(self, true_value: float, noise_scale: float) -> float:
+        """Observed value = truth + white noise."""
+        return float(true_value + self.rng.normal(0.0, noise_scale))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<{type(self).__name__} {self.name!r}@{self.site} "

@@ -62,7 +62,7 @@ class ElectronMicroscope(Instrument):
             uniformity = truth["uniformity"]
         else:
             uniformity = float(np.clip(next(iter(truth.values())), 0.0, 1.0))
-        observed = float(np.clip(self.apply_calibration_bias(
+        observed = float(np.clip(self.add_noise(
             uniformity, self.uniformity_noise), 0.0, 1.0))
         img = self._micrograph(observed)
         grain_density = float((1.0 - observed) * 40 + 2)

@@ -3,7 +3,7 @@
 Measures optical properties (PLQY, emission wavelength) of quantum-dot
 and perovskite samples.  The raw payload is a full synthetic spectrum —
 a numpy array the data layer must interpret — while ``values`` carries the
-fitted scalars with instrument noise and calibration drift.
+fitted scalars with instrument noise.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class PLSpectrometer(Instrument):
         true_plqy = sample.true_property("plqy")
         true_nm = sample.true_property("emission_nm")
         obs_plqy = float(np.clip(
-            self.apply_calibration_bias(true_plqy, self.plqy_noise), 0.0, 1.0))
+            self.add_noise(true_plqy, self.plqy_noise), 0.0, 1.0))
         obs_nm = float(true_nm + self.rng.normal(0.0, self.wavelength_noise_nm))
         spectrum = self._synthesize_spectrum(obs_nm, max(obs_plqy, 1e-3))
         return Measurement(

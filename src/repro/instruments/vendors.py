@@ -136,24 +136,23 @@ VENDOR_DIALECTS: dict[str, VendorDialect] = {
     "aisle-ref": VendorDialect(
         vendor="aisle-ref",
         command_map={"synthesize": "synthesize", "measure": "measure",
-                     "anneal": "anneal", "prepare": "prepare"},
+                     "prepare": "prepare"},
         encode=_identity_encode, decode=_identity_decode),
     "kelvin-sci": VendorDialect(
         vendor="kelvin-sci",
         command_map={"synthesize": "StartSynthesis",
                      "measure": "StartMeasurement",
-                     "anneal": "StartThermalProgram",
                      "prepare": "StartPrep"},
         encode=_kelvin_encode, decode=_kelvin_decode),
     "helios": VendorDialect(
         vendor="helios",
         command_map={"synthesize": "execute", "measure": "execute",
-                     "anneal": "execute", "prepare": "execute"},
+                     "prepare": "execute"},
         encode=_helios_encode, decode=_helios_decode),
     "custom-lab": VendorDialect(
         vendor="custom-lab",
         command_map={"synthesize": "cmd_synth", "measure": "cmd_meas",
-                     "anneal": "cmd_anneal", "prepare": "cmd_prep"},
+                     "prepare": "cmd_prep"},
         encode=_customlab_encode, decode=_customlab_decode),
 }
 
@@ -216,12 +215,6 @@ class VendorProtocol:
             if sample is None:
                 raise VendorError("measure requires a sample")
             result = yield from inst.measure(sample, requester=requester)
-        elif op == "anneal":
-            if sample is None:
-                raise VendorError("anneal requires a sample")
-            result = yield from inst.anneal(
-                sample, temperature=float(params["temperature"]),
-                hold_time_s=float(params["hold_time"]), requester=requester)
         elif op == "prepare":
             mixture_id = str(params.pop("mixture_id", "mixture"))
             result = yield from inst.prepare(mixture_id, params,

@@ -68,7 +68,7 @@ class XRayDiffractometer(Instrument):
         # Crystallinity proxy: the landscape objective (first property).
         objective = next(iter(truth.values()))
         crystallinity = float(np.clip(objective, 0.0, 1.0))
-        observed = float(np.clip(self.apply_calibration_bias(
+        observed = float(np.clip(self.add_noise(
             crystallinity, self.crystallinity_noise), 0.0, 1.0))
         chem_key = "|".join(str(v) for k, v in sorted(sample.params.items())
                             if isinstance(v, str))

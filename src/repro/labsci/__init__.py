@@ -6,18 +6,14 @@ response landscape — composition/processing parameters in, material
 properties out — that simulated instruments sample (with their own noise)
 and optimization campaigns explore.
 
-Landscapes mirror the systems the paper cites: Smart Dope's 10^13-condition
-quantum-dot space (:mod:`repro.labsci.quantum_dots`), lead-free perovskite
-nanocrystal synthesis (:mod:`repro.labsci.perovskite`), metallic-glass
-composition screening (:mod:`repro.labsci.metallic_glass`), and electronic
-polymer film processing (:mod:`repro.labsci.polymer`).
+Landscapes mirror two systems the paper cites: Smart Dope's
+10^13-condition quantum-dot space (:mod:`repro.labsci.quantum_dots`) and
+lead-free perovskite nanocrystal synthesis (:mod:`repro.labsci.perovskite`).
 """
 
 from repro.labsci.landscapes import (ContinuousDim, DiscreteDim, Landscape,
                                      ParameterSpace, SyntheticLandscape)
-from repro.labsci.metallic_glass import MetallicGlassLandscape
 from repro.labsci.perovskite import PerovskiteLandscape
-from repro.labsci.polymer import PolymerFilmLandscape
 from repro.labsci.quantum_dots import QuantumDotLandscape
 from repro.labsci.sample import Sample
 
@@ -25,10 +21,8 @@ __all__ = [
     "ContinuousDim",
     "DiscreteDim",
     "Landscape",
-    "MetallicGlassLandscape",
     "ParameterSpace",
     "PerovskiteLandscape",
-    "PolymerFilmLandscape",
     "QuantumDotLandscape",
     "Sample",
     "SyntheticLandscape",

@@ -12,13 +12,13 @@ scratch on numpy/scipy:
 - :mod:`repro.methods.nested` — nested discrete-continuous BO (ref [24]).
 - :mod:`repro.methods.transfer` — cross-laboratory transfer learning.
 - :mod:`repro.methods.rl_scheduler` — Q-learning for dynamic scheduling.
-- :mod:`repro.methods.baselines` — random/grid/LHS comparison points.
+- :mod:`repro.methods.baselines` — random/grid comparison points.
 """
 
 from repro.methods.acquisition import (expected_improvement,
                                        probability_of_improvement,
                                        thompson_sample, upper_confidence_bound)
-from repro.methods.baselines import GridSearch, LatinHypercube, RandomSearch
+from repro.methods.baselines import GridSearch, RandomSearch
 from repro.methods.bayesopt import BayesianOptimizer
 from repro.methods.gp import GaussianProcess
 from repro.methods.kernels import Matern52, RBF
@@ -30,7 +30,6 @@ __all__ = [
     "BayesianOptimizer",
     "GaussianProcess",
     "GridSearch",
-    "LatinHypercube",
     "Matern52",
     "NestedBayesianOptimizer",
     "QLearningScheduler",

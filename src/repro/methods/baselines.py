@@ -7,8 +7,7 @@ All optimizers in :mod:`repro.methods` share the ask/tell protocol:
 - ``best`` returns the incumbent ``(objective, params)``.
 
 The baselines here are what the paper's "traditional approaches" would do:
-uniform random search, a fixed full-factorial grid, and Latin-hypercube
-style space filling.
+uniform random search and a fixed full-factorial grid.
 """
 
 from __future__ import annotations
@@ -101,39 +100,3 @@ class GridSearch(AskTellOptimizer):
         params = self._grid[self._cursor % len(self._grid)]
         self._cursor += 1
         return dict(params)
-
-
-class LatinHypercube(AskTellOptimizer):
-    """Stratified space-filling sampler.
-
-    Continuous dims get shuffled-stratum samples per block of ``block``
-    asks; discrete dims cycle through their choices in shuffled order.
-    """
-
-    def __init__(self, space: ParameterSpace, rng: np.random.Generator,
-                 block: int = 16) -> None:
-        super().__init__(space)
-        self.rng = rng
-        self.block = block
-        self._queue: list[dict[str, Any]] = []
-
-    def _refill(self) -> None:
-        n = self.block
-        columns: dict[str, list[Any]] = {}
-        for d in self.space.dims:
-            if isinstance(d, ContinuousDim):
-                strata = (np.arange(n) + self.rng.random(n)) / n
-                self.rng.shuffle(strata)
-                columns[d.name] = [d.denormalize(s) for s in strata]
-            else:
-                reps = [d.choices[i % len(d.choices)] for i in range(n)]
-                self.rng.shuffle(reps)
-                columns[d.name] = reps
-        self._queue = [
-            {name: col[i] for name, col in columns.items()}
-            for i in range(n)]
-
-    def ask(self) -> dict[str, Any]:
-        if not self._queue:
-            self._refill()
-        return self._queue.pop()

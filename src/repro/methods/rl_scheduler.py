@@ -1,84 +1,18 @@
 """Tabular Q-learning for dynamic experimental scheduling (§3.3).
 
 "Reinforcement learning for dynamic experimental scheduling."  The
-scheduler learns which resource to route the next experiment to (fast/
-cheap flow reactor vs. slow/accurate batch robot vs. HPC simulation) from
-the campaign state (queue pressure, remaining budget, current confidence).
-States and actions are deliberately small and discrete — tabular RL is
-the right tool at lab scale, and it is fully deterministic given the RNG.
+scheduler learns which resource to route the next experiment to (e.g. a
+fast but contended reactor vs. a slow dedicated one) from a discretized
+campaign state; the caller chooses the state keys (any hashable).  States
+and actions are deliberately small and discrete — tabular RL is the right
+tool at lab scale, and it is fully deterministic given the RNG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SchedulingState:
-    """Discretized campaign state.
-
-    Attributes
-    ----------
-    queue_pressure:
-        0 (idle) / 1 (moderate) / 2 (backed up).
-    budget_phase:
-        0 (early) / 1 (mid) / 2 (late) in the experiment budget.
-    confidence:
-        0 (no good candidates yet) / 1 (improving) / 2 (converged-ish).
-    """
-
-    queue_pressure: int
-    budget_phase: int
-    confidence: int
-
-    @staticmethod
-    def discretize(queue_length: int, frac_budget_used: float,
-                   recent_improvement: float) -> "SchedulingState":
-        q = 0 if queue_length == 0 else (1 if queue_length <= 3 else 2)
-        b = 0 if frac_budget_used < 0.33 else (
-            1 if frac_budget_used < 0.66 else 2)
-        c = 2 if recent_improvement < 0.005 else (
-            1 if recent_improvement < 0.05 else 0)
-        return SchedulingState(q, b, c)
-
-
-@dataclass(frozen=True)
-class MultiTenantSchedulingState:
-    """Discretized facility state for multi-tenant slot routing.
-
-    The service-level analogue of :class:`SchedulingState`: instead of
-    one campaign's queue/budget/confidence, it captures the whole
-    facility's backlog, how uneven the fair-share virtual times have
-    become, and how close the nearest deadline is.  Kept deliberately
-    tiny (3 x 3 x 3 states) so the tabular agent converges within a
-    single busy service run.
-
-    Attributes
-    ----------
-    backlog:
-        0 (drained) / 1 (busy) / 2 (saturated) total queued campaigns.
-    imbalance:
-        0 (fair) / 1 (drifting) / 2 (skewed) virtual-time spread.
-    urgency:
-        0 (no deadline near) / 1 (deadline approaching) / 2 (imminent).
-    """
-
-    backlog: int
-    imbalance: int
-    urgency: int
-
-    @staticmethod
-    def discretize(total_backlog: int, fairness_debt: float,
-                   min_deadline_slack_s: float,
-                   ) -> "MultiTenantSchedulingState":
-        b = 0 if total_backlog == 0 else (1 if total_backlog <= 16 else 2)
-        i = 0 if fairness_debt < 1.0 else (1 if fairness_debt < 8.0 else 2)
-        u = 2 if min_deadline_slack_s < 600.0 else (
-            1 if min_deadline_slack_s < 3600.0 else 0)
-        return MultiTenantSchedulingState(b, i, u)
 
 
 class QLearningScheduler:

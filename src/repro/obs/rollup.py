@@ -10,9 +10,12 @@ one rolled-up total for everything that aged out, so memory is
 Windows are aligned to the *simulated* clock (``window index =
 floor(t / window_s)``), never wall clock, so the rollup is part of the
 determinism contract: same seed, same windows, same rates.  Rollups are
-mergeable (:meth:`WindowedCounter.merge_from`) the same way histograms
-are, so per-shard rollups from :mod:`repro.scale` workers combine into
-one global view.
+mergeable (:meth:`WindowedCounter.merge_from`), so per-shard rollups from
+:mod:`repro.scale` workers combine into one global view.  The merged
+:attr:`~WindowedCounter.total` is independent of chunking and merge
+order; the ring is not, by design: a window older than the newest
+retained one folds into the oldest retained window, so which windows
+stay resolved depends on the order the shards arrive in.
 """
 
 from __future__ import annotations
@@ -60,7 +63,10 @@ class WindowedCounter:
 
     def inc(self, t: float, amount: float = 1.0) -> None:
         """Count ``amount`` at sim time ``t`` (non-decreasing per caller)."""
-        idx = self._window_index(t)
+        self._add(self._window_index(t), amount)
+
+    def _add(self, idx: int, amount: float) -> None:
+        """Count ``amount`` into window ``idx``."""
         if self._ring and idx < self._ring[-1][0]:
             # Late event (e.g. merged shard skew): fold it into the
             # oldest retained window rather than corrupting ring order.
@@ -126,10 +132,12 @@ class WindowedCounter:
                 f"cannot merge rollups with different windows: "
                 f"{state['window_s']} vs {self.window_s}")
         self.rolled += state["rolled"]
-        # Replay the other ring through inc(); late windows fold per the
-        # rules above, so merging is deterministic regardless of skew.
+        # Replay the other ring window by window (by index: a round trip
+        # through ``idx * window_s`` can land in the window below).  Late
+        # windows fold per the rules above, so the ring, unlike the
+        # total, depends on merge order.
         for idx, amount in state["ring"]:
-            self.inc(idx * self.window_s, amount)
+            self._add(idx, amount)
         return self
 
     def merge_from(self, other: "WindowedCounter") -> "WindowedCounter":

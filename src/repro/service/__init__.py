@@ -12,7 +12,7 @@ Layout
 ``errors``     — admission-rejection and handle exception taxonomy
 ``tenants``    — quotas, live usage accounting, Jain fairness
 ``handle``     — :class:`CampaignHandle` / :class:`CampaignStatus`
-``scheduler``  — weighted-fair-queuing + EDF; RL (A1) variant
+``scheduler``  — weighted-fair-queuing + EDF
 ``service``    — :class:`CampaignService` + :class:`FacilitySlot`
 ``loadgen``    — deterministic open/closed-loop load generation
 """
@@ -24,8 +24,7 @@ from repro.service.errors import (AdmissionError, BudgetExhausted,
 from repro.service.handle import (TERMINAL_STATUSES, CampaignHandle,
                                   CampaignStatus)
 from repro.service.loadgen import LoadGenerator, TenantLoad, synthetic_runner
-from repro.service.scheduler import (FairShareScheduler, QueueEntry,
-                                     RLFairShareScheduler)
+from repro.service.scheduler import FairShareScheduler, QueueEntry
 from repro.service.service import CampaignRunner, CampaignService, FacilitySlot
 from repro.service.tenants import (DEFAULT_QUOTA, TenantQuota, TenantState,
                                    jain_fairness)
@@ -47,7 +46,6 @@ __all__ = [
     "LoadGenerator",
     "QueueEntry",
     "QueueFull",
-    "RLFairShareScheduler",
     "ServiceError",
     "TenantLoad",
     "TenantQuota",

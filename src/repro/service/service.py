@@ -400,22 +400,6 @@ class CampaignService:
         """High-water mark of queued+running campaigns across tenants."""
         return self._peak_in_system
 
-    def load(self) -> dict[str, Any]:
-        """Backpressure snapshot: per-tenant depth and headroom.
-
-        Clients use this to pace open-loop submission (see
-        :class:`repro.service.loadgen.LoadGenerator`).
-        """
-        return {
-            "backlog": sum(t.in_system for t in self.tenants),
-            "tenants": {
-                t.name: {"queued": t.queued, "running": t.running,
-                         "queue_headroom": t.quota.max_queued - t.queued,
-                         "budget_remaining": t.budget_remaining}
-                for t in self.tenants
-            },
-        }
-
     def utilization_report(self) -> dict[str, Any]:
         """Operator dashboard read back from the ``service.*`` metrics.
 

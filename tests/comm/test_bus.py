@@ -268,6 +268,43 @@ def test_bind_unknown_queue_rejected(sim, network):
         broker.bind("ghost", "t")
 
 
+# -- secured publish -------------------------------------------------------------
+
+def test_bus_publish_requires_valid_token(sim, testbed_network):
+    from repro.security import (FederatedIdentityProvider, Identity,
+                                PolicyEngine, SecurityError, TrustFabric,
+                                ZeroTrustGateway)
+    from repro.security.abac import allow_all_within_federation
+    fabric = TrustFabric()
+    idp = FederatedIdentityProvider(sim, "inst-0")
+    idp.enroll(Identity.make("agent@inst-0", "inst-0", role="agent"))
+    fabric.add_provider(idp)
+    fabric.federate()
+    gateway = ZeroTrustGateway(
+        sim, fabric, PolicyEngine(allow_all_within_federation()),
+        site_institution={"site-0": "inst-0"})
+    bus = MessageBus(sim, testbed_network, gateway=gateway)
+    broker = bus.add_broker("hub", site="site-0")
+    broker.declare_queue("q")
+    broker.bind("q", "t.#")
+    token = idp.issue("agent@inst-0")
+    outcomes = {}
+
+    def proc():
+        msg = Message(Performative.INFORM, "agent@inst-0", "t.x")
+        n = yield from bus.publish("hub", "site-1", "t.x", msg, token=token)
+        outcomes["with_token"] = n
+        with pytest.raises(SecurityError):
+            yield from bus.publish("hub", "site-1", "t.x",
+                                   Message(Performative.INFORM, "spy", "t.x"))
+
+    sim.process(proc())
+    sim.run()
+    assert outcomes["with_token"] == 1
+    assert len(broker.queues["q"]) == 1  # only the authenticated message
+    assert gateway.stats["rejected_authn"] == 1
+
+
 # -- exhaustive small-alphabet equivalence for topic_matches -------------------
 
 def _all_words(alphabet, max_len):

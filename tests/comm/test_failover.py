@@ -87,30 +87,13 @@ def test_recovery_time_is_none_without_an_outage(sim, group):
     assert group.recovery_time() is None
 
 
-def test_call_through_group_transparent_failover(sim, group, client):
-    group.replicas[0].kill()
-    out = {}
-
-    def proc():
-        out["r"] = yield from group.call(client, "echo", "hello",
-                                         deadline_s=0.5)
-
-    sim.process(proc())
-    sim.run()
-    assert out["r"] == "hello"
-    assert any(kind == "client-failover" for _, kind, _ in group.events)
-
-
-def test_all_replicas_down_raises(sim, group, client):
+def test_all_replicas_down_raises(group):
     for r in group.replicas:
         r.kill()
-
-    def proc():
-        with pytest.raises(NoHealthyReplica):
-            yield from group.call(client, "echo", "x", deadline_s=0.2)
-
-    sim.process(proc())
-    sim.run()
+    with pytest.raises(NoHealthyReplica):
+        group.promote_next()
+    assert group.primary.name == "broker-0"   # no promotion recorded
+    assert group.events == []
 
 
 def test_promote_skips_dead_standby(sim, group, client):
@@ -131,9 +114,3 @@ def test_monitor_stops_when_everything_down(sim, group, client):
     sim.process(killer())
     sim.run(until=10.0)
     assert any(kind == "all-down" for _, kind, _ in group.events)
-
-
-def test_healthy_replicas_listing(group):
-    group.replicas[1].kill()
-    names = [r.name for r in group.healthy_replicas()]
-    assert names == ["broker-0", "broker-2"]

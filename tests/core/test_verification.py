@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.agents.planner import ExperimentPlan
-from repro.core import (PhysicsConstraintVerifier,
-                        SurrogateConsistencyVerifier, TwinVerifier,
+from repro.core import (PhysicsConstraintVerifier, TwinVerifier,
                         VerificationStack)
 from repro.instruments import DigitalTwin, FluidicReactor
-from repro.labsci import ContinuousDim, ParameterSpace, SyntheticLandscape
-from repro.methods import BayesianOptimizer
 
 
 @pytest.fixture
@@ -105,30 +102,6 @@ def test_twin_verifier_rejects_wild_claim(sim, twin_verifier, qd_landscape):
     if truth < 0.4:
         assert reasons
         assert twin_verifier.stats["rejections"] == 1
-
-
-# -- surrogate consistency -----------------------------------------------------------
-
-def test_surrogate_verifier_flags_inconsistent_claim():
-    space = ParameterSpace([ContinuousDim("x", 0.0, 1.0)])
-    land = SyntheticLandscape(space, seed=4)
-    bo = BayesianOptimizer(space, np.random.default_rng(0), n_init=4)
-    for _ in range(20):
-        p = bo.ask()
-        bo.tell(p, land.objective_value(p))
-    ver = SurrogateConsistencyVerifier(bo, z_threshold=4.0)
-    mean, _ = bo.posterior_at({"x": 0.5})
-    sane = ver.check(plan({"x": 0.5}, expected={"objective": mean}))
-    assert sane == []
-    crazy = ver.check(plan({"x": 0.5}, expected={"objective": 1e6}))
-    assert crazy and "sigma" in crazy[0]
-
-
-def test_surrogate_verifier_passes_without_data():
-    space = ParameterSpace([ContinuousDim("x", 0.0, 1.0)])
-    bo = BayesianOptimizer(space, np.random.default_rng(0))
-    ver = SurrogateConsistencyVerifier(bo)
-    assert ver.check(plan({"x": 0.5}, expected={"objective": 1e6})) == []
 
 
 # -- the stack ----------------------------------------------------------------------------

@@ -292,17 +292,6 @@ def test_mesh_accepts_sharded_index(sim, testbed_network):
     assert fetched.record_id == r.record_id
 
 
-def test_failed_normalize_never_schedules_publish(mesh, sim):
-    from repro.data.schema import SchemaError
-    node = mesh.nodes["site-0"]
-    bad = rec(values={"unmappable": 1.0})
-    with pytest.raises(SchemaError):
-        node.normalize_and_ingest(bad, "ghost-schema")
-    sim.run()
-    assert len(mesh.index) == 0
-    assert node.stats["ingested"] == 0
-
-
 def test_merged_provenance_namespaces_by_site(mesh, sim):
     from repro.data.provenance import qualified
     r0 = mesh.nodes["site-0"].ingest(rec())

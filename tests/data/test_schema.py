@@ -1,9 +1,9 @@
-"""Tests for schemas, evolution, negotiation, and unit conversion."""
+"""Tests for schemas, evolution, and the schema registry."""
 
 import pytest
 
-from repro.data import FieldSpec, Schema, SchemaNegotiator, SchemaRegistry
-from repro.data.schema import SchemaError, convert_unit
+from repro.data import FieldSpec, Schema, SchemaRegistry
+from repro.data.schema import SchemaError
 
 
 @pytest.fixture
@@ -14,31 +14,6 @@ def pl_schema():
                   aliases=("wavelength", "peak_nm")),
         FieldSpec("temperature", unit="C", required=False),
     ))
-
-
-# -- unit conversion ---------------------------------------------------------
-
-@pytest.mark.parametrize("value,frm,to,expected", [
-    (373.15, "K", "C", 100.0),
-    (212.0, "F", "C", 100.0),
-    (2.0, "min", "s", 120.0),
-    (1.0, "hr", "s", 3600.0),
-    (500.0, "uL", "mL", 0.5),
-    (50.0, "percent", "fraction", 0.5),
-    (5.0, "C", "C", 5.0),
-])
-def test_convert_unit(value, frm, to, expected):
-    assert convert_unit(value, frm, to) == pytest.approx(expected)
-
-
-def test_convert_unit_reverse_direction():
-    assert convert_unit(100.0, "C", "K") == pytest.approx(373.15)
-    assert convert_unit(120.0, "s", "min") == pytest.approx(2.0)
-
-
-def test_convert_unknown_unit_raises():
-    with pytest.raises(SchemaError):
-        convert_unit(1.0, "furlong", "m")
 
 
 # -- validation ------------------------------------------------------------------
@@ -117,63 +92,3 @@ def test_registry_duplicate_rejected(pl_schema):
 def test_registry_unknown(pl_schema):
     with pytest.raises(SchemaError):
         SchemaRegistry().get("ghost@1")
-
-
-# -- negotiation ------------------------------------------------------------------------------
-
-def test_negotiate_exact_match(pl_schema):
-    neg = SchemaNegotiator()
-    mappings = neg.negotiate({"plqy": "fraction", "emission_nm": "nm"},
-                             pl_schema)
-    out = neg.apply(mappings, {"plqy": 0.4, "emission_nm": 520.0})
-    assert out == {"plqy": 0.4, "emission_nm": 520.0}
-
-
-def test_negotiate_alias(pl_schema):
-    neg = SchemaNegotiator()
-    mappings = neg.negotiate({"plqy": "fraction", "wavelength": "nm"},
-                             pl_schema)
-    out = neg.apply(mappings, {"plqy": 0.4, "wavelength": 530.0})
-    assert out["emission_nm"] == 530.0
-
-
-def test_negotiate_alias_with_unit_conversion(pl_schema):
-    neg = SchemaNegotiator()
-    mappings = neg.negotiate({"plqy": "percent", "peak_nm": "A"}, pl_schema)
-    out = neg.apply(mappings, {"plqy": 40.0, "peak_nm": 5200.0})
-    assert out["plqy"] == pytest.approx(0.4)
-    assert out["emission_nm"] == pytest.approx(520.0)
-
-
-def test_negotiate_unit_suffix_heuristic(pl_schema):
-    # Producer exports temperature_K; the consumer wants temperature in C.
-    neg = SchemaNegotiator()
-    mappings = neg.negotiate(
-        {"plqy": "fraction", "emission_nm": "nm", "temperature_K": ""},
-        pl_schema)
-    out = neg.apply(mappings, {"plqy": 0.1, "emission_nm": 500.0,
-                               "temperature_K": 373.15})
-    assert out["temperature"] == pytest.approx(100.0)
-
-
-def test_negotiate_default_for_missing_optional(pl_schema):
-    neg = SchemaNegotiator()
-    mappings = neg.negotiate({"plqy": "fraction", "emission_nm": "nm"},
-                             pl_schema, defaults={"temperature": 25.0})
-    out = neg.apply(mappings, {"plqy": 0.1, "emission_nm": 500.0})
-    assert out["temperature"] == 25.0
-
-
-def test_negotiate_required_unmappable_fails(pl_schema):
-    neg = SchemaNegotiator()
-    with pytest.raises(SchemaError, match="plqy"):
-        neg.negotiate({"intensity": "counts"}, pl_schema)
-    assert neg.stats["failures"] == 1
-
-
-def test_negotiate_missing_optional_skipped(pl_schema):
-    neg = SchemaNegotiator()
-    mappings = neg.negotiate({"plqy": "fraction", "emission_nm": "nm"},
-                             pl_schema)
-    fields = {m.consumer_field for m in mappings}
-    assert "temperature" not in fields

@@ -1,10 +1,9 @@
-"""Tests for the common instrument model and calibration."""
+"""Tests for the common instrument model."""
 
-import numpy as np
 import pytest
 
-from repro.instruments import (BatchSynthesisRobot, CalibrationModel,
-                               InstrumentFault, InstrumentStatus, OutOfSpec)
+from repro.instruments import (BatchSynthesisRobot, InstrumentFault,
+                               InstrumentStatus, OutOfSpec)
 
 
 def make_robot(sim, rngs, landscape, **kw):
@@ -117,57 +116,3 @@ def test_capability_descriptor_shape(sim, rngs, qd_landscape):
     assert desc["kind"] == "synthesis-robot"
     assert "synthesize" in desc["operations"]
     assert "temperature" in desc["envelope"]
-
-
-# -- calibration ---------------------------------------------------------------
-
-def test_calibration_drift_accumulates():
-    rng = np.random.default_rng(0)
-    cal = CalibrationModel(rng, drift_per_hour=0.1)
-    assert cal.bias() == 0.0
-    for _ in range(50):
-        cal.accumulate(1.0)
-    assert cal.bias() != 0.0
-    assert cal.hours_since_calibration == 50.0
-
-
-def test_calibration_reset():
-    rng = np.random.default_rng(0)
-    cal = CalibrationModel(rng, drift_per_hour=0.1)
-    cal.accumulate(100.0)
-    cal.reset()
-    assert cal.bias() == 0.0
-    assert cal.calibrations == 1
-
-
-def test_calibration_bias_bounded():
-    rng = np.random.default_rng(0)
-    cal = CalibrationModel(rng, drift_per_hour=10.0, max_abs_bias=0.2)
-    for _ in range(100):
-        cal.accumulate(1.0)
-    assert abs(cal.bias()) <= 0.2
-
-
-def test_needs_calibration_threshold():
-    rng = np.random.default_rng(0)
-    cal = CalibrationModel(rng, drift_per_hour=0.0, initial_bias=0.3)
-    assert cal.needs_calibration(0.1)
-    assert not cal.needs_calibration(0.5)
-
-
-def test_auto_calibrate_resets_drift(sim, rngs, qd_landscape, qd_params):
-    cal = CalibrationModel(rngs.stream("cal"), drift_per_hour=5.0,
-                           procedure_time_s=300.0)
-    robot = BatchSynthesisRobot(sim, "robot-1", "ornl", rngs, qd_landscape,
-                                batch_time_s=3600.0, calibration=cal)
-
-    def proc():
-        yield from robot.synthesize(qd_params)
-        assert cal.bias() != 0.0
-        t0 = sim.now
-        yield from robot.auto_calibrate()
-        assert sim.now - t0 == pytest.approx(300.0)
-
-    sim.process(proc())
-    sim.run()
-    assert cal.bias() == 0.0

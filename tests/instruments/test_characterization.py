@@ -1,11 +1,11 @@
-"""Tests for spectrometer, XRD, microscope, furnace, liquid handler, flow."""
+"""Tests for spectrometer, XRD, microscope, liquid handler, flow."""
 
 import numpy as np
 import pytest
 
 from repro.instruments import (BatchSynthesisRobot, ElectronMicroscope,
                                FluidicReactor, LiquidHandler, PLSpectrometer,
-                               TubeFurnace, XRayDiffractometer)
+                               XRayDiffractometer)
 from repro.labsci import Sample
 from repro.sim import RngRegistry, Simulator
 
@@ -144,33 +144,6 @@ def test_microscope_image_and_uniformity(sim, rngs, sample):
     assert m.raw["image"].shape == (64, 64)
     assert 0.0 <= m.values["uniformity"] <= 1.0
     assert m.values["grain_density"] > 0
-
-
-# -- furnace ------------------------------------------------------------------------------
-
-def test_furnace_anneal_improves_near_optimum(sim, rngs, sample):
-    furnace = TubeFurnace(sim, "furnace-1", "ornl", rngs,
-                          optimal_anneal_C=180.0, ramp_rate_C_per_s=10.0)
-    before = sample.true_property("plqy")
-    factor = run(sim, furnace.anneal(sample, temperature=180.0,
-                                     hold_time_s=600.0))
-    assert factor == pytest.approx(1.3)
-    assert sample.true_property("plqy") == pytest.approx(before * 1.3)
-
-
-def test_furnace_overheating_degrades(sim, rngs, sample):
-    furnace = TubeFurnace(sim, "furnace-1", "ornl", rngs,
-                          optimal_anneal_C=180.0, ramp_rate_C_per_s=10.0)
-    factor = run(sim, furnace.anneal(sample, temperature=1100.0,
-                                     hold_time_s=60.0))
-    assert factor < 1.0
-
-
-def test_furnace_time_includes_ramps(sim, rngs, sample):
-    furnace = TubeFurnace(sim, "f", "ornl", rngs, ramp_rate_C_per_s=1.0)
-    run(sim, furnace.anneal(sample, temperature=225.0, hold_time_s=100.0))
-    # ramp = 200 s each way + 100 s hold
-    assert sim.now == pytest.approx(500.0)
 
 
 # -- liquid handler -----------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.instruments import (BatchSynthesisRobot, DigitalTwin,
-                               HardwareAbstractionLayer, HpcCluster,
-                               OperationRequest, PLSpectrometer, TubeFurnace,
+                               FluidicReactor, HardwareAbstractionLayer,
+                               HpcCluster, OperationRequest, PLSpectrometer,
                                VENDOR_DIALECTS, VendorError,
                                make_vendor_protocol)
 from repro.labsci import Sample
@@ -202,16 +202,22 @@ def test_hal_measure_through_vendor(sim, rngs, qd_landscape, qd_params):
     assert m.kind == "pl-spectrum"
 
 
-def test_hal_anneal_through_vendor(sim, rngs, qd_landscape, qd_params):
+def test_hal_flow_synthesis_through_custom_lab(sim, rngs, qd_landscape,
+                                               qd_params):
+    # custom-lab carries times in hours: residence_time crosses the wire
+    # as residence_time_hr and arrives back in seconds.
     hal = HardwareAbstractionLayer()
-    furnace = TubeFurnace(sim, "furnace-1", "ornl", rngs,
-                          ramp_rate_C_per_s=10.0)
-    hal.register(make_vendor_protocol(furnace, "custom-lab"))
-    sample = Sample.synthesize(qd_params, qd_landscape)
-    req = OperationRequest(operation="anneal", sample=sample,
-                           params={"temperature": 180.0, "hold_time": 60.0})
-    factor = run(sim, hal.execute("furnace-1", req))
-    assert factor > 1.0
+    reactor = FluidicReactor(sim, "flow-1", "ornl", rngs, qd_landscape,
+                             sample_time_s=30.0, prime_time_s=0.0)
+    hal.register(make_vendor_protocol(reactor, "custom-lab"))
+    req = OperationRequest(operation="synthesize", params=dict(qd_params))
+    sample = run(sim, hal.execute("flow-1", req))
+    assert sample.params["residence_time"] == pytest.approx(
+        qd_params["residence_time"])
+    assert sample.true_properties()["plqy"] == pytest.approx(
+        qd_landscape.evaluate(qd_params)["plqy"])
+    assert reactor.samples_made == 1
+    assert sim.now == pytest.approx(30.0)
 
 
 # -- HPC -------------------------------------------------------------------------------

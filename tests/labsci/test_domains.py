@@ -1,12 +1,11 @@
-"""Tests for the four domain landscapes and samples."""
+"""Tests for the domain landscapes and samples."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.labsci import (ContinuousDim, MetallicGlassLandscape,
-                          PerovskiteLandscape, PolymerFilmLandscape,
+from repro.labsci import (ContinuousDim, PerovskiteLandscape,
                           QuantumDotLandscape, Sample)
 
 
@@ -91,67 +90,6 @@ def test_perovskite_same_optimum_structure_across_sites():
     assert land_site.objective_value(best_p) > 0.5 * best_v
 
 
-# -- metallic glass -----------------------------------------------------------------
-
-def test_metallic_glass_infeasible_composition_zero():
-    land = MetallicGlassLandscape(seed=2)
-    props = land.evaluate({"frac_zr": 0.8, "frac_cu": 0.8,
-                           "cooling_rate": 5.0})
-    assert props == {"gfa": 0.0, "is_glass": 0.0}
-
-
-def test_metallic_glass_cooling_rate_helps():
-    land = MetallicGlassLandscape(seed=2)
-    rng = np.random.default_rng(0)
-    diffs = []
-    for _ in range(30):
-        x = rng.uniform(0, 0.6)
-        y = rng.uniform(0, 1 - x - 1e-6) if x < 1 else 0
-        slow = land.evaluate({"frac_zr": x, "frac_cu": y, "cooling_rate": 1.5})
-        fast = land.evaluate({"frac_zr": x, "frac_cu": y, "cooling_rate": 5.5})
-        diffs.append(fast["gfa"] - slow["gfa"])
-    assert all(d >= 0 for d in diffs)
-
-
-def test_metallic_glass_has_glass_formers():
-    land = MetallicGlassLandscape(seed=2)
-    rng = np.random.default_rng(1)
-    found = 0
-    for _ in range(2000):
-        x = rng.uniform(0, 1)
-        y = rng.uniform(0, 1 - x) if x < 1 else 0.0
-        if land.evaluate({"frac_zr": x, "frac_cu": y,
-                          "cooling_rate": 5.9})["is_glass"]:
-            found += 1
-    assert 0 < found < 2000  # islands exist but do not cover the simplex
-
-
-# -- polymer films -----------------------------------------------------------------------
-
-def test_polymer_solvent_blend_changes_optimum():
-    land = PolymerFilmLandscape(seed=4)
-    speeds = np.linspace(0.5, 50.0, 60)
-
-    def best_speed(blend):
-        return max(speeds, key=lambda s: land.evaluate(
-            {"solvent_blend": blend, "coating_speed": float(s),
-             "anneal_temp": land._opt_temp[blend],
-             "dopant_fraction": 0.18})["conductivity"])
-
-    bests = {b: best_speed(b) for b in
-             ("chloroform", "chlorobenzene", "xylene")}
-    assert len({round(v, 1) for v in bests.values()}) > 1
-
-
-def test_polymer_uniformity_degrades_with_speed():
-    land = PolymerFilmLandscape(seed=4)
-    slow = land.evaluate({"solvent_blend": "xylene", "coating_speed": 1.0,
-                          "anneal_temp": 150.0, "dopant_fraction": 0.1})
-    fast = land.evaluate({"solvent_blend": "xylene", "coating_speed": 45.0,
-                          "anneal_temp": 150.0, "dopant_fraction": 0.1})
-    assert fast["uniformity"] < slow["uniformity"]
-
-
 # -- samples ---------------------------------------------------------------------------------
 
 def test_sample_carries_truth_privately(qd):
@@ -199,8 +137,7 @@ def _point(space):
 #: parametrization reads the list for its own class.
 _POINTS = st.fixed_dictionaries({
     cls.__name__: st.lists(_point(cls().space), max_size=6)
-    for cls in (QuantumDotLandscape, PerovskiteLandscape,
-                PolymerFilmLandscape, MetallicGlassLandscape)})
+    for cls in (QuantumDotLandscape, PerovskiteLandscape)})
 
 
 @pytest.mark.parametrize("make", [
@@ -208,18 +145,11 @@ _POINTS = st.fixed_dictionaries({
     lambda seed: PerovskiteLandscape(seed=seed),
     lambda seed: PerovskiteLandscape(seed=seed, site="lab-b",
                                      calibration_scale=1.0),
-    lambda seed: PolymerFilmLandscape(seed=seed),
-    lambda seed: MetallicGlassLandscape(seed=seed),
 ])
 @given(seed=st.integers(0, 15), points=_POINTS)
-# Points where an array-expression twin of ``evaluate`` rounded
-# differently on an AVX-512 host: polymer conductivity
-# (7.371651511798287e-05 vs 7.3716515117983e-05) and quantum-dot
-# stability (0.35701539400931515 vs 0.3570153940093152).
-@example(seed=3, points={"PolymerFilmLandscape": [
-    {"solvent_blend": "chloroform", "coating_speed": 39.850632440231315,
-     "anneal_temp": 153.38451425355197,
-     "dopant_fraction": 0.2636301797338839}]})
+# A point where an array-expression twin of ``evaluate`` rounded
+# differently on an AVX-512 host: quantum-dot stability
+# (0.35701539400931515 vs 0.3570153940093152).
 @example(seed=7, points={"QuantumDotLandscape": [
     {"dopant": "In", "ligand": "oleic-acid", "solvent": "toluene",
      "halide_source": "PbBr2", "temperature": 87.48144424848788,
@@ -243,10 +173,3 @@ def test_evaluate_batch_matches_scalar(make, seed, points):
             assert float(batch[name][i]).hex() == float(scalar[name]).hex(), \
                 (name, i)
 
-
-def test_metallic_glass_batch_infeasible_rows():
-    land = MetallicGlassLandscape(seed=1)
-    infeasible = {"frac_zr": 0.8, "frac_cu": 0.8, "cooling_rate": 5.0}
-    out = land.evaluate_batch([infeasible])
-    assert out["gfa"][0] == 0.0
-    assert out["is_glass"][0] == 0.0

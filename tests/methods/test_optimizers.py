@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from repro.labsci import (ContinuousDim, DiscreteDim, ParameterSpace,
                           SyntheticLandscape)
-from repro.methods import (BayesianOptimizer, GridSearch, LatinHypercube,
+from repro.methods import (BayesianOptimizer, GridSearch,
                            NestedBayesianOptimizer, RandomSearch,
                            expected_improvement, probability_of_improvement,
                            upper_confidence_bound)
@@ -133,22 +133,6 @@ def test_grid_search_covers_grid(mixed_space):
 def test_grid_search_validation(mixed_space):
     with pytest.raises(ValueError):
         GridSearch(mixed_space, points_per_dim=1)
-
-
-def test_latin_hypercube_stratifies(cont_space):
-    lhs = LatinHypercube(cont_space, np.random.default_rng(0), block=16)
-    xs = sorted(lhs.ask()["x"] for _ in range(16))
-    # one sample per stratum of width 1/16
-    strata = {int(v * 16) for v in xs}
-    assert len(strata) == 16
-
-
-def test_latin_hypercube_discrete_balanced(mixed_space):
-    lhs = LatinHypercube(mixed_space, np.random.default_rng(0), block=16)
-    from collections import Counter
-    counts = Counter(lhs.ask()["chem"] for _ in range(16))
-    assert set(counts) == {"a", "b", "c", "d"}
-    assert max(counts.values()) == 4
 
 
 # -- Bayesian optimization ----------------------------------------------------------

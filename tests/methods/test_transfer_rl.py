@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.labsci import ContinuousDim, DiscreteDim, ParameterSpace
 from repro.methods import QLearningScheduler, TransferAdapter
-from repro.methods.rl_scheduler import SchedulingState
 
 
 @pytest.fixture
@@ -176,30 +175,13 @@ def test_property_incremental_offset_matches_full_recompute(
         assert fast.stats == ref.stats
 
 
-# -- scheduling state -----------------------------------------------------------------
-
-def test_state_discretization_bounds():
-    s = SchedulingState.discretize(queue_length=0, frac_budget_used=0.0,
-                                   recent_improvement=0.5)
-    assert (s.queue_pressure, s.budget_phase, s.confidence) == (0, 0, 0)
-    s = SchedulingState.discretize(queue_length=10, frac_budget_used=0.9,
-                                   recent_improvement=0.0)
-    assert (s.queue_pressure, s.budget_phase, s.confidence) == (2, 2, 2)
-
-
-def test_state_hashable():
-    a = SchedulingState(1, 1, 1)
-    b = SchedulingState(1, 1, 1)
-    assert a == b and hash(a) == hash(b)
-
-
 # -- Q-learning -------------------------------------------------------------------------
 
 def test_q_learning_learns_best_action():
     rng = np.random.default_rng(0)
     sched = QLearningScheduler(("flow", "batch", "simulate"), rng,
                                epsilon=0.3)
-    state = SchedulingState(1, 1, 1)
+    state = (1, 1, 1)  # any hashable state key
     rewards = {"flow": 1.0, "batch": 0.2, "simulate": 0.5}
     for _ in range(300):
         action = sched.choose(state)
@@ -210,7 +192,7 @@ def test_q_learning_learns_best_action():
 def test_q_learning_state_dependent_policy():
     rng = np.random.default_rng(1)
     sched = QLearningScheduler(("fast", "accurate"), rng, epsilon=0.4)
-    early, late = SchedulingState(0, 0, 0), SchedulingState(0, 2, 2)
+    early, late = (0, 0, 0), (0, 2, 2)
     for _ in range(400):
         for state, best in ((early, "fast"), (late, "accurate")):
             action = sched.choose(state)

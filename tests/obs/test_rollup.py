@@ -1,6 +1,8 @@
 """Tests for streaming windowed rollups."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import WindowedCounter
 
@@ -90,3 +92,77 @@ def test_state_is_plain_data():
     fresh.merge_state(state)
     assert fresh.total == wc.total
     assert fresh.recent() == wc.recent()
+
+
+def test_merge_keeps_windows_of_non_dyadic_width():
+    # idx * 0.1 // 0.1 is idx - 1 for idx 5, 9 and 13: a merge that
+    # replayed windows through their start times filed them one low.
+    counter = WindowedCounter(0.1, 8)
+    for t in (0.05, 0.52, 0.95, 1.31):
+        counter.inc(t)
+    assert [idx for idx, _ in counter.state()["ring"]] == [0, 5, 9, 13]
+    merged = WindowedCounter(0.1, 8).merge_from(counter)
+    assert merged.state() == counter.state()
+
+
+# -- merge oracle ---------------------------------------------------------------
+#
+# Only the total is independent of how the events are sharded and in
+# which order the shards merge.  The ring is not, by design: a window
+# older than the newest retained one folds into the oldest retained
+# window, so which windows stay resolved depends on merge order.  The
+# oracle pins the total, the ring's shape after every merge, and that a
+# merge into an empty counter is an exact copy.  Amounts are integers,
+# so every sum is exact in any order.
+
+_WIDTHS = (0.1, 0.3, 7.7, 1.0, 0.25, 60.0)
+_EVENTS = st.lists(st.tuples(st.floats(0.0, 500.0), st.integers(0, 9)),
+                   max_size=60)
+
+
+def _fed(window_s, n_windows, events):
+    counter = WindowedCounter(window_s, n_windows)
+    for t, amount in sorted(events):  # each shard counts in sim-time order
+        counter.inc(t, float(amount))
+    return counter
+
+
+def _assert_ring_shape(counter):
+    indices = [idx for idx, _ in counter.state()["ring"]]
+    assert len(indices) <= counter.n_windows
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_s=st.sampled_from(_WIDTHS), n_windows=st.integers(1, 8),
+       events=_EVENTS, data=st.data())
+def test_property_rollup_merge_keeps_total_and_ring_shape(
+        window_s, n_windows, events, data):
+    """Shard the events over 1-5 counters and merge them into a fresh
+    one in any order: the total is the sum of all amounts, and after each
+    merge the ring holds at most ``n_windows`` strictly increasing
+    window indices."""
+    n_chunks = data.draw(st.integers(1, 5), label="chunks")
+    shard_of = data.draw(st.lists(st.integers(0, n_chunks - 1),
+                                  min_size=len(events),
+                                  max_size=len(events)), label="shard_of")
+    shards = [_fed(window_s, n_windows,
+                   [e for e, s in zip(events, shard_of) if s == i])
+              for i in range(n_chunks)]
+    order = data.draw(st.permutations(range(n_chunks)), label="order")
+    merged = WindowedCounter(window_s, n_windows)
+    for i in order:
+        merged.merge_from(shards[i])
+        _assert_ring_shape(merged)
+    assert merged.total == sum(amount for _, amount in events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_s=st.sampled_from(_WIDTHS), n_windows=st.integers(1, 8),
+       events=_EVENTS)
+def test_property_rollup_merge_into_empty_is_identity(
+        window_s, n_windows, events):
+    """Merging one counter into an empty one reproduces its state."""
+    counter = _fed(window_s, n_windows, events)
+    merged = WindowedCounter(window_s, n_windows).merge_from(counter)
+    assert merged.state() == counter.state()

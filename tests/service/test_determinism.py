@@ -1,24 +1,19 @@
 """Service determinism: same seed, same decision hash; world replay."""
 
-import numpy as np
-
 from repro.core.campaign import CampaignSpec
 from repro.scale.hashing import decision_hash
 from repro.scale.runner import WorldRunner, WorldSpec
 from repro.scale.worlds import WORLD_KINDS, service_world
-from repro.service import (CampaignService, FacilitySlot,
-                           RLFairShareScheduler, TenantQuota,
+from repro.service import (CampaignService, FacilitySlot, TenantQuota,
                            synthetic_runner)
 from repro.sim.kernel import Simulator
 
 
-def _run_mixed(seed, scheduler_factory=None):
+def _run_mixed(seed):
     sim = Simulator()
     runner = synthetic_runner(sim, seed=seed, mean_experiment_s=150.0)
-    scheduler = scheduler_factory(sim) if scheduler_factory else None
     svc = CampaignService(
-        sim, [FacilitySlot(f"s{i}", runner) for i in range(3)],
-        scheduler=scheduler)
+        sim, [FacilitySlot(f"s{i}", runner) for i in range(3)])
     svc.register_tenant("a", TenantQuota(share=1.0))
     svc.register_tenant("b", TenantQuota(share=2.0))
     handles = []
@@ -46,13 +41,6 @@ def test_same_seed_same_decision_hash():
 
 def test_different_seed_different_hash():
     assert _run_mixed(5) != _run_mixed(6)
-
-
-def test_rl_scheduler_same_seed_same_hash():
-    def factory(_sim):
-        return RLFairShareScheduler(np.random.default_rng(13),
-                                    deadline_urgency_s=600.0)
-    assert _run_mixed(5, factory) == _run_mixed(5, factory)
 
 
 def test_service_world_registered():

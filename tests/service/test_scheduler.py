@@ -1,10 +1,8 @@
 """Fair-share/EDF scheduler unit tests (no simulator needed)."""
 
-import numpy as np
 import pytest
 
-from repro.service.scheduler import (FairShareScheduler, QueueEntry,
-                                     RLFairShareScheduler)
+from repro.service.scheduler import FairShareScheduler, QueueEntry
 
 
 class _Handle:
@@ -146,28 +144,3 @@ def test_negative_urgency_rejected():
     with pytest.raises(ValueError):
         FairShareScheduler(deadline_urgency_s=-1.0)
 
-
-def test_rl_scheduler_serves_everyone_and_is_deterministic():
-    def run(seed):
-        sched = RLFairShareScheduler(np.random.default_rng(seed))
-        sched.register("a")
-        sched.register("b")
-        sched.register("c")
-        for i in range(30):
-            sched.enqueue(entry(i, "abc"[i % 3]))
-        return [e.seq for e in drain(sched)]
-
-    first, second = run(7), run(7)
-    assert first == second            # same seed, same dispatch order
-    assert len(first) == 30           # nothing lost
-    assert run(8) != first            # exploration actually random
-
-
-def test_rl_scheduler_honours_urgent_deadlines():
-    sched = RLFairShareScheduler(np.random.default_rng(0),
-                                 deadline_urgency_s=300.0)
-    sched.register("a")
-    sched.register("b")
-    sched.enqueue(entry(0, "a"))
-    sched.enqueue(entry(1, "b", deadline=100.0))
-    assert sched.select(0.0, everyone).tenant == "b"

@@ -200,9 +200,9 @@ def test_service_metrics_and_load_snapshot():
     for i in range(3):
         svc.submit("a", spec(f"a{i}"))
         svc.submit("b", spec(f"b{i}"))
-    load = svc.load()
-    assert load["backlog"] == 6
-    assert load["tenants"]["a"]["queued"] == 3
+    gauges = svc.metrics.snapshot()["gauges"]
+    assert gauges["service.backlog"] == 6
+    assert gauges["service.queued{tenant=a}"] == 3
     sim.run()
     snap = svc.metrics.snapshot()
     assert snap["counters"]["service.completed{tenant=a}"] == 3

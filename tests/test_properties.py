@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.comm.bus import topic_matches
 from repro.core.metrics import reduction_fraction, speedup
 from repro.data import DataRecord, fair_score
-from repro.data.schema import _UNIT_CONVERSIONS, convert_unit
 from repro.labsci import ContinuousDim, DiscreteDim, ParameterSpace
 from repro.labsci.quantum_dots import quantum_dot_space
 from repro.net import (FaultInjector, Link, Network, NoPath, Site, Topology,
@@ -43,19 +42,6 @@ def test_property_star_matches_any_single_segment(topic):
 def test_property_extra_segment_breaks_exact_match(topic, extra):
     assert not topic_matches(topic, topic + "." + extra)
     assert topic_matches(topic + ".#", topic + "." + extra)
-
-
-# -- unit conversion --------------------------------------------------------------
-
-@given(st.sampled_from(sorted(_UNIT_CONVERSIONS)),
-       st.floats(min_value=-1e6, max_value=1e6,
-                 allow_nan=False, allow_infinity=False))
-@settings(max_examples=100, deadline=None)
-def test_property_unit_conversion_round_trips(unit, value):
-    canonical, _fn = _UNIT_CONVERSIONS[unit]
-    forward = convert_unit(value, unit, canonical)
-    back = convert_unit(forward, canonical, unit)
-    assert back == pytest.approx(value, rel=1e-9, abs=1e-6)
 
 
 # -- parameter spaces ------------------------------------------------------------------
