@@ -1,7 +1,8 @@
 """Stateful federated agents (the actors of §3.3).
 
-- :mod:`repro.agents.base` — the agent runtime: mailboxes, message
-  dispatch, heartbeats, crash/restart semantics.
+- :mod:`repro.agents.base` — the agent base: identity, heartbeats,
+  crash/restart semantics.  The orchestrator calls agents' methods
+  directly; there is no message passing between them.
 - :mod:`repro.agents.llm` — the simulated LLM: a deterministic-seeded
   stochastic reasoner with realistic latency, token cost, and
   hallucination failure modes (see DESIGN.md substitutions).
@@ -12,7 +13,7 @@
   restart (fault-tolerant coordination, M3).
 """
 
-from repro.agents.base import Agent, AgentRuntime, AgentState
+from repro.agents.base import Agent, AgentState
 from repro.agents.evaluator import EvaluatorAgent
 from repro.agents.executor import ExecutorAgent, ExperimentOutcome
 from repro.agents.lifecycle import Supervisor
@@ -21,7 +22,6 @@ from repro.agents.planner import ExperimentPlan, PlannerAgent
 
 __all__ = [
     "Agent",
-    "AgentRuntime",
     "AgentState",
     "EvaluatorAgent",
     "ExecutorAgent",

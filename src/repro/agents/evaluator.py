@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.agents.base import Agent, AgentRuntime
+from repro.agents.base import Agent
 from repro.agents.executor import ExperimentOutcome
 from repro.agents.planner import PlannerAgent
 
@@ -31,13 +31,11 @@ class EvaluatorAgent(Agent):
         Improvement below this counts as "no progress".
     """
 
-    role = "evaluator"
-
-    def __init__(self, sim, name: str, site: str, runtime: AgentRuntime,
+    def __init__(self, sim, name: str, site: str,
                  planner: PlannerAgent, *, target: Optional[float] = None,
                  patience: Optional[int] = None,
                  min_improvement: float = 1e-3, **kw: Any) -> None:
-        super().__init__(sim, name, site, runtime, **kw)
+        super().__init__(sim, name, site, **kw)
         self.planner = planner
         self.target = target
         self.patience = patience
@@ -78,10 +76,3 @@ class EvaluatorAgent(Agent):
 
     def _converged(self) -> bool:
         return self.patience is not None and self._stale >= self.patience
-
-    @property
-    def recent_improvement(self) -> float:
-        """Improvement signal for the RL scheduler's state."""
-        if self.best_value is None or self._stale == 0:
-            return 1.0
-        return 1.0 / (1.0 + self._stale)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.agents.base import Agent, AgentRuntime
+from repro.agents.base import Agent
 from repro.agents.planner import ExperimentPlan
 from repro.instruments.base import Measurement, OperationRequest
 from repro.instruments.errors import InstrumentFault, OutOfSpec
@@ -56,12 +56,10 @@ class ExecutorAgent(Agent):
         Which measured value is the campaign objective.
     """
 
-    role = "executor"
-
-    def __init__(self, sim, name: str, site: str, runtime: AgentRuntime,
+    def __init__(self, sim, name: str, site: str,
                  hal: HardwareAbstractionLayer, synthesis_instrument: str,
                  characterization, objective_key: str, **kw: Any) -> None:
-        super().__init__(sim, name, site, runtime, **kw)
+        super().__init__(sim, name, site, **kw)
         self.hal = hal
         self.synthesis_instrument = synthesis_instrument
         self.characterization = characterization

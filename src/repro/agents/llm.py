@@ -125,15 +125,6 @@ class SimulatedLLM:
         return LLMResponse("select_tool", {"tool": choice, "goal": goal},
                            latency, tokens, grounded=grounded)
 
-    def summarize_reasoning(self, context: Mapping[str, Any]):
-        """Generator: produce a human-readable reasoning trace (M9's
-        ">90% scientist approval of reasoning traces" artifact)."""
-        latency, tokens = yield from self._charge(prompt_tokens=200)
-        keys = ", ".join(sorted(str(k) for k in context))
-        text = (f"Considering {keys}; proceeding with the highest-"
-                f"expected-value action under current uncertainty.")
-        return LLMResponse("summarize", {"text": text}, latency, tokens)
-
     # -- internals ----------------------------------------------------------------------
 
     def _plausible_proposal(self, space: ParameterSpace,

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from repro.agents.base import Agent, AgentRuntime
+from repro.agents.base import Agent
 from repro.agents.llm import SimulatedLLM
 from repro.sim.ids import next_label
 
@@ -70,14 +70,12 @@ class PlannerAgent(Agent):
         ignore it — that is the hallucination).
     """
 
-    role = "planner"
-
-    def __init__(self, sim, name: str, site: str, runtime: AgentRuntime,
+    def __init__(self, sim, name: str, site: str,
                  optimizer: AskTellOptimizer, llm: SimulatedLLM, *,
                  mode: str = "hierarchical",
                  safety_envelope: Optional[Mapping[str, tuple[float, float]]] = None,
                  **kw: Any) -> None:
-        super().__init__(sim, name, site, runtime, **kw)
+        super().__init__(sim, name, site, **kw)
         if mode not in ("hierarchical", "llm-direct"):
             raise ValueError(f"unknown planner mode {mode!r}")
         self.optimizer = optimizer

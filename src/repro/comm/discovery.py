@@ -145,10 +145,3 @@ class DnsSd:
             self._cache.pop(service_type, None)
             callback(event, record)
         return self.registry.watch(wrapped, service_type)
-
-    def invalidate(self, service_type: Optional[str] = None) -> None:
-        """Drop cached browse results."""
-        if service_type is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(service_type, None)

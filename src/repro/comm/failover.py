@@ -1,10 +1,11 @@
 """Automatic failover across replicated endpoints (milestone M11).
 
 A :class:`FailoverGroup` fronts a primary RPC server and ordered standbys.
-Health tracking is one :class:`~repro.resilience.CircuitBreaker` per
-endpoint: the heartbeat monitor records probe outcomes into the current
-primary's breaker and promotes the next healthy standby when it trips.
-E4 measures the resulting recovery time.
+Health tracking is one count of consecutive missed probes per replica:
+the heartbeat monitor probes the current primary, adds a miss to its
+count or resets the count when it answers, and promotes the next healthy
+standby once the count reaches ``heartbeat_misses``.  E4 measures the
+resulting recovery time.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.comm.rpc import RpcClient, RpcServer, RpcTimeout, ServerDown
 from repro.net.transport import NetworkError
-from repro.obs.metrics import MetricsRegistry
-from repro.resilience import CircuitBreaker, CircuitState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
@@ -25,7 +24,7 @@ class NoHealthyReplica(Exception):
 
 
 class FailoverGroup:
-    """Primary/standby replica set with breaker-driven promotion.
+    """Primary/standby replica set with miss-count promotion.
 
     Parameters
     ----------
@@ -36,33 +35,24 @@ class FailoverGroup:
     heartbeat_interval_s:
         Monitor probe period — the dominant term in failover latency.
     heartbeat_misses:
-        Consecutive missed probes that trip an endpoint's breaker (and,
-        for the primary, trigger promotion).  Only the primary is probed,
-        so a tripped breaker closes again only when its endpoint is
+        Consecutive missed probes of a replica that promote past it.  Only
+        the primary is probed, so a replica's count resets only when it is
         primary once more and answers; until then one missed probe
         promotes past it.
-    metrics:
-        Optional shared registry the per-endpoint breaker counters
-        (successes, failures, trips) report into.
     """
 
     def __init__(self, sim: "Simulator", replicas: list[RpcServer],
                  heartbeat_interval_s: float = 0.1,
-                 heartbeat_misses: int = 2, *,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 heartbeat_misses: int = 2) -> None:
         if not replicas:
             raise ValueError("need at least one replica")
+        if heartbeat_misses < 1:
+            raise ValueError("need heartbeat_misses >= 1")
         self.sim = sim
         self.replicas = list(replicas)
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_misses = heartbeat_misses
-        self.metrics = metrics or MetricsRegistry()
-        self.breakers: dict[str, CircuitBreaker] = {
-            replica.name: CircuitBreaker(
-                sim, failure_threshold=heartbeat_misses,
-                recovery_time_s=10.0 * heartbeat_interval_s,
-                name=f"failover.{replica.name}", metrics=self.metrics)
-            for replica in self.replicas}
+        self._misses = {replica.name: 0 for replica in self.replicas}
         self._primary_idx = 0
         self.events: list[tuple[float, str, str]] = []
         self._monitor_proc = None
@@ -88,6 +78,8 @@ class FailoverGroup:
 
     def start_monitor(self, client: RpcClient) -> None:
         """Spawn the heartbeat process probing the current primary."""
+        if self._monitor_proc is not None:
+            raise RuntimeError("failover monitor already started")
         self._monitor_proc = self.sim.process(self._monitor(client))
 
     def _monitor(self, client: RpcClient):
@@ -95,7 +87,6 @@ class FailoverGroup:
         while True:
             yield self.sim.timeout(self.heartbeat_interval_s)
             primary = self.primary
-            breaker = self.breakers[primary.name]
             try:
                 # Probe deadline must exceed the WAN round trip even at
                 # aggressive cadences, or healthy primaries look dead.
@@ -103,11 +94,11 @@ class FailoverGroup:
                     primary, "_health", None,
                     deadline_s=max(0.2, self.heartbeat_interval_s),
                     retries=0)
-                breaker.record_success()
+                self._misses[primary.name] = 0
             except (RpcTimeout, ServerDown, NetworkError, KeyError):
                 self.events.append((self.sim.now, "miss", primary.name))
-                breaker.record_failure()
-                if breaker.state is CircuitState.OPEN:
+                self._misses[primary.name] += 1
+                if self._misses[primary.name] >= self.heartbeat_misses:
                     try:
                         self.promote_next()
                     except NoHealthyReplica:

@@ -1,9 +1,10 @@
-"""Agent messages: FIPA-flavoured performatives in typed envelopes.
+"""Messages: FIPA-flavoured performatives in typed envelopes.
 
-A :class:`Message` is what agents exchange; an :class:`Envelope` wraps it
-with routing and security metadata as it crosses the middleware.  The
-performative vocabulary follows FIPA-ACL, which both the Academy-style
-middleware and ROS2-style ecosystems cited in §3.4 approximate.
+A :class:`Message` is one bus publish, RPC request or data-mesh
+request; an :class:`Envelope` wraps it with routing and security
+metadata as it crosses the middleware.  The performative vocabulary
+follows FIPA-ACL, which both the Academy-style middleware and ROS2-style
+ecosystems cited in §3.4 approximate.
 """
 
 from __future__ import annotations
@@ -66,17 +67,6 @@ class Message:
     def size_bytes(self) -> float:
         """Estimated wire size of the message (payload + fixed overhead)."""
         return 256.0 + estimate_size(self.payload) + estimate_size(self.headers)
-
-    def reply(self, performative: Performative, payload: Any = None,
-              sender: Optional[str] = None) -> "Message":
-        """Build a response correlated to this message."""
-        return Message(
-            performative=performative,
-            sender=sender or self.recipient,
-            recipient=self.reply_to or self.sender,
-            payload=payload,
-            conversation_id=self.conversation_id or str(self.msg_id),
-        )
 
 
 @dataclass

@@ -230,7 +230,3 @@ class RpcClient:
         resp_size = 256.0 + estimate_size(result)
         yield self.network.send(server.site, self.site, resp_size)
         return result
-
-    def mean_latency(self) -> float:
-        return (self.stats["total_latency"] / len(self.latencies)
-                if self.latencies else 0.0)

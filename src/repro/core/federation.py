@@ -1,8 +1,8 @@
 """Multi-site federation assembly and sample logistics.
 
 :class:`FederationManager` wires the whole AISLE stack for N laboratories
-— topology, transport, zero-trust security, service discovery, data mesh,
-agent runtime — and stamps out :class:`LabSite` bundles (instruments +
+— topology, transport, zero-trust security, service discovery and data
+mesh — and stamps out :class:`LabSite` bundles (instruments +
 HAL + twin + agent trio) ready for orchestration.  It is the builder the
 examples and multi-site experiments (E3, E10, F1) share.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.agents.base import AgentRuntime
 from repro.agents.evaluator import EvaluatorAgent
 from repro.agents.executor import ExecutorAgent
 from repro.agents.llm import SimulatedLLM
@@ -149,7 +148,6 @@ class FederationManager:
         self.network = Network(self.sim, self.topology,
                                self.rngs.stream("net"), self.faults,
                                metrics=self.metrics)
-        self.runtime = AgentRuntime(self.sim, self.network)
         self.registry = ServiceRegistry(self.sim)
         self.labs: dict[str, LabSite] = {}
 
@@ -235,14 +233,13 @@ class FederationManager:
         llm = SimulatedLLM(self.sim, self.rngs.stream(f"llm/{site_name}"),
                            hallucination_rate=hallucination_rate)
         planner = PlannerAgent(self.sim, f"planner.{site_name}", site_name,
-                               self.runtime, optimizer, llm,
+                               optimizer, llm,
                                mode=planner_mode, safety_envelope=safety)
         executor = ExecutorAgent(self.sim, f"executor.{site_name}",
-                                 site_name, self.runtime, hal,
-                                 synthesis.name, characterization,
-                                 self.objective_key)
+                                 site_name, hal, synthesis.name,
+                                 characterization, self.objective_key)
         evaluator = EvaluatorAgent(self.sim, f"evaluator.{site_name}",
-                                   site_name, self.runtime, planner)
+                                   site_name, planner)
 
         mesh_node = None
         if self.mesh is not None:

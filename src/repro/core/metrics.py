@@ -1,8 +1,9 @@
 """Arm-comparison arithmetic: the M8 speedup and the M9 reduction.
 
-Campaign-level comparisons go through
-:meth:`~repro.core.report.CampaignReport.speedup_vs` and
-:meth:`~repro.core.report.CampaignReport.reduction_vs`, which call these.
+Campaign-level comparisons call these on two reports'
+:attr:`~repro.core.report.CampaignReport.time_to_target` (speedup) or
+:attr:`~repro.core.report.CampaignReport.experiments_to_target`
+(reduction).
 
 All comparisons are ``None``-propagating: a campaign that never reached
 its target yields ``None`` (reported as "DNF") rather than a fabricated

@@ -10,9 +10,11 @@
   :func:`repro.scale.hashing.decision_hash` unchanged;
 - :meth:`to_dict` is the stable wire/JSON form, including the
   per-experiment ``decisions`` rows that pin the full decision sequence;
-- :meth:`summary` is the compact printable dict;
-- :meth:`speedup_vs` / :meth:`reduction_vs` compare two arms (the M8
-  speedup and the M9 experiment reduction).
+- :meth:`summary` is the compact printable dict.
+
+Arms are compared with :func:`repro.core.metrics.speedup` and
+:func:`repro.core.metrics.reduction_fraction` on the reports'
+``time_to_target`` and ``experiments_to_target``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.campaign import CampaignResult
-from repro.core.metrics import reduction_fraction, speedup
 
 #: ``to_dict`` schema version; bump when keys change incompatibly.
 REPORT_SCHEMA = 1
@@ -190,24 +191,3 @@ class CampaignReport:
             "stop_reason": self.stop_reason,
             **self.counters,
         }
-
-    # -- arm-vs-arm comparisons -------------------------------------------
-
-    def speedup_vs(self, baseline: "CampaignReport | float | None",
-                   ) -> Optional[float]:
-        """Baseline time-to-target over ours — the M8-style "3x" metric.
-
-        ``baseline`` is another report or a raw time in sim-seconds;
-        ``None`` on either side (never reached the target) gives ``None``.
-        """
-        base = (baseline.time_to_target
-                if isinstance(baseline, CampaignReport) else baseline)
-        return speedup(base, self.time_to_target)
-
-    def reduction_vs(self, baseline: "CampaignReport | float | None",
-                     ) -> Optional[float]:
-        """1 - ours/baseline in experiments-to-target — the M9 ">30%
-        fewer" metric; ``baseline`` is a report or a raw count."""
-        base = (baseline.experiments_to_target
-                if isinstance(baseline, CampaignReport) else baseline)
-        return reduction_fraction(base, self.experiments_to_target)

@@ -15,8 +15,8 @@ from repro.data.fair import FairGovernor, fair_score
 from repro.data.mesh import DataMeshNode, DiscoveryIndex, FederatedDataMesh
 from repro.data.metadata import Annotation, MetadataExtractor
 from repro.data.provenance import ProvenanceGraph
-from repro.data.replay import (CampaignArchive, ReplayTimeline,
-                               record_campaign, replay_campaign)
+from repro.data.replay import (CampaignArchive, record_campaign,
+                               replay_campaign)
 from repro.data.shard import ShardedDiscoveryIndex, shard_for
 from repro.data.proxystore import Proxy, ProxyStore
 from repro.data.quality import AnomalyDetector, QualityAssessor, QualityReport
@@ -40,7 +40,6 @@ __all__ = [
     "ProxyStore",
     "QualityAssessor",
     "QualityReport",
-    "ReplayTimeline",
     "Schema",
     "SchemaRegistry",
     "ShardedDiscoveryIndex",

@@ -246,9 +246,6 @@ class DataMeshNode:
     def has(self, record_id: str) -> bool:
         return record_id in self._records
 
-    def local(self, record_id: str) -> DataRecord:
-        return self._records[record_id]
-
     def local_records(self) -> list[DataRecord]:
         return [self._records[k] for k in sorted(self._records)]
 

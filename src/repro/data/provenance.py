@@ -49,8 +49,6 @@ class ProvenanceGraph:
         self._nodes: dict[str, dict[str, Any]] = {}
         # src -> {dst: kind}; re-relating a pair overwrites its kind.
         self._out: dict[str, dict[str, str]] = {}
-        # dst -> srcs, in the order each (src, dst) pair was first related.
-        self._in: dict[str, list[str]] = {}
         # Deferred cross-shard relations: (src, fully-qualified dst, kind).
         self._pending: list[tuple[str, str, str]] = []
 
@@ -66,7 +64,6 @@ class ProvenanceGraph:
             return node_id
         self._nodes[node_id] = {"prov_type": prov_type, **attrs}
         self._out[node_id] = {}
-        self._in[node_id] = []
         return node_id
 
     def entity(self, entity_id: str, **attrs: Any) -> str:
@@ -89,10 +86,7 @@ class ProvenanceGraph:
         for node in (src, dst):
             if node not in self._nodes:
                 raise KeyError(f"unknown provenance node {node!r}")
-        out = self._out[src]
-        if dst not in out:
-            self._in[dst].append(src)
-        out[dst] = kind
+        self._out[src][dst] = kind
 
     def used(self, activity: str, entity: str) -> None:
         self._relate(activity, entity, USED)
@@ -193,12 +187,6 @@ class ProvenanceGraph:
         """Number of recorded relations (pending stitches excluded)."""
         return sum(map(len, self._out.values()))
 
-    def node_type(self, node_id: str) -> str:
-        return self._nodes[node_id]["prov_type"]
-
-    def attrs(self, node_id: str) -> dict[str, Any]:
-        return dict(self._nodes[node_id])
-
     def _edges(self) -> list[tuple[str, str, str]]:
         """Every relation as ``(src, dst, kind)``, sorted by ``(src, dst)``."""
         return sorted((src, dst, kind) for src, out in self._out.items()
@@ -226,13 +214,6 @@ class ProvenanceGraph:
         if entity_id not in self._nodes:
             raise KeyError(entity_id)
         return self._reachable(self._out, entity_id)
-
-    def derived_products(self, entity_id: str) -> list[str]:
-        """Downstream entities that (transitively) derive from this one."""
-        if entity_id not in self._nodes:
-            raise KeyError(entity_id)
-        return [n for n in self._reachable(self._in, entity_id)
-                if self._nodes[n]["prov_type"] == "entity"]
 
     def responsible_agents(self, entity_id: str) -> list[str]:
         """All agents in the entity's lineage — who to ask about it."""

@@ -72,10 +72,6 @@ class ProxyStore:
         return Proxy(key=key, home_site=self.site,
                      size_bytes=estimate_size(obj))
 
-    def evict(self, proxy: Proxy) -> None:
-        """Drop the object (owner only) — later resolutions fail."""
-        self._objects.pop(proxy.key, None)
-
     def resolve(self, proxy: Proxy):
         """Generator: materialize a proxy's object at this site.
 
@@ -106,7 +102,4 @@ class ProxyStore:
             return self._objects[proxy.key]
         except KeyError:
             raise KeyError(
-                f"{proxy.key} was evicted from {self.site}") from None
-
-    def holds(self, proxy: Proxy) -> bool:
-        return proxy.key in self._objects or proxy.key in self._cache
+                f"{proxy.key} is not held at {self.site}") from None

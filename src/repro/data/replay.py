@@ -1,4 +1,4 @@
-"""Time-travel campaign replay from spilled observability shards.
+"""Campaign record and replay: archived trace shards and decision hashes.
 
 A recorded campaign is a directory — a :class:`CampaignArchive` — holding
 one ``manifest.json`` plus per-seed shards:
@@ -8,19 +8,12 @@ one ``manifest.json`` plus per-seed shards:
 - ``provenance-<seed>.json`` — the merged federation provenance dump.
 
 The manifest pins everything determinism-relevant: world kind, config,
-seeds, and each world's canonical SHA-256 decision hash.  That makes two
-distinct replays possible:
-
-- **Timeline reconstruction** (:class:`ReplayTimeline`) — merge the
-  spilled trace shards into one cross-shard event timeline, ordered by
-  ``(t, shard, seq)``, and walk what happened without re-running
-  anything.
-- **Re-driving** (:func:`replay_campaign`) — re-run the recorded world
-  entrypoints from the archived ``(world, seed, config)`` triples and
-  compare decision hashes byte-for-byte.  World entrypoints exclude the
-  spill side-channel paths from their hashed return value, so a replay
-  without spill digests identically to the recording iff the run is
-  deterministic.
+seeds, and each world's canonical SHA-256 decision hash.  Replay
+(:func:`replay_campaign`) re-runs the recorded world entrypoints from the
+archived ``(world, seed, config)`` triples and compares decision hashes
+byte-for-byte.  World entrypoints exclude the spill side-channel paths
+from their hashed return value, so a replay without spill digests
+identically to the recording iff the run is deterministic.
 
 ``python -m repro.scale --record DIR`` writes an archive;
 ``--replay DIR`` re-drives one.
@@ -30,15 +23,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Optional
 
-from repro.data.provenance import ProvenanceGraph
 from repro.obs.export import load_jsonl
 from repro.obs.trace import TraceEvent
 
 __all__ = ["ARCHIVE_VERSION", "MANIFEST_NAME", "CampaignArchive",
-           "ReplayTimeline", "ReplayMismatch", "record_campaign",
-           "replay_campaign"]
+           "ReplayMismatch", "record_campaign", "replay_campaign"]
 
 ARCHIVE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -66,9 +57,6 @@ class CampaignArchive:
     def provenance_path(self, seed: int) -> str:
         return os.path.join(self.root, f"provenance-{int(seed)}.json")
 
-    def exists(self) -> bool:
-        return os.path.isfile(self.manifest_path)
-
     # -- manifest ----------------------------------------------------------
 
     def write_manifest(self, manifest: dict[str, Any]) -> str:
@@ -89,10 +77,6 @@ class CampaignArchive:
                 f"(this build reads version {ARCHIVE_VERSION})")
         return manifest
 
-    @property
-    def seeds(self) -> list[int]:
-        return [int(s) for s in self.load_manifest()["seeds"]]
-
     # -- shard access ------------------------------------------------------
 
     def trace_events(self, seed: int) -> list[TraceEvent]:
@@ -101,80 +85,6 @@ class CampaignArchive:
         if not os.path.isfile(path):
             return []
         return load_jsonl(path)
-
-    def provenance(self, seed: int) -> Optional[ProvenanceGraph]:
-        """Provenance shard for one seed (None when none was recorded)."""
-        path = self.provenance_path(seed)
-        if not os.path.isfile(path):
-            return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return ProvenanceGraph.from_dict(json.load(fh))
-
-    def timeline(self, seeds: Optional[Iterable[int]] = None
-                 ) -> "ReplayTimeline":
-        """Merged cross-shard timeline (all recorded seeds by default)."""
-        chosen = list(seeds) if seeds is not None else self.seeds
-        shards = {f"seed-{s}": self.trace_events(s) for s in chosen}
-        return ReplayTimeline.from_shards(shards)
-
-    def summary(self) -> dict[str, Any]:
-        manifest = self.load_manifest()
-        return {
-            "world": manifest["world"],
-            "seeds": [int(s) for s in manifest["seeds"]],
-            "combined": manifest["combined"],
-            "trace_events": {str(s): len(self.trace_events(int(s)))
-                             for s in manifest["seeds"]},
-        }
-
-
-class ReplayTimeline:
-    """A cross-shard event timeline reconstructed from trace spills.
-
-    Events are ordered by ``(t, shard, seq)`` — simulation time first,
-    then shard label, then the per-shard sequence number — which is a
-    total, deterministic order: ties in simulated time between shards
-    resolve by name, and within a shard ``seq`` already totally orders
-    the stream.
-    """
-
-    def __init__(self, entries: "list[tuple[float, str, TraceEvent]]") -> None:
-        self.entries = sorted(entries, key=lambda e: (e[0], e[1], e[2].seq))
-
-    @classmethod
-    def from_shards(cls, shards: "dict[str, list[TraceEvent]]"
-                    ) -> "ReplayTimeline":
-        entries = [(ev.t, shard, ev)
-                   for shard in sorted(shards)
-                   for ev in shards[shard]]
-        return cls(entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> "Iterator[tuple[float, str, TraceEvent]]":
-        return iter(self.entries)
-
-    def between(self, t0: float, t1: float) -> "ReplayTimeline":
-        """The slice of the timeline with ``t0 <= t < t1`` (time travel)."""
-        return ReplayTimeline([e for e in self.entries if t0 <= e[0] < t1])
-
-    def named(self, name: str) -> "ReplayTimeline":
-        return ReplayTimeline([e for e in self.entries if e[2].name == name])
-
-    def counts(self) -> dict[str, int]:
-        """Event-name histogram over the whole timeline."""
-        out: dict[str, int] = {}
-        for _, _, ev in self.entries:
-            out[ev.name] = out.get(ev.name, 0) + 1
-        return dict(sorted(out.items()))
-
-    @property
-    def span_s(self) -> float:
-        """Simulated time covered by the timeline."""
-        if not self.entries:
-            return 0.0
-        return self.entries[-1][0] - self.entries[0][0]
 
 
 # -- record / re-drive -----------------------------------------------------

@@ -30,8 +30,6 @@ class FieldSpec:
         Whether validation demands the field.
     lo / hi:
         Optional physical range (validation + quality checks).
-    aliases:
-        Names other dialects use for the same quantity.
     """
 
     name: str
@@ -39,7 +37,6 @@ class FieldSpec:
     required: bool = True
     lo: Optional[float] = None
     hi: Optional[float] = None
-    aliases: tuple[str, ...] = ()
 
     def in_range(self, value: float) -> bool:
         if self.lo is not None and value < self.lo:
@@ -134,10 +131,6 @@ class SchemaRegistry:
             return self._schemas[schema_id]
         except KeyError:
             raise SchemaError(f"unknown schema {schema_id!r}") from None
-
-    def latest(self, name: str) -> Optional[Schema]:
-        versions = [s for s in self._schemas.values() if s.name == name]
-        return max(versions, key=lambda s: s.version) if versions else None
 
     def __contains__(self, schema_id: str) -> bool:
         return schema_id in self._schemas

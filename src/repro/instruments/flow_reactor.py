@@ -76,16 +76,3 @@ class FluidicReactor(Instrument):
         sample = Sample.synthesize(params, self.landscape, site=self.site)
         sample.record(self.sim.now, self.name, "synthesize(flow)")
         return sample
-
-    def sweep(self, param_list: list[Mapping[str, Any]], requester: str = ""):
-        """Generator: run a batch of conditions back-to-back.
-
-        Returns a list of samples.  Sweeps amortize priming across
-        conditions sharing a chemistry — the access pattern fluidic SDLs
-        are built for.  Each condition runs through :meth:`synthesize`.
-        """
-        samples = []
-        for params in param_list:
-            sample = yield from self.synthesize(params, requester)
-            samples.append(sample)
-        return samples

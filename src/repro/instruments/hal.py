@@ -10,7 +10,7 @@ agents never see vendor differences — the mechanism E6 evaluates.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.instruments.base import OperationRequest
 from repro.instruments.errors import VendorError
@@ -87,27 +87,8 @@ class HardwareAbstractionLayer:
                 f"no HAL adapter for {instrument_name!r}; registered: "
                 f"{sorted(self._adapters)}") from None
 
-    def instruments(self, operation: str | None = None) -> list[str]:
-        """Names of registered instruments, optionally filtered by op."""
-        return sorted(
-            name for name, a in self._adapters.items()
-            if operation is None or a.supports(operation))
-
     def execute(self, instrument_name: str, request: OperationRequest):
         """Generator: route a canonical request to the named instrument."""
         adapter = self.adapter(instrument_name)
         result = yield from adapter.execute(request)
         return result
-
-    def describe(self) -> dict[str, dict[str, Any]]:
-        """Inventory: name -> {vendor, kind, operations} (for discovery)."""
-        return {
-            name: {
-                "vendor": a.vendor,
-                "kind": a.protocol.instrument.kind,
-                "operations": [op for op in
-                               a.protocol.instrument.operations
-                               if a.supports(op)],
-            }
-            for name, a in self._adapters.items()
-        }

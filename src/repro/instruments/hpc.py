@@ -65,10 +65,6 @@ class HpcCluster:
         self.model_noise = model_noise
         self.stats = {"jobs": 0, "node_seconds": 0.0, "queue_wait": 0.0}
 
-    @property
-    def utilization_nodes(self) -> int:
-        return self.nodes.count
-
     def capability_descriptor(self) -> dict[str, Any]:
         return {"kind": self.kind, "site": self.site, "nodes": self.n_nodes,
                 "operations": ["simulate", "analyze"]}

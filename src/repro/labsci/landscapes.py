@@ -76,7 +76,7 @@ class ContinuousDim:
     def __post_init__(self) -> None:
         if not self.low < self.high:
             raise ValueError(f"{self.name}: low must be < high")
-        # An infinite span cannot be sampled, encoded or denormalized;
+        # An infinite span cannot be sampled or encoded;
         # ``float()`` overflows on an integer bound beyond a double.  A
         # zero one (integer bounds that round to the same double) would
         # encode ``high`` as ``low`` and always sample ``low``.
@@ -98,9 +98,6 @@ class ContinuousDim:
     def normalize(self, value: float) -> float:
         """Map to [0, 1]."""
         return (float(value) - self.low) / (self.high - self.low)
-
-    def denormalize(self, x: float) -> float:
-        return self.low + float(x) * (self.high - self.low)
 
 
 @dataclass(frozen=True)

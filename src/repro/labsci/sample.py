@@ -28,8 +28,6 @@ class Sample:
     site:
         Site where it physically resides (shipping between sites takes
         simulated time; see :class:`repro.core.federation.FederationManager`).
-    state:
-        Processing state, mutated by e.g. annealing steps.
     provenance:
         Ordered list of (time, instrument, operation) records.
     """
@@ -37,7 +35,6 @@ class Sample:
     params: dict[str, Any]
     site: str = ""
     sample_id: str = ""
-    state: dict[str, Any] = field(default_factory=dict)
     provenance: list[tuple[float, str, str]] = field(default_factory=list)
     _true_properties: dict[str, float] = field(default_factory=dict, repr=False)
 
@@ -64,10 +61,3 @@ class Sample:
 
     def record(self, time: float, instrument: str, operation: str) -> None:
         self.provenance.append((time, instrument, operation))
-
-    def apply_transform(self, name: str, factor: float) -> None:
-        """Processing steps (annealing etc.) scale a true property."""
-        if name in self._true_properties:
-            self._true_properties[name] *= factor
-        self.state[f"transformed:{name}"] = self.state.get(
-            f"transformed:{name}", 1.0) * factor

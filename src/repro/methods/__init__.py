@@ -15,9 +15,8 @@ scratch on numpy/scipy:
 - :mod:`repro.methods.baselines` — random/grid comparison points.
 """
 
-from repro.methods.acquisition import (expected_improvement,
-                                       probability_of_improvement,
-                                       thompson_sample, upper_confidence_bound)
+from repro.methods.acquisition import (expected_improvement, thompson_sample,
+                                       upper_confidence_bound)
 from repro.methods.baselines import GridSearch, RandomSearch
 from repro.methods.bayesopt import BayesianOptimizer
 from repro.methods.gp import GaussianProcess
@@ -37,7 +36,6 @@ __all__ = [
     "RandomSearch",
     "TransferAdapter",
     "expected_improvement",
-    "probability_of_improvement",
     "thompson_sample",
     "upper_confidence_bound",
 ]

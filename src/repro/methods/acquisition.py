@@ -42,13 +42,6 @@ def upper_confidence_bound(mean: np.ndarray, std: np.ndarray,
     return mean + beta * std
 
 
-def probability_of_improvement(mean: np.ndarray, std: np.ndarray,
-                               best: float, xi: float = 0.01) -> np.ndarray:
-    """P(f(x) > best + xi)."""
-    std = np.maximum(std, STD_FLOOR)
-    return ndtr((mean - best - xi) / std)
-
-
 def thompson_sample(gp, X: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
     """One joint posterior draw over the candidate set."""
@@ -58,7 +51,6 @@ def thompson_sample(gp, X: np.ndarray,
 ACQUISITIONS = {
     "ei": "expected_improvement",
     "ucb": "upper_confidence_bound",
-    "pi": "probability_of_improvement",
     "thompson": "thompson_sample",
 }
 
@@ -74,7 +66,5 @@ def score_candidates(name: str, gp, X: np.ndarray, best: float,
         return expected_improvement(mean, std, best, xi=xi)
     if name == "ucb":
         return upper_confidence_bound(mean, std, beta=beta)
-    if name == "pi":
-        return probability_of_improvement(mean, std, best, xi=xi)
     raise ValueError(f"unknown acquisition {name!r}; known: "
                      f"{sorted(ACQUISITIONS)}")

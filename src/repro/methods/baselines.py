@@ -30,10 +30,6 @@ class AskTellOptimizer:
         self.history.append((dict(params), float(objective)))
 
     @property
-    def n_observed(self) -> int:
-        return len(self.history)
-
-    @property
     def best(self) -> Optional[tuple[float, dict[str, Any]]]:
         if not self.history:
             return None
@@ -91,10 +87,6 @@ class GridSearch(AskTellOptimizer):
         for name, values in levels.items():
             grid = [dict(g, **{name: v}) for g in grid for v in values]
         return grid
-
-    @property
-    def grid_size(self) -> int:
-        return len(self._grid)
 
     def ask(self) -> dict[str, Any]:
         params = self._grid[self._cursor % len(self._grid)]

@@ -48,7 +48,7 @@ class BayesianOptimizer(AskTellOptimizer):
     rng:
         Random stream (candidate pools + Thompson draws).
     acquisition:
-        "ei" (default), "ucb", "pi", or "thompson".
+        "ei" (default), "ucb", or "thompson".
     n_init:
         Random exploration before the surrogate switches on.
     n_candidates:

@@ -31,11 +31,6 @@ class _ComboArm:
         self.inner = inner
         self.pulls = 0
         self.best_value = -math.inf
-        self.sum_value = 0.0
-
-    @property
-    def mean_value(self) -> float:
-        return self.sum_value / self.pulls if self.pulls else 0.0
 
 
 class NestedBayesianOptimizer(AskTellOptimizer):
@@ -138,7 +133,6 @@ class NestedBayesianOptimizer(AskTellOptimizer):
         key = self.space.discrete_key(params)
         arm = self._get_arm(key)
         arm.pulls += 1
-        arm.sum_value += objective
         arm.best_value = max(arm.best_value, objective)
         cont = {d.name: params[d.name] for d in self.space.continuous}
         arm.inner.tell(cont, objective)

@@ -78,6 +78,3 @@ class QLearningScheduler:
         """Greedy action (no exploration) — for inspection and tests."""
         values = [self.q(state, a) for a in self.actions]
         return self.actions[int(np.argmax(values))]
-
-    def table_size(self) -> int:
-        return len(self._q)

@@ -182,11 +182,5 @@ class TransferAdapter:
             self.stats["corrected"] += len(out)
         return out
 
-    def all_corrected(self) -> list[tuple[dict[str, Any], float]]:
-        out = []
-        for source in sorted(self._foreign):
-            out.extend(self.corrected_donations(source))
-        return out
-
     def offset_estimates(self) -> dict[str, Optional[float]]:
         return {s: self._estimate_offset(s) for s in sorted(self._foreign)}

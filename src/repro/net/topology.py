@@ -240,9 +240,6 @@ class Topology:
     def has_site(self, name: str) -> bool:
         return name in self._sites
 
-    def link(self, a: str, b: str) -> Link:
-        return self._adj[a][b]
-
     def links(self) -> list[tuple[str, str, Link]]:
         """Every link once, in networkx's edge order: by site insertion,
         then adjacency order, skipping sites already listed."""

@@ -186,8 +186,3 @@ class Network:
         """Generator helper: ``latency = yield from net.transfer(...)``."""
         latency = yield self.send(src, dst, size_bytes)
         return latency
-
-    def mean_latency(self) -> float:
-        """Average measured delivery latency over successful transfers."""
-        n = self.stats["transfers"] - self.stats["lost"] - self.stats["unreachable"]
-        return self.stats["total_latency"] / n if n else 0.0

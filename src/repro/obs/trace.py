@@ -37,7 +37,7 @@ class TraceEvent:
     kind:
         ``"span-start"``, ``"span-end"``, or ``"instant"``.
     name:
-        What happened (``"campaign"``, ``"plan"``, ``"kernel.step"``, ...).
+        What happened (``"campaign"``, ``"plan"``, ``"plan-skipped"``, ...).
     span:
         Id of the span this event belongs to (``None`` outside any span).
     parent:
@@ -133,10 +133,6 @@ class Tracer:
         self._stack: list[int] = []
 
     @property
-    def enabled(self) -> bool:
-        return True
-
-    @property
     def current_span(self) -> Optional[int]:
         return self._stack[-1] if self._stack else None
 
@@ -183,27 +179,6 @@ class Tracer:
             self._stack.pop()
         self._emit("span-end", span.name, span.span_id, self.current_span,
                    attrs)
-
-    # -- kernel attachment -------------------------------------------------
-
-    def attach_kernel(self, sim: Optional["Simulator"] = None, *,
-                      schedule: bool = False) -> None:
-        """Trace every kernel step (and optionally every schedule).
-
-        Heavyweight on purpose — a microscope for short runs, not a
-        default.  Detach with :meth:`detach_kernel`.
-        """
-        sim = sim or self.sim
-        sim.step_hook = lambda t, ev: self.instant(
-            "kernel.step", event=type(ev).__name__)
-        if schedule:
-            sim.schedule_hook = lambda t, ev: self.instant(
-                "kernel.schedule", at=t, event=type(ev).__name__)
-
-    def detach_kernel(self, sim: Optional["Simulator"] = None) -> None:
-        sim = sim or self.sim
-        sim.step_hook = None
-        sim.schedule_hook = None
 
     # -- spill management --------------------------------------------------
 
@@ -272,10 +247,6 @@ class NullTracer:
     dropped: int = 0
     spilled: int = 0
 
-    @property
-    def enabled(self) -> bool:
-        return False
-
     def flush(self) -> None:
         return None
 
@@ -291,13 +262,6 @@ class NullTracer:
 
     def span(self, name: str, /, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
-
-    def attach_kernel(self, sim: Optional["Simulator"] = None, *,
-                      schedule: bool = False) -> None:
-        return None
-
-    def detach_kernel(self, sim: Optional["Simulator"] = None) -> None:
-        return None
 
     def span_tree(self) -> list[dict[str, Any]]:
         return []

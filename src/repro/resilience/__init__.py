@@ -20,9 +20,9 @@ holds the deterministic policy engine and fault injection they use:
 
 Consumers: :class:`~repro.comm.rpc.RpcClient` call retries and
 :class:`~repro.core.faulttol.FaultTolerantExecutor` repair/failover run
-through :func:`resilient_call` under a :class:`RetryPolicy`, and
-:class:`~repro.comm.failover.FailoverGroup` keeps one
-:class:`CircuitBreaker` per replica.  Two loops need none of it:
+through :func:`resilient_call` under a :class:`RetryPolicy`.  Three loops
+need none of it: :class:`~repro.comm.failover.FailoverGroup` promotes past
+a replica after ``heartbeat_misses`` consecutive missed probes,
 :class:`~repro.comm.bus.Queue` redelivers a nacked message at once, up to
 ``max_attempts`` deliveries, and :class:`~repro.agents.lifecycle.Supervisor`
 waits a fixed ``restart_delay_s`` before each restart.

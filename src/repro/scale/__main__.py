@@ -126,9 +126,10 @@ def main(argv=None) -> int:
 def _replay(root: str, workers=None) -> int:
     from repro.data.replay import CampaignArchive, replay_campaign
     report = replay_campaign(root, workers=workers)
-    timeline = CampaignArchive(root).timeline()
+    archive = CampaignArchive(root)
+    n_events = sum(len(archive.trace_events(s)) for s in report["seeds"])
     print(f"world={report['world']} replayed from {root} "
-          f"({len(timeline)} archived trace events)")
+          f"({n_events} archived trace events)")
     mismatched = {m["seed"] for m in report["mismatches"]}
     for seed in report["seeds"]:
         status = "MISMATCH" if seed in mismatched else "ok"

@@ -103,12 +103,6 @@ class FairShareScheduler:
         self.stats["cancelled"] += 1
         return True
 
-    def backlog(self, tenant: Optional[str] = None) -> int:
-        """Live queued entries for one tenant (or all)."""
-        if tenant is not None:
-            return sum(1 for e in self._queues[tenant] if not e.cancelled)
-        return sum(self.backlog(t) for t in self._queues)
-
     def _prune(self, tenant: str) -> Optional[QueueEntry]:
         """Head of a tenant's queue after dropping cancelled entries."""
         queue = self._queues[tenant]

@@ -15,9 +15,7 @@ Public surface:
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.AllOf`, :class:`~repro.sim.events.AnyOf`.
 - :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Interrupt`.
-- :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`,
-  :class:`~repro.sim.resources.FilterStore`,
-  :class:`~repro.sim.resources.PriorityStore`.
+- :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`.
 - :class:`~repro.sim.rng.RngRegistry` — named deterministic random streams.
 """
 
@@ -26,7 +24,7 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.ids import IdSequencer, ambient_ids, next_id, next_label
 from repro.sim.kernel import Simulator, StopSimulation
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import FilterStore, PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -34,10 +32,8 @@ __all__ = [
     "AnyOf",
     "CalendarQueue",
     "Event",
-    "FilterStore",
     "IdSequencer",
     "Interrupt",
-    "PriorityStore",
     "Process",
     "Resource",
     "RngRegistry",

@@ -1,15 +1,12 @@
 """Shared-resource primitives: capacity-limited resources and object stores.
 
 These back every queueing construct in AISLE: instrument duty cycles
-(:class:`Resource`), agent mailboxes and message queues (:class:`Store`),
-selective receipt (:class:`FilterStore`), and priority-ordered work queues
-(:class:`PriorityStore`).
+(:class:`Resource`) and message and stream queues (:class:`Store`).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import Event
 
@@ -98,12 +95,10 @@ class StorePut(Event):
 
 
 class StoreGet(Event):
-    __slots__ = ("filter",)
+    __slots__ = ()
 
-    def __init__(self, store: "Store",
-                 filter: Optional[Callable[[Any], bool]] = None) -> None:
+    def __init__(self, store: "Store") -> None:
         super().__init__(store.sim)
-        self.filter = filter
 
 
 class Store:
@@ -143,16 +138,8 @@ class Store:
     def _accept_puts(self) -> None:
         while self._putters and len(self.items) < self.capacity:
             put = self._putters.pop(0)
-            self._store_item(put.item)
+            self.items.append(put.item)
             put.succeed()
-
-    def _store_item(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _pop_item(self, getter: StoreGet) -> tuple[bool, Any]:
-        if self.items:
-            return True, self.items.pop(0)
-        return False, None
 
     def _dispatch(self) -> None:
         # Alternate accepting puts and serving gets until neither makes
@@ -163,52 +150,9 @@ class Store:
             self._accept_puts()
             remaining: list[StoreGet] = []
             for getter in self._getters:
-                ok, item = self._pop_item(getter)
-                if ok:
-                    getter.succeed(item)
+                if self.items:
+                    getter.succeed(self.items.pop(0))
                     progressed = True
                 else:
                     remaining.append(getter)
             self._getters = remaining
-
-
-class FilterStore(Store):
-    """A store whose ``get`` can wait for an item matching a predicate."""
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        ev = StoreGet(self, filter)
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def _pop_item(self, getter: StoreGet) -> tuple[bool, Any]:
-        if getter.filter is None:
-            return super()._pop_item(getter)
-        for i, item in enumerate(self.items):
-            if getter.filter(item):
-                return True, self.items.pop(i)
-        return False, None
-
-
-class PriorityStore(Store):
-    """A store that always yields the smallest item first.
-
-    Items must be mutually orderable; AISLE wraps payloads in
-    ``(priority, seq, payload)`` tuples to guarantee a total order.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        super().__init__(sim, capacity)
-        self._heap: list[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def _store_item(self, item: Any) -> None:
-        heapq.heappush(self._heap, item)
-        self.items = self._heap  # keep len()/capacity checks consistent
-
-    def _pop_item(self, getter: StoreGet) -> tuple[bool, Any]:
-        if self._heap:
-            return True, heapq.heappop(self._heap)
-        return False, None

@@ -62,19 +62,5 @@ class RngRegistry:
         ss = np.random.SeedSequence([self.seed, *_name_to_words(name)])
         return np.random.default_rng(ss)
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """Derive a child registry rooted at ``(seed, name)``.
-
-        Children of different names are independent; a child's streams are
-        independent of the parent's.
-        """
-        child_seed = int.from_bytes(
-            hashlib.blake2b(
-                f"{self.seed}/{name}".encode("utf-8"), digest_size=8
-            ).digest(),
-            "little",
-        )
-        return RngRegistry(child_seed)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RngRegistry seed={self.seed} streams={len(self._streams)}>"

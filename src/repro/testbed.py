@@ -14,8 +14,8 @@ half a dozen keywords, then ``make_orchestrator`` with more.  The
     result = built.run(CampaignSpec(name="qd", objective_key="plqy",
                                     max_experiments=60))
 
-Each setting has one entry point.  Federation-wide toggles (``secure``,
-``with_mesh``, ``with_knowledge``, ``with_metrics``, ``with_tracing``)
+Each setting has one entry point.  Federation-wide toggles
+(``with_mesh``, ``with_knowledge``, ``with_metrics``, ``with_tracing``)
 live on :class:`Testbed`, so a chain sets them before its first
 ``.site(...)``; per-lab settings live on :class:`SiteBuilder`.  Every
 lab gets the default safety envelope and a
@@ -164,9 +164,8 @@ class Testbed:
         Optional externally owned :class:`~repro.sim.kernel.Simulator`
         (``Testbed(sim=sim)``); one is created when omitted.
 
-    The federation toggles (:meth:`secure`, :meth:`with_mesh`,
-    :meth:`with_knowledge`, :meth:`with_metrics`, :meth:`with_tracing`)
-    are methods of this class only, so a one-expression chain sets them
+    The federation toggles (:meth:`with_mesh`, :meth:`with_knowledge`,
+    :meth:`with_metrics`, :meth:`with_tracing`) are methods of this class only, so a one-expression chain sets them
     before its first :meth:`site`.
     """
 
@@ -179,7 +178,6 @@ class Testbed:
         self._n_sites = n_sites
         self._objective_key = objective_key
         self._sim = sim
-        self._secure = False
         self._with_mesh = False
         self._knowledge_policy: Optional[str] = None
         self._metrics: Optional[MetricsRegistry] = None
@@ -187,11 +185,6 @@ class Testbed:
         self._sites: list[_SiteConfig] = []
 
     # -- federation-level toggles -----------------------------------------
-
-    def secure(self, enabled: bool = True) -> "Testbed":
-        """Wire the zero-trust stack (identity, ABAC, gateway)."""
-        self._secure = enabled
-        return self
 
     def with_mesh(self, enabled: bool = True) -> "Testbed":
         """Attach a federated data-mesh node to every lab."""
@@ -246,8 +239,8 @@ class Testbed:
         tracer = self._tracer
         fed = FederationManager(
             seed=self._seed, n_sites=n_sites,
-            objective_key=self._objective_key, secure=self._secure,
-            with_mesh=self._with_mesh, metrics=self._metrics, sim=self._sim,
+            objective_key=self._objective_key, with_mesh=self._with_mesh,
+            metrics=self._metrics, sim=self._sim,
             tracer=None if tracer is _DEFERRED_TRACER else tracer)
         if tracer is _DEFERRED_TRACER:
             fed.tracer = Tracer(fed.sim, run_id=f"testbed-{self._seed}")
@@ -307,10 +300,6 @@ class BuiltTestbed:
     def chaos(self):
         """The federation's :class:`~repro.resilience.ChaosController`."""
         return self.fed.chaos
-
-    @property
-    def labs(self) -> dict[str, LabSite]:
-        return self.fed.labs
 
     def lab(self, site: Optional[str] = None) -> LabSite:
         return self.fed.labs[self._pick(site)]

@@ -1,93 +1,26 @@
-"""Tests for the agent runtime, messaging, heartbeats, and supervision."""
+"""Tests for agent heartbeats, crash/restart, and supervision."""
 
 import pytest
 
-from repro.agents import Agent, AgentRuntime, AgentState, Supervisor
-from repro.comm import Performative
+from repro.agents import Agent, AgentState, Supervisor
 
 
-@pytest.fixture
-def runtime(sim, testbed_network):
-    return AgentRuntime(sim, testbed_network)
-
-
-def test_agent_starts_and_heartbeats(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime, heartbeat_interval_s=2.0)
+def test_agent_starts_and_heartbeats(sim):
+    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=2.0)
     a.start()
     sim.run(until=7.0)
     assert a.alive
     assert a.last_heartbeat == pytest.approx(6.0)
 
 
-def test_double_start_rejected(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime).start()
+def test_double_start_rejected(sim):
+    a = Agent(sim, "a1", "site-0").start()
     with pytest.raises(RuntimeError):
         a.start()
 
 
-def test_message_dispatch_to_handler(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime).start()
-    b = Agent(sim, "b1", "site-0", runtime).start()
-    got = []
-    b.on(Performative.INFORM, lambda msg: got.append(msg.payload))
-
-    def proc():
-        yield from a.send("b1", Performative.INFORM, payload="hello")
-
-    sim.process(proc())
-    sim.run(until=1.0)
-    assert got == ["hello"]
-    assert b.stats["handled"] == 1
-
-
-def test_cross_site_message_pays_latency(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime).start()
-    b = Agent(sim, "b1", "site-2", runtime).start()
-    got = []
-    b.on(Performative.INFORM, lambda msg: got.append(sim.now))
-
-    def proc():
-        yield from a.send("b1", Performative.INFORM, payload="x")
-
-    sim.process(proc())
-    sim.run(until=1.0)
-    assert got and got[0] >= 0.02  # at least one WAN hop
-
-
-def test_message_to_unknown_agent_dropped(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime).start()
-    out = {}
-
-    def proc():
-        out["ok"] = yield from a.send("ghost", Performative.INFORM)
-
-    sim.process(proc())
-    # until=: the agent's heartbeat loop never drains the event queue.
-    sim.run(until=1.0)
-    assert out["ok"] is False
-    assert runtime.stats["dropped"] == 1
-
-
-def test_generator_handler_runs_as_subprocess(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime).start()
-    trail = []
-
-    def slow_handler(msg):
-        yield sim.timeout(5.0)
-        trail.append(("done", sim.now))
-
-    a.on(Performative.REQUEST, slow_handler)
-
-    def proc():
-        yield from a.send("a1", Performative.REQUEST)
-
-    sim.process(proc())
-    sim.run(until=10.0)
-    assert trail == [("done", pytest.approx(5.0))]
-
-
-def test_crash_stops_heartbeats(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime, heartbeat_interval_s=1.0).start()
+def test_crash_stops_heartbeats(sim):
+    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=1.0).start()
     sim.run(until=3.5)
     a.crash()
     hb_at_crash = a.last_heartbeat
@@ -97,8 +30,8 @@ def test_crash_stops_heartbeats(sim, runtime):
     assert a.stats["crashes"] == 1
 
 
-def test_restart_resumes_processing(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime, heartbeat_interval_s=1.0).start()
+def test_restart_resumes_processing(sim):
+    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=1.0).start()
     a.crash()
     a.restart()
     sim.run(until=5.0)
@@ -107,19 +40,10 @@ def test_restart_resumes_processing(sim, runtime):
     assert a.stats["restarts"] == 1
 
 
-def test_stop_is_graceful_noop_when_not_running(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime)
-    a.stop()  # never started: no-op
-    a.start()
-    a.stop()
-    assert a.state is AgentState.STOPPED
-    a.stop()  # idempotent
-
-
 # -- supervisor -----------------------------------------------------------------
 
-def test_supervisor_detects_and_restarts_crashed_agent(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime, heartbeat_interval_s=1.0).start()
+def test_supervisor_detects_and_restarts_crashed_agent(sim):
+    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=1.0).start()
     sup = Supervisor(sim, check_interval_s=1.0, restart_delay_s=5.0)
     sup.watch(a)
     sup.start()
@@ -136,8 +60,8 @@ def test_supervisor_detects_and_restarts_crashed_agent(sim, runtime):
     assert detected is not None and 10.0 <= detected <= 12.5
 
 
-def test_supervisor_detects_hung_agent_via_heartbeat_silence(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime, heartbeat_interval_s=1.0).start()
+def test_supervisor_detects_hung_agent_via_heartbeat_silence(sim):
+    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=1.0).start()
     sup = Supervisor(sim, check_interval_s=1.0, timeout_multiplier=3.0,
                      restart_delay_s=2.0)
     sup.watch(a)
@@ -156,8 +80,8 @@ def test_supervisor_detects_hung_agent_via_heartbeat_silence(sim, runtime):
     assert a.alive
 
 
-def test_supervisor_without_autorestart_only_detects(sim, runtime):
-    a = Agent(sim, "a1", "site-0", runtime, heartbeat_interval_s=1.0).start()
+def test_supervisor_without_autorestart_only_detects(sim):
+    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=1.0).start()
     sup = Supervisor(sim, check_interval_s=1.0, auto_restart=False)
     sup.watch(a)
     sup.start()

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.agents import (AgentRuntime, EvaluatorAgent, ExecutorAgent,
-                          PlannerAgent, SimulatedLLM)
+from repro.agents import (EvaluatorAgent, ExecutorAgent, PlannerAgent,
+                          SimulatedLLM)
 from repro.agents.planner import ExperimentPlan
 from repro.instruments import (FluidicReactor, HardwareAbstractionLayer,
                                PLSpectrometer, make_vendor_protocol)
@@ -124,16 +124,10 @@ def test_llm_validation():
                      hallucination_rate=1.5)
 
 
-def test_llm_reasoning_trace(sim, llm):
-    resp = run(sim, llm.summarize_reasoning({"stage": 1, "budget": 0.4}))
-    assert "budget" in resp.content["text"]
-
-
 # -- planner/executor/evaluator --------------------------------------------------------
 
 @pytest.fixture
-def trio(sim, rngs, testbed_network, qd_landscape):
-    runtime = AgentRuntime(sim, testbed_network)
+def trio(sim, rngs, qd_landscape):
     hal = HardwareAbstractionLayer()
     reactor = FluidicReactor(sim, "reactor", "site-0", rngs, qd_landscape)
     spec = PLSpectrometer(sim, "spec", "site-0", rngs, scan_time_s=5.0)
@@ -141,20 +135,19 @@ def trio(sim, rngs, testbed_network, qd_landscape):
     optimizer = NestedBayesianOptimizer(qd_landscape.space,
                                         rngs.stream("opt"))
     llm = SimulatedLLM(sim, rngs.stream("llm"), hallucination_rate=0.0)
-    planner = PlannerAgent(sim, "planner", "site-0", runtime, optimizer, llm)
-    executor = ExecutorAgent(sim, "executor", "site-0", runtime, hal,
-                             "reactor", spec, objective_key="plqy")
-    evaluator = EvaluatorAgent(sim, "evaluator", "site-0", runtime, planner,
+    planner = PlannerAgent(sim, "planner", "site-0", optimizer, llm)
+    executor = ExecutorAgent(sim, "executor", "site-0", hal, "reactor", spec,
+                             objective_key="plqy")
+    evaluator = EvaluatorAgent(sim, "evaluator", "site-0", planner,
                                target=0.95, patience=5)
     return planner, executor, evaluator
 
 
-def test_planner_mode_validation(sim, rngs, testbed_network, qd_landscape):
-    runtime = AgentRuntime(sim, testbed_network)
+def test_planner_mode_validation(sim, rngs, qd_landscape):
     opt = BayesianOptimizer(qd_landscape.space, rngs.stream("o"))
     llm = SimulatedLLM(sim, rngs.stream("l"))
     with pytest.raises(ValueError):
-        PlannerAgent(sim, "p", "site-0", runtime, opt, llm, mode="psychic")
+        PlannerAgent(sim, "p", "site-0", opt, llm, mode="psychic")
 
 
 def test_hierarchical_plan_comes_from_optimizer(sim, trio):
@@ -210,7 +203,7 @@ def test_evaluator_tracks_best_and_target(sim, trio, qd_landscape):
     verdict = evaluator.evaluate(outcome)
     assert verdict["accepted"]
     assert evaluator.best_value == outcome.objective
-    assert planner.optimizer.n_observed == 1
+    assert len(planner.optimizer.history) == 1
 
 
 def test_evaluator_discards_invalid_without_poisoning_optimizer(sim, trio,
@@ -221,7 +214,7 @@ def test_evaluator_discards_invalid_without_poisoning_optimizer(sim, trio,
     outcome = run(sim, executor.execute(ExperimentPlan(params=params)))
     verdict = evaluator.evaluate(outcome)
     assert not verdict["accepted"]
-    assert planner.optimizer.n_observed == 0
+    assert len(planner.optimizer.history) == 0
 
 
 def test_evaluator_convergence_patience(sim, trio, qd_landscape):

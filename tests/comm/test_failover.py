@@ -1,9 +1,16 @@
 """Tests for heartbeat-driven failover."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.comm import FailoverGroup, RpcClient, RpcServer
 from repro.comm.failover import NoHealthyReplica
+from repro.comm.rpc import RpcTimeout, ServerDown
+from repro.net import FaultInjector, Network, Topology
+from repro.net.transport import NetworkError
+from repro.resilience import CircuitBreaker, CircuitState
+from repro.sim import RngRegistry, Simulator
 
 
 @pytest.fixture
@@ -114,3 +121,137 @@ def test_monitor_stops_when_everything_down(sim, group, client):
     sim.process(killer())
     sim.run(until=10.0)
     assert any(kind == "all-down" for _, kind, _ in group.events)
+
+
+def test_second_monitor_start_rejected(sim, group, client):
+    """A second monitor would probe beside the first, so two misses would
+    land within one interval and promote after half the outage."""
+    group.start_monitor(client)
+    with pytest.raises(RuntimeError, match="already started"):
+        group.start_monitor(client)
+
+    def killer():
+        yield sim.timeout(1.0)
+        group.primary.kill()
+
+    sim.process(killer())
+    sim.run(until=3.0)
+    misses = [t for t, kind, _ in group.events if kind == "miss"]
+    promote = next(t for t, kind, _ in group.events if kind == "promote")
+    before = [t for t in misses if t <= promote]
+    assert len(before) == group.heartbeat_misses
+    assert before[1] - before[0] >= group.heartbeat_interval_s
+
+
+def test_heartbeat_misses_below_one_rejected(sim):
+    with pytest.raises(ValueError):
+        FailoverGroup(sim, [RpcServer(sim, "r", site="site-1")],
+                      heartbeat_misses=0)
+
+
+# -- generated kill/revive schedules against the breaker-driven monitor -----
+
+class _BreakerMonitor:
+    """The heartbeat monitor as FailoverGroup once ran it: one
+    CircuitBreaker per replica, tripped after ``misses`` consecutive
+    missed probes and quarantined for ten heartbeat intervals; a probe
+    miss promotes whenever the primary's breaker then reads OPEN."""
+
+    def __init__(self, sim, replicas, interval, misses):
+        self.sim, self.replicas, self.interval = sim, replicas, interval
+        self.breakers = {
+            r.name: CircuitBreaker(sim, failure_threshold=misses,
+                                   recovery_time_s=10.0 * interval)
+            for r in replicas}
+        self.primary_idx = 0
+        self.events = []
+
+    def promote_next(self):
+        for offset in range(1, len(self.replicas) + 1):
+            idx = (self.primary_idx + offset) % len(self.replicas)
+            if self.replicas[idx].alive:
+                self.primary_idx = idx
+                self.events.append(
+                    (self.sim.now, "promote", self.replicas[idx].name))
+                return
+        raise NoHealthyReplica("all replicas down")
+
+    def run(self, client):
+        while True:
+            yield self.sim.timeout(self.interval)
+            primary = self.replicas[self.primary_idx]
+            breaker = self.breakers[primary.name]
+            try:
+                yield from client.call(primary, "_health", None,
+                                       deadline_s=max(0.2, self.interval),
+                                       retries=0)
+                breaker.record_success()
+            except (RpcTimeout, ServerDown, NetworkError, KeyError):
+                self.events.append((self.sim.now, "miss", primary.name))
+                breaker.record_failure()
+                if breaker.state is CircuitState.OPEN:
+                    try:
+                        self.promote_next()
+                    except NoHealthyReplica:
+                        self.events.append((self.sim.now, "all-down", ""))
+                        return
+
+
+def _failover_world(n_replicas, schedule):
+    sim = Simulator()
+    topo = Topology.national_lab_testbed(5, latency_s=0.02, jitter_s=0.0)
+    network = Network(sim, topo, RngRegistry(12345).stream("net"),
+                      FaultInjector(sim))
+    replicas = []
+    for i in range(n_replicas):
+        srv = RpcServer(sim, f"broker-{i}", site=f"site-{i + 1}")
+        FailoverGroup.install_health_endpoint(srv)
+        replicas.append(srv)
+
+    def chaos():
+        # Each entry toggles one replica: kill it if alive, else revive it.
+        now = 0.0
+        for at, idx in sorted(schedule):
+            yield sim.timeout(at - now)
+            now = at
+            if replicas[idx].alive:
+                replicas[idx].kill()
+            else:
+                replicas[idx].revive()
+
+    sim.process(chaos())
+    return sim, replicas, RpcClient(sim, network, site="site-0")
+
+
+_schedules = st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sampled_from((0.05, 0.1, 0.2, 0.5)),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.floats(0.0, 30.0, allow_nan=False),
+                       st.integers(0, n - 1)),
+             max_size=16)))
+
+
+@given(_schedules)
+@settings(max_examples=60, deadline=None)
+# broker-0 trips, revives and is promoted back once broker-1 trips; it
+# dies again before its first probe, so one miss (its breaker aged into
+# half-open) must take the group to all-down.
+@example((2, 0.1, 2, [(1.0, 0), (2.0, 0), (3.0, 1), (3.25, 0)]))
+def test_property_miss_count_monitor_matches_breaker_monitor(case):
+    """Over generated kill/revive schedules, the miss-count monitor logs
+    the same misses, promotions and all-down as the breaker monitor it
+    replaced: revivals, repeated trips and breakers aged into half-open
+    included."""
+    n, interval, misses, schedule = case
+    sim, replicas, client = _failover_world(n, schedule)
+    group = FailoverGroup(sim, replicas, heartbeat_interval_s=interval,
+                          heartbeat_misses=misses)
+    group.start_monitor(client)
+    sim.run(until=30.0)
+
+    ref_sim, ref_replicas, ref_client = _failover_world(n, schedule)
+    ref = _BreakerMonitor(ref_sim, ref_replicas, interval, misses)
+    ref_sim.process(ref.run(ref_client))
+    ref_sim.run(until=30.0)
+    assert group.events == ref.events

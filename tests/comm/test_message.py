@@ -14,20 +14,6 @@ def test_message_ids_unique():
     assert a.msg_id != b.msg_id
 
 
-def test_reply_correlates_conversation():
-    req = Message(Performative.REQUEST, "alice", "bob", payload="hi",
-                  reply_to="alice")
-    resp = req.reply(Performative.INFORM, payload="hello")
-    assert resp.sender == "bob"
-    assert resp.recipient == "alice"
-    assert resp.conversation_id == str(req.msg_id)
-
-
-def test_reply_keeps_existing_conversation():
-    req = Message(Performative.REQUEST, "a", "b", conversation_id="conv-7")
-    assert req.reply(Performative.ACCEPT).conversation_id == "conv-7"
-
-
 def test_message_size_includes_payload():
     small = Message(Performative.INFORM, "a", "b", payload="x")
     big = Message(Performative.INFORM, "a", "b", payload="x" * 10_000)

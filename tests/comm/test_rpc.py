@@ -32,7 +32,7 @@ def test_basic_call(sim, server, client):
     result = run(sim, client.call(server, "add", {"x": 2, "y": 3}))
     assert result == 5
     assert client.stats["calls"] == 1
-    assert client.mean_latency() > 0.02  # two WAN hops at 10 ms each
+    assert client.latency_hist.mean > 0.02  # two WAN hops at 10 ms each
 
 
 def test_unknown_method_raises_rpc_error(sim, server, client):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import (CampaignResult, CampaignSpec, ExperimentRecord,
                         FederationManager, speedup)
-from repro.core.metrics import reduction_fraction
+from repro.core.metrics import reduction_fraction, speedup
 from repro.labsci import QuantumDotLandscape
 
 
@@ -106,14 +106,17 @@ def test_campaign_metrics_target_defaults_to_spec():
 def test_campaign_metrics_comparisons():
     slow = make_result([0.1, 0.2, 0.3, 0.6]).report(target=0.5)
     fast = make_result([0.6]).report(target=0.5)
-    assert fast.speedup_vs(slow) == pytest.approx(4.0)
-    assert fast.reduction_vs(slow) == pytest.approx(0.75)
+    assert speedup(slow.time_to_target, fast.time_to_target) \
+        == pytest.approx(4.0)
+    assert reduction_fraction(slow.experiments_to_target,
+                              fast.experiments_to_target) \
+        == pytest.approx(0.75)
     # Raw-number baselines and DNF propagation.
-    assert fast.speedup_vs(20.0) == pytest.approx(2.0)
+    assert speedup(20.0, fast.time_to_target) == pytest.approx(2.0)
     dnf = make_result([0.1]).report(target=0.5)
-    assert dnf.speedup_vs(slow) is None
-    assert fast.speedup_vs(dnf) is None
-    assert fast.reduction_vs(None) is None
+    assert speedup(slow.time_to_target, dnf.time_to_target) is None
+    assert speedup(dnf.time_to_target, fast.time_to_target) is None
+    assert reduction_fraction(None, fast.experiments_to_target) is None
 
 
 # -- the hierarchical loop ---------------------------------------------------------------

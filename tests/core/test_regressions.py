@@ -15,7 +15,7 @@ Each test pins a bug that once existed:
 
 import numpy as np
 
-from repro.agents import AgentRuntime, PlannerAgent, SimulatedLLM
+from repro.agents import PlannerAgent, SimulatedLLM
 from repro.agents.planner import ExperimentPlan
 from repro.core import CampaignSpec, FederationManager, VerificationStack
 from repro.core.federation import (DEFAULT_SAFETY_ENVELOPE,
@@ -68,14 +68,12 @@ def test_campaign_stops_on_verification_stalemate():
     assert result.counters["skipped_plans"] == 25
 
 
-def test_repair_of_optimizer_plan_diversifies(sim, rngs, qd_landscape,
-                                              testbed_network):
+def test_repair_of_optimizer_plan_diversifies(sim, rngs, qd_landscape):
     from repro.methods import NestedBayesianOptimizer
-    runtime = AgentRuntime(sim, testbed_network)
     optimizer = NestedBayesianOptimizer(qd_landscape.space,
                                         rngs.stream("opt"))
     llm = SimulatedLLM(sim, rngs.stream("llm"), hallucination_rate=0.0)
-    planner = PlannerAgent(sim, "p", "site-0", runtime, optimizer, llm)
+    planner = PlannerAgent(sim, "p", "site-0", optimizer, llm)
     rejected = ExperimentPlan(
         params=qd_landscape.space.sample(np.random.default_rng(0)),
         source="optimizer")
@@ -93,14 +91,12 @@ def test_repair_of_optimizer_plan_diversifies(sim, rngs, qd_landscape,
     assert qd_landscape.space.contains(out["repair"].params)
 
 
-def test_repair_of_llm_plan_uses_optimizer(sim, rngs, qd_landscape,
-                                           testbed_network):
+def test_repair_of_llm_plan_uses_optimizer(sim, rngs, qd_landscape):
     from repro.methods import NestedBayesianOptimizer
-    runtime = AgentRuntime(sim, testbed_network)
     optimizer = NestedBayesianOptimizer(qd_landscape.space,
                                         rngs.stream("opt"))
     llm = SimulatedLLM(sim, rngs.stream("llm"))
-    planner = PlannerAgent(sim, "p", "site-0", runtime, optimizer, llm,
+    planner = PlannerAgent(sim, "p", "site-0", optimizer, llm,
                            mode="llm-direct")
     rejected = ExperimentPlan(params={}, source="llm")
     out = {}

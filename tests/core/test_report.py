@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.campaign import (CampaignResult, CampaignSpec,
                                  ExperimentRecord)
+from repro.core.metrics import reduction_fraction, speedup
 from repro.core.report import REPORT_SCHEMA, CampaignReport
 from repro.scale.hashing import decision_hash
 
@@ -113,10 +114,11 @@ def test_summary_matches_legacy_shape_and_rounding():
 
 def test_report_supports_arm_comparisons():
     rep = CampaignReport.from_result(_result(target=0.5))
-    baseline = replace(rep, time_to_target=750.0, experiments_to_target=9)
-    assert rep.speedup_vs(baseline) == pytest.approx(3.0)
-    assert rep.reduction_vs(baseline) == pytest.approx(1.0 - 3.0 / 9.0)
-    assert rep.reduction_vs(6) == pytest.approx(0.5)
+    assert speedup(750.0, rep.time_to_target) == pytest.approx(3.0)
+    assert reduction_fraction(9, rep.experiments_to_target) \
+        == pytest.approx(1.0 - 3.0 / 9.0)
+    assert reduction_fraction(6, rep.experiments_to_target) \
+        == pytest.approx(0.5)
 
 
 def test_report_method_stays_silent():

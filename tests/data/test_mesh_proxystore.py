@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import (DataRecord, FederatedDataMesh, ProxyStore)
+from repro.data import DataRecord, FederatedDataMesh, Proxy, ProxyStore
 from repro.data.mesh import AccessDenied
 from repro.security import (FederatedIdentityProvider, Identity, PolicyEngine,
                             TrustFabric, ZeroTrustGateway)
@@ -212,8 +212,8 @@ def test_remote_resolution_pays_transfer_once(sim, stores):
 
 
 def test_evicted_object_unresolvable(sim, stores):
-    proxy = stores["site-0"].put([1, 2, 3])
-    stores["site-0"].evict(proxy)
+    # A proxy whose object its home store does not hold.
+    proxy = Proxy(key="proxy-gone", home_site="site-0", size_bytes=24.0)
 
     def proc():
         with pytest.raises(KeyError):

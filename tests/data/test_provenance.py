@@ -38,9 +38,11 @@ def campaign_graph():
 
 
 def test_node_types(campaign_graph):
-    assert campaign_graph.node_type("planner-agent") == "agent"
-    assert campaign_graph.node_type("synth-1") == "activity"
-    assert campaign_graph.node_type("rec-1") == "entity"
+    types = {node["id"]: node["prov_type"]
+             for node in campaign_graph.to_dict()["nodes"]}
+    assert types["planner-agent"] == "agent"
+    assert types["synth-1"] == "activity"
+    assert types["rec-1"] == "entity"
     assert len(campaign_graph) == 9
 
 
@@ -83,10 +85,6 @@ def test_generating_activity_survives_replay():
     replay = ProvenanceGraph.from_dict(g.to_dict())
     assert g.generating_activity("e") == replay.generating_activity("e") == "a"
     assert g.completeness("e") == replay.completeness("e") == 0.25
-
-
-def test_derived_products(campaign_graph):
-    assert "rec-1" in campaign_graph.derived_products("sample-1")
 
 
 def test_completeness_full(campaign_graph):
@@ -308,10 +306,6 @@ class _NxProvenance:
     def lineage(self, node):
         return sorted(nx.descendants(self.g, node))
 
-    def derived_products(self, node):
-        return sorted(n for n in nx.ancestors(self.g, node)
-                      if self.kind_of(n) == "entity")
-
     def completeness(self, node):
         if node not in self.g:
             return 0.0
@@ -390,7 +384,6 @@ def _assert_same(graph, ref):
     assert graph.edge_count == ref.g.number_of_edges()
     for node in sorted(ref.g.nodes):
         assert graph.lineage(node) == ref.lineage(node)
-        assert graph.derived_products(node) == ref.derived_products(node)
         assert graph.responsible_agents(node) == [
             n for n in ref.lineage(node) if ref.kind_of(n) == "agent"]
         assert graph.completeness(node) == ref.completeness(node)

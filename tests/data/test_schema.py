@@ -10,8 +10,7 @@ from repro.data.schema import SchemaError
 def pl_schema():
     return Schema(name="pl-spectrum", version=1, fields=(
         FieldSpec("plqy", unit="fraction", lo=0.0, hi=1.0),
-        FieldSpec("emission_nm", unit="nm", lo=200.0, hi=2000.0,
-                  aliases=("wavelength", "peak_nm")),
+        FieldSpec("emission_nm", unit="nm", lo=200.0, hi=2000.0),
         FieldSpec("temperature", unit="C", required=False),
     ))
 
@@ -76,7 +75,7 @@ def test_registry_versions(pl_schema):
     reg.register(pl_schema)
     v2 = pl_schema.evolve(add=(FieldSpec("x", required=False),))
     reg.register(v2)
-    assert reg.latest("pl-spectrum").version == 2
+    assert reg.get("pl-spectrum@2") is v2
     assert reg.get("pl-spectrum@1") is pl_schema
     assert "pl-spectrum@1" in reg
     assert len(reg) == 2

@@ -170,12 +170,12 @@ def test_hal_unsupported_operation(sim, hal_with_four_vendors):
 
 
 def test_hal_inventory(sim, hal_with_four_vendors):
-    hal, _ = hal_with_four_vendors
-    assert len(hal.instruments()) == 4
-    assert hal.instruments(operation="synthesize") == hal.instruments()
-    assert hal.instruments(operation="measure") == []
-    desc = hal.describe()
-    assert desc["robot-helios"]["vendor"] == "helios"
+    hal, robots = hal_with_four_vendors
+    adapters = [hal.adapter(robot.name) for robot in robots.values()]
+    assert len(adapters) == 4
+    assert all(a.supports("synthesize") for a in adapters)
+    assert not any(a.supports("measure") for a in adapters)
+    assert hal.adapter("robot-helios").vendor == "helios"
 
 
 def test_hal_duplicate_registration_rejected(sim, rngs, qd_landscape):

@@ -106,15 +106,6 @@ def test_sample_ids_unique(qd):
     assert len(ids) == 10
 
 
-def test_sample_transform_scales_property(qd):
-    p = qd.space.sample(np.random.default_rng(6))
-    s = Sample.synthesize(p, qd)
-    before = s.true_property("plqy")
-    s.apply_transform("plqy", 1.2)
-    assert s.true_property("plqy") == pytest.approx(before * 1.2)
-    assert s.state["transformed:plqy"] == pytest.approx(1.2)
-
-
 def test_sample_provenance_records(qd):
     p = qd.space.sample(np.random.default_rng(7))
     s = Sample.synthesize(p, qd)
@@ -172,4 +163,3 @@ def test_evaluate_batch_matches_scalar(make, seed, points):
         for name in land.properties:
             assert float(batch[name][i]).hex() == float(scalar[name]).hex(), \
                 (name, i)
-

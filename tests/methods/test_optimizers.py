@@ -10,8 +10,7 @@ from repro.labsci import (ContinuousDim, DiscreteDim, ParameterSpace,
                           SyntheticLandscape)
 from repro.methods import (BayesianOptimizer, GridSearch,
                            NestedBayesianOptimizer, RandomSearch,
-                           expected_improvement, probability_of_improvement,
-                           upper_confidence_bound)
+                           expected_improvement, upper_confidence_bound)
 from repro.methods.acquisition import STD_FLOOR, score_candidates
 from repro.methods.gp import GaussianProcess
 from repro.methods.kernels import RBF
@@ -76,23 +75,13 @@ def test_acquisitions_bit_identical_to_scipy_stats_norm(points, best, xi):
     floored = np.maximum(std, STD_FLOOR)
     z = (mean - best - xi) / floored
     want_ei = (mean - best - xi) * norm.cdf(z) + floored * norm.pdf(z)
-    want_pi = norm.cdf(z)
     got_ei = expected_improvement(mean, std, best, xi=xi)
-    got_pi = probability_of_improvement(mean, std, best, xi=xi)
     assert got_ei.tobytes() == want_ei.tobytes()
-    assert got_pi.tobytes() == want_pi.tobytes()
 
 
 def test_ucb_tradeoff():
     assert upper_confidence_bound(np.array([0.5]), np.array([0.2]),
                                   beta=2.0)[0] == pytest.approx(0.9)
-
-
-def test_pi_bounded():
-    pi = probability_of_improvement(np.array([0.0, 10.0]),
-                                    np.array([0.1, 0.1]), best=0.5)
-    assert 0.0 <= pi[0] < 0.01
-    assert pi[1] > 0.99
 
 
 def test_score_candidates_dispatch():
@@ -101,7 +90,7 @@ def test_score_candidates_dispatch():
     y = X[:, 0]
     gp = GaussianProcess(RBF(0.3), noise=0.05).fit(X, y)
     Xc = rng.random((15, 2))
-    for name in ("ei", "ucb", "pi", "thompson"):
+    for name in ("ei", "ucb", "thompson"):
         scores = score_candidates(name, gp, Xc, best=0.8, rng=rng)
         assert scores.shape == (15,)
     with pytest.raises(ValueError):
@@ -114,7 +103,7 @@ def test_random_search_valid_and_tracks_best(cont_space):
     land = SyntheticLandscape(cont_space, seed=1)
     rs = RandomSearch(cont_space, np.random.default_rng(0))
     best = optimize(rs, land, 50)
-    assert rs.n_observed == 50
+    assert len(rs.history) == 50
     assert best == max(v for _, v in rs.history)
     traj = rs.best_trajectory()
     assert traj == sorted(traj)  # monotone non-decreasing
@@ -122,9 +111,9 @@ def test_random_search_valid_and_tracks_best(cont_space):
 
 def test_grid_search_covers_grid(mixed_space):
     gs = GridSearch(mixed_space, points_per_dim=3)
-    assert gs.grid_size == 4 * 3 * 3
-    seen = {tuple(sorted(gs.ask().items())) for _ in range(gs.grid_size)}
-    assert len(seen) == gs.grid_size
+    n_points = 4 * 3 * 3   # the product of the dimensions' levels
+    seen = {tuple(sorted(gs.ask().items())) for _ in range(n_points)}
+    assert len(seen) == n_points
     # wraps around deterministically
     again = gs.ask()
     assert tuple(sorted(again.items())) in seen
@@ -174,12 +163,12 @@ def test_bo_absorb_external_observations(cont_space):
     # External knowledge means the surrogate is active from ask #1.
     p = bo.ask()
     assert cont_space.contains(p)
-    assert bo.n_observed == 0  # absorbed data is not "ours"
+    assert len(bo.history) == 0  # absorbed data is not "ours"
 
 
 def test_bo_acquisition_variants_run(cont_space):
     land = SyntheticLandscape(cont_space, seed=5)
-    for acq in ("ei", "ucb", "pi", "thompson"):
+    for acq in ("ei", "ucb", "thompson"):
         bo = BayesianOptimizer(cont_space, np.random.default_rng(0),
                                acquisition=acq, n_init=4, n_candidates=64)
         optimize(bo, land, 12)
@@ -220,7 +209,7 @@ def test_nested_tracks_history_and_best(mixed_space):
     land = SyntheticLandscape(mixed_space, seed=2)
     nbo = NestedBayesianOptimizer(mixed_space, np.random.default_rng(1))
     best = optimize(nbo, land, 30)
-    assert nbo.n_observed == 30
+    assert len(nbo.history) == 30
     assert best == max(v for _, v in nbo.history)
 
 
@@ -258,21 +247,13 @@ def test_ei_finite_at_exact_zero_std():
     assert ei[2] == pytest.approx(0.9 - 0.5 - 0.01, abs=1e-6)
 
 
-def test_pi_finite_at_exact_zero_std():
-    pi = probability_of_improvement(np.array([0.1, 0.9]),
-                                    np.array([0.0, 0.0]), best=0.5)
-    assert np.all(np.isfinite(pi))
-    assert pi[0] == pytest.approx(0.0, abs=1e-9)
-    assert pi[1] == pytest.approx(1.0, abs=1e-9)
-
-
 def test_score_candidates_finite_on_observed_points():
     """Scoring the training points themselves must not produce NaN/inf."""
     X = np.array([[0.1, 0.2], [0.8, 0.9], [0.4, 0.5]])
     y = np.array([0.3, 0.7, 0.5])
     gp = GaussianProcess(kernel=RBF(lengthscale=0.3), noise=1e-6).fit(X, y)
     rng = np.random.default_rng(0)
-    for name in ("ei", "ucb", "pi"):
+    for name in ("ei", "ucb"):
         scores = score_candidates(name, gp, X, best=0.7, rng=rng)
         assert np.all(np.isfinite(scores)), name
 

@@ -52,13 +52,6 @@ def test_distant_observations_do_not_pair(space):
     assert ta.offset_estimates()["b"] is None
 
 
-def test_all_corrected_merges_sources(space):
-    ta = TransferAdapter(space, min_pairs=99)
-    ta.receive("b", {"x": 0.1}, 0.1)
-    ta.receive("c", {"x": 0.2}, 0.2)
-    assert len(ta.all_corrected()) == 2
-
-
 def test_offset_robust_to_outlier(space):
     ta = TransferAdapter(space, min_pairs=3, neighbor_scale=0.05)
     for x in (0.1, 0.3, 0.5, 0.7, 0.9):

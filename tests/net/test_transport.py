@@ -192,7 +192,7 @@ def test_stats_accumulate():
     sim.run()
     assert net.stats["transfers"] == 5
     assert net.stats["bytes"] == 500.0
-    assert net.mean_latency() > 0
+    assert net.latency_hist.mean > 0
 
 
 def test_fault_injector_any_active(sim):

@@ -69,29 +69,9 @@ def test_null_tracer_is_inert(sim):
         NULL_TRACER.instant("y")
     assert NULL_TRACER.events == []
     assert NULL_TRACER.span_tree() == []
-    assert not NULL_TRACER.enabled
 
 
 # -- kernel hooks -----------------------------------------------------------
-
-def test_attach_kernel_traces_steps_and_detaches():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    tracer.attach_kernel(schedule=True)
-
-    def proc():
-        yield sim.timeout(1.0)
-
-    p = sim.process(proc())
-    sim.run(until=p)
-    kinds = {e.name for e in tracer.events}
-    assert "kernel.step" in kinds and "kernel.schedule" in kinds
-    n = len(tracer.events)
-    tracer.detach_kernel()
-    sim.process(proc())
-    sim.run()
-    assert len(tracer.events) == n  # nothing recorded after detach
-
 
 def test_untraced_simulator_has_no_hooks():
     sim = Simulator()

@@ -271,10 +271,16 @@ def test_cli_rejects_sweep_flags_with_replay(flags, no_replay_runs, tmp_path,
 
 
 def test_cli_replay_takes_workers(tmp_path, capsys):
-    from repro.data import record_campaign
-    record_campaign("mesh", [0], {"n_facilities": 4, "n_shards": 2,
-                                  "records_per_facility": 2,
-                                  "max_trace_events": 64},
+    from repro.data import CampaignArchive, record_campaign
+    record_campaign("mesh", [0, 1], {"n_facilities": 4, "n_shards": 2,
+                                     "records_per_facility": 2,
+                                     "max_trace_events": 64},
                     str(tmp_path), workers=1)
     assert scale_main(["--replay", str(tmp_path), "--workers", "1"]) == 0
-    assert "(matches recording)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "(matches recording)" in out
+    # The printed count is every archived trace shard's length, summed.
+    archive = CampaignArchive(str(tmp_path))
+    n_events = sum(len(archive.trace_events(s)) for s in (0, 1))
+    assert n_events == 48
+    assert f"({n_events} archived trace events)" in out

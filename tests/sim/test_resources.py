@@ -1,8 +1,8 @@
-"""Tests for Resource / Store / FilterStore / PriorityStore."""
+"""Tests for Resource / Store."""
 
 import pytest
 
-from repro.sim import FilterStore, PriorityStore, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 
 @pytest.fixture
@@ -185,80 +185,5 @@ def test_store_len(sim):
     store = Store(sim)
     store.put("x")
     store.put("y")
-    sim.run()
-    assert len(store) == 2
-
-
-# -- FilterStore ---------------------------------------------------------------
-
-def test_filter_store_selective_get(sim):
-    store = FilterStore(sim)
-    got = []
-
-    def consumer(sim, store):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    sim.process(consumer(sim, store))
-    for i in [1, 3, 4, 5]:
-        store.put(i)
-    sim.run()
-    assert got == [4]
-    assert store.items == [1, 3, 5]
-
-
-def test_filter_store_waits_for_match(sim):
-    store = FilterStore(sim)
-    got = []
-
-    def consumer(sim, store):
-        item = yield store.get(lambda x: x == "target")
-        got.append((item, sim.now))
-
-    def producer(sim, store):
-        yield store.put("noise")
-        yield sim.timeout(2.0)
-        yield store.put("target")
-
-    sim.process(consumer(sim, store))
-    sim.process(producer(sim, store))
-    sim.run()
-    assert got == [("target", 2.0)]
-
-
-def test_filter_store_plain_get(sim):
-    store = FilterStore(sim)
-    store.put("a")
-    got = []
-
-    def consumer(sim, store):
-        got.append((yield store.get()))
-
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert got == ["a"]
-
-
-# -- PriorityStore ----------------------------------------------------------------
-
-def test_priority_store_orders_items(sim):
-    store = PriorityStore(sim)
-    got = []
-
-    def consumer(sim, store):
-        for _ in range(3):
-            got.append((yield store.get()))
-
-    for item in [(3, "low"), (1, "high"), (2, "mid")]:
-        store.put(item)
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert got == [(1, "high"), (2, "mid"), (3, "low")]
-
-
-def test_priority_store_len_tracks_heap(sim):
-    store = PriorityStore(sim)
-    store.put((1, "a"))
-    store.put((2, "b"))
     sim.run()
     assert len(store) == 2

@@ -50,20 +50,6 @@ def test_fresh_replays_from_start():
     assert np.array_equal(a, b)
 
 
-def test_spawn_children_independent():
-    parent = RngRegistry(9)
-    c1 = parent.spawn("site-A")
-    c2 = parent.spawn("site-B")
-    assert c1.seed != c2.seed
-    assert not np.array_equal(c1.stream("n").random(5), c2.stream("n").random(5))
-
-
-def test_spawn_deterministic():
-    a = RngRegistry(9).spawn("site-A").stream("n").random(5)
-    b = RngRegistry(9).spawn("site-A").stream("n").random(5)
-    assert np.array_equal(a, b)
-
-
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.text(min_size=1, max_size=50))
 @settings(max_examples=50, deadline=None)
 def test_property_streams_reproducible(seed, name):

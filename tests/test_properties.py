@@ -13,7 +13,7 @@ from repro.labsci import ContinuousDim, DiscreteDim, ParameterSpace
 from repro.labsci.quantum_dots import quantum_dot_space
 from repro.net import (FaultInjector, Link, Network, NoPath, Site, Topology,
                        Unreachable)
-from repro.sim import PriorityStore, RngRegistry, Simulator
+from repro.sim import RngRegistry, Simulator
 
 # -- topic matching --------------------------------------------------------------
 
@@ -157,7 +157,7 @@ _OVERFLOWING = [(-1e308, 1e308), (-np.inf, 0.0), (0.0, np.inf),
 
 def test_overflowing_span_rejected_at_construction():
     """A dim whose span has no finite double never builds, so no space can
-    sample, encode or denormalize it."""
+    sample or encode it."""
     for bounds in _OVERFLOWING:
         with pytest.raises(ValueError, match="finite"):
             ContinuousDim("wide", *bounds)
@@ -253,27 +253,6 @@ def test_property_fair_monotone_in_enrichment():
                       quality={"score": 1.0})
     assert fair_score(rich, indexed=True).overall \
         > fair_score(bare, indexed=False).overall
-
-
-# -- priority store total order -----------------------------------------------------------
-
-@given(st.lists(st.tuples(st.integers(-100, 100), st.integers(0, 1000)),
-                min_size=1, max_size=30))
-@settings(max_examples=60, deadline=None)
-def test_property_priority_store_yields_sorted(items):
-    sim = Simulator()
-    store = PriorityStore(sim)
-    for it in items:
-        store.put(it)
-    got = []
-
-    def consumer():
-        for _ in range(len(items)):
-            got.append((yield store.get()))
-
-    sim.process(consumer())
-    sim.run()
-    assert got == sorted(items)
 
 
 # -- routing under faults ------------------------------------------------------------------
