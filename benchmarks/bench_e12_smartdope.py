@@ -23,11 +23,10 @@ SEEDS = (0, 1, 2)
 STRATEGIES = ("nested-BO", "flat-BO", "random", "grid")
 
 
-def _make_strategy(name: str, space, rng, acquisition=None):
+def _make_strategy(name: str, space, rng, acquisition="ei"):
     if name == "nested-BO":
-        inner = {"acquisition": acquisition} if acquisition else None
         return NestedBayesianOptimizer(space, rng, arm_subset=16,
-                                       inner_kwargs=inner)
+                                       acquisition=acquisition)
     if name == "flat-BO":
         return BayesianOptimizer(space, rng, n_init=10, n_candidates=256)
     if name == "random":
@@ -42,7 +41,7 @@ def _run_strategy(seed: int, config: dict) -> dict:
     landscape = QuantumDotLandscape(seed=2)
     opt = _make_strategy(config["strategy"], landscape.space,
                          np.random.default_rng(seed),
-                         config.get("acquisition"))
+                         config.get("acquisition", "ei"))
     for _ in range(BUDGET):
         params = opt.ask()
         opt.tell(params, landscape.objective_value(params))

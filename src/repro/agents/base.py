@@ -31,16 +31,15 @@ class Agent:
     ----------
     sim, name, site:
         Identity.
-    heartbeat_interval_s:
-        Period of liveness beacons (0 disables).
     """
 
-    def __init__(self, sim: "Simulator", name: str, site: str,
-                 heartbeat_interval_s: float = 5.0) -> None:
+    #: Period of liveness beacons.
+    heartbeat_interval_s = 5.0
+
+    def __init__(self, sim: "Simulator", name: str, site: str) -> None:
         self.sim = sim
         self.name = name
         self.site = site
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.state = AgentState.INIT
         self.last_heartbeat = -1.0
         self._procs: list[Any] = []
@@ -56,8 +55,7 @@ class Agent:
         # otherwise the supervisor immediately re-flags a just-restarted
         # agent whose last beacon predates its crash.
         self.last_heartbeat = self.sim.now
-        if self.heartbeat_interval_s > 0:
-            self._procs = [self.sim.process(self._heartbeat_loop())]
+        self._procs = [self.sim.process(self._heartbeat_loop())]
         return self
 
     def crash(self) -> None:

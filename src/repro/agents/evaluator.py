@@ -22,24 +22,20 @@ class EvaluatorAgent(Agent):
     ----------
     planner:
         The planner whose optimizer learns from outcomes.
-    target:
-        Optional objective value that ends the campaign when reached.
-    patience:
-        Experiments without meaningful improvement before convergence is
-        declared (``None`` disables early stopping).
-    min_improvement:
-        Improvement below this counts as "no progress".
     """
 
+    #: Optional objective value that ends the campaign when reached.
+    target: Optional[float] = None
+    #: Experiments without meaningful improvement before convergence is
+    #: declared (``None`` disables early stopping).
+    patience: Optional[int] = None
+    #: Improvement below this counts as "no progress".
+    min_improvement = 1e-3
+
     def __init__(self, sim, name: str, site: str,
-                 planner: PlannerAgent, *, target: Optional[float] = None,
-                 patience: Optional[int] = None,
-                 min_improvement: float = 1e-3, **kw: Any) -> None:
-        super().__init__(sim, name, site, **kw)
+                 planner: PlannerAgent) -> None:
+        super().__init__(sim, name, site)
         self.planner = planner
-        self.target = target
-        self.patience = patience
-        self.min_improvement = min_improvement
         self.best_value: Optional[float] = None
         self.best_params: Optional[dict[str, Any]] = None
         self._stale = 0

@@ -58,8 +58,8 @@ class ExecutorAgent(Agent):
 
     def __init__(self, sim, name: str, site: str,
                  hal: HardwareAbstractionLayer, synthesis_instrument: str,
-                 characterization, objective_key: str, **kw: Any) -> None:
-        super().__init__(sim, name, site, **kw)
+                 characterization, objective_key: str) -> None:
+        super().__init__(sim, name, site)
         self.hal = hal
         self.synthesis_instrument = synthesis_instrument
         self.characterization = characterization

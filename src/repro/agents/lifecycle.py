@@ -27,27 +27,24 @@ class Supervisor:
         Kernel.
     check_interval_s:
         Watchdog sweep period.
-    timeout_multiplier:
-        An agent is declared dead after
-        ``timeout_multiplier * heartbeat_interval_s`` of silence.
     restart_delay_s:
         Time to re-provision a crashed agent; every restart waits this
         long, and an agent is restarted as often as it dies.
-    auto_restart:
-        Disable to measure the no-fault-tolerance baseline.
     """
 
+    #: An agent is declared dead after
+    #: ``TIMEOUT_MULTIPLIER * heartbeat_interval_s`` of silence.
+    TIMEOUT_MULTIPLIER = 3.0
+    #: Set to ``False`` to measure the no-fault-tolerance baseline.
+    auto_restart = True
+
     def __init__(self, sim: "Simulator", *, check_interval_s: float = 5.0,
-                 timeout_multiplier: float = 3.0,
-                 restart_delay_s: float = 30.0,
-                 auto_restart: bool = True) -> None:
+                 restart_delay_s: float = 30.0) -> None:
         if restart_delay_s < 0:
             raise ValueError("restart_delay_s must be >= 0")
         self.sim = sim
         self.check_interval_s = check_interval_s
-        self.timeout_multiplier = timeout_multiplier
         self.restart_delay_s = float(restart_delay_s)
-        self.auto_restart = auto_restart
         self._watched: list[Agent] = []
         self._restarting: set[str] = set()
         self.events: list[tuple[float, str, str]] = []
@@ -62,7 +59,7 @@ class Supervisor:
         self._proc = self.sim.process(self._run())
 
     def _deadline(self, agent: Agent) -> float:
-        return agent.heartbeat_interval_s * self.timeout_multiplier
+        return agent.heartbeat_interval_s * self.TIMEOUT_MULTIPLIER
 
     def _run(self):
         while True:

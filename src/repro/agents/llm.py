@@ -56,23 +56,20 @@ class SimulatedLLM:
         Random stream.
     hallucination_rate:
         Probability that a *parameter proposal* is corrupted.
-    tool_error_rate:
-        Probability that a tool-selection answer is wrong.
-    latency_range_s:
-        (lo, hi) uniform per-call latency.
     """
 
+    #: Probability that a tool-selection answer is wrong.
+    tool_error_rate = 0.03
+    #: (lo, hi) uniform per-call latency.
+    LATENCY_RANGE_S = (0.8, 3.0)
+
     def __init__(self, sim: "Simulator", rng: np.random.Generator, *,
-                 hallucination_rate: float = 0.25,
-                 tool_error_rate: float = 0.03,
-                 latency_range_s: tuple[float, float] = (0.8, 3.0)) -> None:
+                 hallucination_rate: float = 0.25) -> None:
         if not 0.0 <= hallucination_rate <= 1.0:
             raise ValueError("hallucination_rate must be in [0, 1]")
         self.sim = sim
         self.rng = rng
         self.hallucination_rate = hallucination_rate
-        self.tool_error_rate = tool_error_rate
-        self.latency_range_s = latency_range_s
         self.stats = {"calls": 0, "tokens": 0, "hallucinations": 0}
 
     # -- plumbing -------------------------------------------------------------
@@ -80,7 +77,7 @@ class SimulatedLLM:
     def _charge(self, prompt_tokens: int):
         """Generator: spend latency; returns (latency, total tokens)."""
         self.stats["calls"] += 1
-        latency = float(self.rng.uniform(*self.latency_range_s))
+        latency = float(self.rng.uniform(*self.LATENCY_RANGE_S))
         tokens = prompt_tokens + int(self.rng.integers(100, 600))
         self.stats["tokens"] += tokens
         yield self.sim.timeout(latency)

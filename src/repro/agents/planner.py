@@ -74,8 +74,8 @@ class PlannerAgent(Agent):
                  optimizer: AskTellOptimizer, llm: SimulatedLLM, *,
                  mode: str = "hierarchical",
                  safety_envelope: Optional[Mapping[str, tuple[float, float]]] = None,
-                 **kw: Any) -> None:
-        super().__init__(sim, name, site, **kw)
+                 ) -> None:
+        super().__init__(sim, name, site)
         if mode not in ("hierarchical", "llm-direct"):
             raise ValueError(f"unknown planner mode {mode!r}")
         self.optimizer = optimizer
@@ -111,13 +111,8 @@ class PlannerAgent(Agent):
                 preferred="bayesian-optimization")
             self._tool_choice = resp.content["tool"]
         params = self.optimizer.ask()
-        expected = {}
-        mean, std = self._posterior(params)
-        if mean is not None:
-            expected = {"objective": mean}
         self.plan_stats["optimizer_plans"] += 1
-        return ExperimentPlan(params=dict(params), expected=expected,
-                              source="optimizer",
+        return ExperimentPlan(params=dict(params), source="optimizer",
                               rationale="BO acquisition argmax",
                               plan_id=self._next_plan_id(),
                               grounded=True)
@@ -154,12 +149,7 @@ class PlannerAgent(Agent):
                                   plan_id=self._next_plan_id(),
                                   grounded=True, repaired=True)
         params = self.optimizer.ask()
-        expected = {}
-        mean, _std = self._posterior(params)
-        if mean is not None:
-            expected = {"objective": mean}
-        return ExperimentPlan(params=dict(params), expected=expected,
-                              source="optimizer-repair",
+        return ExperimentPlan(params=dict(params), source="optimizer-repair",
                               rationale=f"repair of {rejected.plan_id}",
                               plan_id=self._next_plan_id(),
                               grounded=True, repaired=True)
@@ -169,15 +159,3 @@ class PlannerAgent(Agent):
 
     def observe(self, params: Mapping[str, Any], objective: float) -> None:
         self.optimizer.tell(params, objective)
-
-    def _posterior(self, params: Mapping[str, Any]):
-        posterior = getattr(self.optimizer, "posterior_at", None)
-        if posterior is None:
-            return None, None
-        try:
-            mean, std = posterior(params)
-        except Exception:
-            return None, None
-        if std == float("inf"):
-            return None, None
-        return mean, std

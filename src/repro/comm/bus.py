@@ -126,11 +126,11 @@ class Queue:
         self._unacked.pop(envelope.message.msg_id, None)
         self.stats["acked"] += 1
 
-    def nack(self, envelope: Envelope, requeue: bool = True) -> None:
+    def nack(self, envelope: Envelope) -> None:
         """Reject; requeue for redelivery (or dead-letter after too many)."""
         self._unacked.pop(envelope.message.msg_id, None)
         self.stats["nacked"] += 1
-        if not requeue or envelope.attempt >= self.max_attempts:
+        if envelope.attempt >= self.max_attempts:
             self.dead_letters.append(envelope)
             self.stats["dead"] += 1
             return

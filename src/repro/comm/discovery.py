@@ -55,6 +55,8 @@ class DnsSd:
 
     ANNOUNCE_SIZE = 512.0
     QUERY_SIZE = 256.0
+    #: Lease renewal period of :meth:`keepalive`.
+    KEEPALIVE_INTERVAL_S = 20.0
 
     def __init__(self, sim: "Simulator", network: "Network",
                  registry: ServiceRegistry, registry_site: str, site: str,
@@ -88,10 +90,11 @@ class DnsSd:
         yield self.network.send(self.site, self.registry_site, self.QUERY_SIZE)
         return self.registry.deregister(instance)
 
-    def keepalive(self, instance: str, interval_s: float = 20.0):
-        """Generator: renew the lease forever (spawn as a process)."""
+    def keepalive(self, instance: str):
+        """Generator: renew the lease every ``KEEPALIVE_INTERVAL_S`` until
+        the record is gone (spawn as a process)."""
         while True:
-            yield self.sim.timeout(interval_s)
+            yield self.sim.timeout(self.KEEPALIVE_INTERVAL_S)
             yield self.network.send(self.site, self.registry_site,
                                     self.QUERY_SIZE)
             if not self.registry.renew(instance):

@@ -11,7 +11,7 @@ distributed research facilities", M12).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.comm.rpc import RpcClient, RpcServer
 
@@ -142,26 +142,21 @@ class Negotiator:
             return {"status": "counter", "offer": self.offer}
         server.register("negotiate", handle)
 
-    def negotiate(self, client: RpcClient, server: RpcServer,
-                  responder_offer_hint: Optional[CapabilityOffer] = None,
-                  max_rounds: int = 3):
+    #: Proposal rounds before :meth:`negotiate` gives up.
+    MAX_ROUNDS = 3
+
+    def negotiate(self, client: RpcClient, server: RpcServer):
         """Generator: negotiate with the party behind ``server``.
 
-        ``responder_offer_hint`` seeds round 1 (e.g. capabilities learned
-        from the service registry); without it the first round proposes
-        our own offer verbatim and relies on a counter to learn theirs.
-        Returns the :class:`Agreement`; raises :class:`NegotiationFailed`.
+        The first round proposes our own offer verbatim and relies on a
+        counter to learn theirs.  Returns the :class:`Agreement`; raises
+        :class:`NegotiationFailed`.
         """
-        hint = responder_offer_hint or self.offer
+        hint = self.offer
         rounds = 0
-        while rounds < max_rounds:
+        while rounds < self.MAX_ROUNDS:
             rounds += 1
-            try:
-                proposal = intersect_offers(self.offer, hint)
-            except NegotiationFailed:
-                if hint is self.offer:
-                    raise
-                raise
+            proposal = intersect_offers(self.offer, hint)
             reply = yield from client.call(
                 server, "negotiate",
                 {"agreement": proposal, "offer": self.offer})
@@ -177,4 +172,5 @@ class Negotiator:
                 hint = reply["offer"]
                 continue
             raise NegotiationFailed(reply.get("reason", "rejected"))
-        raise NegotiationFailed(f"no agreement after {max_rounds} rounds")
+        raise NegotiationFailed(
+            f"no agreement after {self.MAX_ROUNDS} rounds")

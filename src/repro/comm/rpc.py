@@ -22,7 +22,6 @@ from repro.comm.message import Envelope, Message, Performative
 from repro.comm.serialization import estimate_size
 from repro.net.transport import NetworkError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACER
 from repro.resilience import (Deadline, DeadlineExceeded, RetriesExhausted,
                               RetryPolicy, resilient_call)
 
@@ -130,9 +129,6 @@ class RpcClient:
         Optional shared :class:`~repro.obs.metrics.MetricsRegistry`; call
         counters and the per-site ``rpc.call_latency`` histogram report
         into it (E4 reads its p50/p95/p99 straight from the registry).
-    tracer:
-        Optional :class:`~repro.obs.trace.Tracer`; each call attempt then
-        runs inside a ``resilience.attempt`` span.
 
     Notes
     -----
@@ -144,8 +140,7 @@ class RpcClient:
     def __init__(self, sim: "Simulator", network: "Network", site: str,
                  identity: str = "client", gateway: Any = None,
                  token: Optional[str] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 tracer: Any = NULL_TRACER) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.sim = sim
         self.network = network
         self.site = site
@@ -153,7 +148,6 @@ class RpcClient:
         self.gateway = gateway
         self.token = token
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer
         self.stats = self.metrics.stats(
             "rpc.client",
             {"calls": 0, "retries": 0, "timeouts": 0,
@@ -188,7 +182,7 @@ class RpcClient:
                 policy=policy, deadline=deadline,
                 retry_on=(NetworkError, ServerDown),
                 name=f"rpc.{server.name}.{method}",
-                tracer=self.tracer, metrics=self.metrics,
+                metrics=self.metrics,
                 on_retry=on_retry)
         except RpcError:
             # The server raised or has no such method (a ServerDown past

@@ -103,12 +103,8 @@ class CampaignResult:
             out.append(cur)
         return out
 
-    def report(self, *, tenant: str = "",
-               sim_seconds: Optional[float] = None,
-               target: Optional[float] = None):
+    def report(self, *, target: Optional[float] = None):
         """This result as a :class:`~repro.core.report.CampaignReport` —
         the canonical plain-data form every entry point now returns."""
         from repro.core.report import CampaignReport
-        return CampaignReport.from_result(self, tenant=tenant,
-                                          sim_seconds=sim_seconds,
-                                          target=target)
+        return CampaignReport.from_result(self, target=target)

@@ -34,7 +34,7 @@ from repro.instruments.vendors import make_vendor_protocol
 from repro.labsci.landscapes import Landscape
 from repro.net.faults import FaultInjector
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER
 from repro.net.topology import Topology
 from repro.net.transport import Network
 from repro.resilience import ChaosController
@@ -118,10 +118,10 @@ class FederationManager:
         Optional shared :class:`~repro.obs.metrics.MetricsRegistry`; one
         is created when omitted so ``fed.metrics`` always sees the whole
         federation (transport, HAL, fault tolerance, campaigns).
-    tracer:
-        Optional :class:`~repro.obs.trace.Tracer` threaded into every
-        orchestrator and fault-tolerant executor built by
-        :meth:`make_orchestrator` (no-op default).
+
+    ``tracer`` starts as the no-op tracer; assign a
+    :class:`~repro.obs.trace.Tracer` before :meth:`make_orchestrator` to
+    thread it into every orchestrator and fault-tolerant executor.
 
     The WAN is :meth:`~repro.net.topology.Topology.national_lab_testbed`
     at its defaults (0.02 s per link, 0.002 s jitter), and every lab built
@@ -133,14 +133,12 @@ class FederationManager:
     def __init__(self, seed: int = 0, n_sites: int = 3, *,
                  objective_key: str = "plqy", secure: bool = False,
                  with_mesh: bool = False,
-                 metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
-                 sim: Optional[Simulator] = None) -> None:
-        self.sim = sim if sim is not None else Simulator()
+                 metrics: Optional[MetricsRegistry] = None) -> None:
+        self.sim = Simulator()
         self.rngs = RngRegistry(seed)
         self.objective_key = objective_key
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = NULL_TRACER
         self.topology = Topology.national_lab_testbed(n_sites)
         self.faults = FaultInjector(self.sim)
         self.chaos = ChaosController(self.sim, self.faults,

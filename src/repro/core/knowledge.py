@@ -21,7 +21,7 @@ Three policies, ablated in E3:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.net.transport import Network, NetworkError
 
@@ -65,19 +65,18 @@ class KnowledgeBase:
         Kernel and transport (propagation rides real links).
     policy:
         One of :data:`POLICIES`.
-    observation_bytes:
-        Wire size of one shared observation.
     """
 
-    def __init__(self, sim: "Simulator", network: Optional["Network"],
-                 policy: str = "corrected",
-                 observation_bytes: float = 2048.0) -> None:
+    #: Wire size of one shared observation.
+    OBSERVATION_BYTES = 2048.0
+
+    def __init__(self, sim: "Simulator", network: Network,
+                 policy: str = "corrected") -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         self.sim = sim
         self.network = network
         self.policy = policy
-        self.observation_bytes = observation_bytes
         self.nodes: dict[str, KnowledgeNode] = {}
         self.stats = {"published": 0, "propagated": 0, "absorbed": 0}
 
@@ -118,12 +117,9 @@ class KnowledgeBase:
             peer.adapter.receive(src, params, value)
             self.stats["propagated"] += 1
 
-        if self.network is None:
-            deliver()
-            return
         try:
             path = self.network.route(src, peer.site)
-            delay = self.network.sample_delay(path, self.observation_bytes)
+            delay = self.network.sample_delay(path, self.OBSERVATION_BYTES)
         except NetworkError:
             return  # unreachable peer: the donation is simply lost
         self.sim.schedule_callback(delay, deliver)

@@ -44,17 +44,17 @@ class ManualOrchestrator:
         Experiments designed per decision cycle.
     decision_delay_s:
         Mean human turnaround per decision cycle (log-normal, sigma 0.4).
-    workday:
-        ``(start_hour, end_hour)`` during which decisions can happen;
-        decisions queued outside hours wait for the next morning.
     rng:
         Random stream for human latency.
     """
 
+    #: ``(start_hour, end_hour)`` during which decisions can happen;
+    #: decisions queued outside hours wait for the next morning.
+    WORKDAY = (9.0, 17.0)
+
     def __init__(self, sim: "Simulator", planner: PlannerAgent,
                  executor: ExecutorAgent, evaluator: EvaluatorAgent, *,
                  batch_size: int = 4, decision_delay_s: float = 4 * 3600.0,
-                 workday: tuple[float, float] = (9.0, 17.0),
                  rng: Optional[np.random.Generator] = None) -> None:
         self.sim = sim
         self.planner = planner
@@ -62,7 +62,6 @@ class ManualOrchestrator:
         self.evaluator = evaluator
         self.batch_size = batch_size
         self.decision_delay_s = decision_delay_s
-        self.workday = workday
         self.rng = rng or np.random.default_rng(0)
         self.site = executor.site
 
@@ -70,7 +69,7 @@ class ManualOrchestrator:
 
     def _next_working_instant(self, t: float) -> float:
         """Earliest time >= t within working hours."""
-        start_h, end_h = self.workday
+        start_h, end_h = self.WORKDAY
         day = int(t // DAY)
         hour = (t % DAY) / 3600.0
         if hour < start_h:

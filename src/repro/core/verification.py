@@ -98,11 +98,11 @@ class TwinVerifier:
     """Digital-twin in-situ validation (spends simulated time)."""
 
     name = "digital-twin"
+    #: Relative slack the twin allows a claimed outcome.
+    CLAIM_TOLERANCE = 0.6
 
-    def __init__(self, twin: DigitalTwin, claim_tolerance: float = 0.6,
-                 objective_key: str = "") -> None:
+    def __init__(self, twin: DigitalTwin, objective_key: str = "") -> None:
         self.twin = twin
-        self.claim_tolerance = claim_tolerance
         self.objective_key = objective_key
         self.stats = {"checks": 0, "rejections": 0}
 
@@ -115,7 +115,7 @@ class TwinVerifier:
             if "objective" in plan.expected:
                 expected = {key: plan.expected["objective"]}
         verdict = yield from self.twin.validate(
-            plan.params, expected=expected, tolerance=self.claim_tolerance)
+            plan.params, expected=expected, tolerance=self.CLAIM_TOLERANCE)
         if not verdict.ok:
             self.stats["rejections"] += 1
         return list(verdict.reasons)

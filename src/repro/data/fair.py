@@ -100,10 +100,11 @@ class FairGovernor:
     The before/after scores feed E9's governance curve.
     """
 
-    def __init__(self, extractor: Optional[MetadataExtractor] = None,
-                 default_license: str = "CC-BY-4.0") -> None:
-        self.extractor = extractor or MetadataExtractor()
-        self.default_license = default_license
+    #: The institutional license applied to unlicensed records.
+    DEFAULT_LICENSE = "CC-BY-4.0"
+
+    def __init__(self) -> None:
+        self.extractor = MetadataExtractor()
         self.history: list[tuple[float, float, float]] = []  # (t, before, after)
         self.stats = {"audits": 0, "repairs": 0}
 
@@ -123,7 +124,7 @@ class FairGovernor:
                 record.metadata.update(ann.as_metadata())
                 repaired = True
         if not record.license:
-            record.license = self.default_license
+            record.license = self.DEFAULT_LICENSE
             repaired = True
         if not record.schema_id and schemas is not None:
             match = self._best_schema(record, schemas)

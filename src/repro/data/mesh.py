@@ -13,7 +13,7 @@ through the zero-trust gateway, with ABAC deciding whether e.g. a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.comm.message import Envelope, Message, Performative
 from repro.data.fair import FairGovernor, fair_score
@@ -46,13 +46,11 @@ def _field_value(entry: dict[str, Any], key: str) -> Any:
     return value
 
 
-def _entry_matches(entry: dict[str, Any], equals: dict[str, Any],
-                   predicate: Optional[Callable[[dict[str, Any]], bool]],
-                   ) -> bool:
+def _entry_matches(entry: dict[str, Any], equals: dict[str, Any]) -> bool:
     for key, want in equals.items():
         if _field_value(entry, key) != want:
             return False
-    return predicate is None or predicate(entry)
+    return True
 
 
 class DiscoveryIndex:
@@ -136,9 +134,8 @@ class DiscoveryIndex:
         self.stats[key] += 1
         return entry
 
-    def query(self, predicate: Optional[Callable[[dict[str, Any]], bool]] = None,
-              **equals: Any) -> list[dict[str, Any]]:
-        """Find index entries by equality filters and/or a predicate.
+    def query(self, **equals: Any) -> list[dict[str, Any]]:
+        """Find index entries by equality filters.
 
         Dotted keys reach into ``metadata`` (e.g.
         ``query(**{"metadata.technique": "powder-xrd"})``).  A
@@ -153,8 +150,7 @@ class DiscoveryIndex:
             if entry is None:
                 return []
             residual = {k: v for k, v in equals.items() if k != "record_id"}
-            return [entry] if _entry_matches(entry, residual, predicate) \
-                else []
+            return [entry] if _entry_matches(entry, residual) else []
 
         candidates: Optional[set[str]] = None
         residual: dict[str, Any] = {}
@@ -175,10 +171,10 @@ class DiscoveryIndex:
             self.stats["index_hits"] += 1
             pool = candidates
         entries = self._entries
-        if not residual and predicate is None:
+        if not residual:
             return [entries[r] for r in sorted(pool)]
         return [entries[r] for r in sorted(pool)
-                if _entry_matches(entries[r], residual, predicate)]
+                if _entry_matches(entries[r], residual)]
 
 
 class DataMeshNode:

@@ -46,9 +46,11 @@ class AnomalyDetector:
     decision chains" failure mode the paper warns about).
     """
 
-    def __init__(self, window: int = 64, z_threshold: float = 4.0,
+    #: Observations kept per quantity.
+    WINDOW = 64
+
+    def __init__(self, z_threshold: float = 4.0,
                  min_history: int = 8) -> None:
-        self.window = window
         self.z_threshold = z_threshold
         self.min_history = min_history
         self._history: dict[str, deque] = {}
@@ -67,7 +69,7 @@ class AnomalyDetector:
     def observe(self, key: str, value: float) -> Optional[float]:
         """Score then absorb the observation; returns the z-score."""
         z = self.z_score(key, value)
-        hist = self._history.setdefault(key, deque(maxlen=self.window))
+        hist = self._history.setdefault(key, deque(maxlen=self.WINDOW))
         # Extreme outliers are scored but NOT absorbed into the baseline.
         if z is None or abs(z) <= self.z_threshold:
             hist.append(float(value))

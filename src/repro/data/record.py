@@ -83,19 +83,18 @@ class DataRecord:
         }
 
     @classmethod
-    def from_measurement(cls, measurement, institution: str = "",
-                         sensitivity: str = "open") -> "DataRecord":
-        """Lift an instrument :class:`Measurement` into the data fabric."""
+    def from_measurement(cls, measurement) -> "DataRecord":
+        """Lift an instrument :class:`Measurement` into the data fabric
+        (open sensitivity; the site stands in for the institution)."""
         return cls(
             source=measurement.instrument,
             values=dict(measurement.values),
             raw=measurement.raw,
             site=measurement.site,
-            institution=institution or measurement.site,
+            institution=measurement.site,
             metadata={"kind": measurement.kind,
                       "sample_id": measurement.sample_id,
                       "units": dict(measurement.units),
                       **dict(measurement.metadata)},
             time=measurement.time,
-            sensitivity=sensitivity,
         )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import zlib
 from operator import itemgetter
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.data.mesh import DiscoveryIndex
 
@@ -112,8 +112,7 @@ class ShardedDiscoveryIndex:
             return None
         return self.shards[shard].get(record_id)
 
-    def query(self, predicate: Optional[Callable[[dict[str, Any]], bool]] = None,
-              **equals: Any) -> list[dict[str, Any]]:
+    def query(self, **equals: Any) -> list[dict[str, Any]]:
         """Same contract as :meth:`DiscoveryIndex.query`, shard-routed.
 
         ``site=`` filters (and ``record_id=`` lookups) touch exactly one
@@ -125,15 +124,14 @@ class ShardedDiscoveryIndex:
             shard = self._home.get(equals["record_id"])
             if shard is None:
                 return []
-            return self.shards[shard].query(predicate=predicate, **equals)
+            return self.shards[shard].query(**equals)
         if "site" in equals:
             self._local["routed_queries"] += 1
-            return self.shard_of(equals["site"]).query(predicate=predicate,
-                                                       **equals)
+            return self.shard_of(equals["site"]).query(**equals)
         self._local["fanout_queries"] += 1
         out: list[dict[str, Any]] = []
         for shard in self.shards:
-            out.extend(shard.query(predicate=predicate, **equals))
+            out.extend(shard.query(**equals))
         return sorted(out, key=itemgetter("record_id"))
 
     # -- shard fan-in ------------------------------------------------------

@@ -41,14 +41,14 @@ class StreamProcessor:
     per_record_s:
         Processing cost per record — the capacity bound that makes
         backlog measurable.
-    alert_threshold:
-        Quality score below which the alert callback fires.
     """
+
+    #: Quality score below which the alert callback fires.
+    ALERT_THRESHOLD = 0.5
 
     def __init__(self, sim: "Simulator", assessor: QualityAssessor,
                  sink: Optional["DataMeshNode"] = None, *,
                  keep_every: int = 10, per_record_s: float = 0.002,
-                 alert_threshold: float = 0.5,
                  on_alert: Optional[Callable[[DataRecord, Any], None]] = None
                  ) -> None:
         if keep_every < 1:
@@ -58,7 +58,6 @@ class StreamProcessor:
         self.sink = sink
         self.keep_every = keep_every
         self.per_record_s = per_record_s
-        self.alert_threshold = alert_threshold
         self.on_alert = on_alert
         self.queue: Store = Store(sim)
         self.retained: list[DataRecord] = []
@@ -97,7 +96,7 @@ class StreamProcessor:
     def _process(self, record: DataRecord) -> None:
         self.stats["processed"] += 1
         report = self.assessor.assess(record)
-        critical = report.anomalous or report.score < self.alert_threshold
+        critical = report.anomalous or report.score < self.ALERT_THRESHOLD
         if critical:
             self.stats["alerts"] += 1
             if self.on_alert is not None:

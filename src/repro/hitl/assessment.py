@@ -73,8 +73,11 @@ class AssessmentReport:
     over_trust_rate: float   # accepted bad proposals / bad proposals
     under_trust_rate: float  # rejected good proposals / good proposals
 
-    def passed(self, threshold: float = 0.75) -> bool:
-        return self.accuracy >= threshold
+    #: Accuracy at or above which an assessee passes.
+    PASS_THRESHOLD = 0.75
+
+    def passed(self) -> bool:
+        return self.accuracy >= self.PASS_THRESHOLD
 
 
 class CompetencyAssessment:

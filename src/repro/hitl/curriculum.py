@@ -14,7 +14,7 @@ simulation clock, producing the learning trajectories E13 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -106,11 +106,10 @@ def standard_curriculum() -> list[TrainingModule]:
 class VirtualLabCurriculum:
     """Runs a cohort through modules on the simulation clock."""
 
-    def __init__(self, sim: "Simulator", rng: np.random.Generator,
-                 modules: Optional[list[TrainingModule]] = None) -> None:
+    def __init__(self, sim: "Simulator", rng: np.random.Generator) -> None:
         self.sim = sim
         self.rng = rng
-        self.modules = modules if modules is not None else standard_curriculum()
+        self.modules = standard_curriculum()
         self.log: list[tuple[float, str, str]] = []
 
     def train(self, trainee: Trainee):

@@ -22,19 +22,19 @@ class TrustModel:
     gain_success / loss_failure:
         Update step sizes; failures move trust several times faster than
         successes (empirical asymmetry).
-    reliability_window:
-        Window for the running estimate of actual system reliability.
     """
 
+    #: Window for the running estimate of actual system reliability.
+    RELIABILITY_WINDOW = 50
+
     def __init__(self, initial: float = 0.5, gain_success: float = 0.02,
-                 loss_failure: float = 0.10,
-                 reliability_window: int = 50) -> None:
+                 loss_failure: float = 0.10) -> None:
         if not 0.0 <= initial <= 1.0:
             raise ValueError("initial trust must be in [0, 1]")
         self.trust = initial
         self.gain_success = gain_success
         self.loss_failure = loss_failure
-        self._outcomes: deque = deque(maxlen=reliability_window)
+        self._outcomes: deque = deque(maxlen=self.RELIABILITY_WINDOW)
         self.history: list[float] = [initial]
 
     def observe(self, success: bool) -> float:

@@ -44,25 +44,23 @@ class HpcCluster:
         Standard identity plumbing.
     n_nodes:
         Pool size.
-    model_bias / model_noise:
-        Systematic and stochastic error of the surrogate-physics job —
-        simulations are *informative but wrong*, so campaigns cannot
-        simply replace experiments with compute.
     """
 
     kind = "hpc-cluster"
+    #: Systematic and stochastic error of the surrogate-physics job —
+    #: simulations are *informative but wrong*, so campaigns cannot
+    #: simply replace experiments with compute.
+    MODEL_BIAS = 0.08
+    MODEL_NOISE = 0.04
 
     def __init__(self, sim: "Simulator", name: str, site: str,
-                 rngs: "RngRegistry", *, n_nodes: int = 16,
-                 model_bias: float = 0.08, model_noise: float = 0.04) -> None:
+                 rngs: "RngRegistry", *, n_nodes: int = 16) -> None:
         self.sim = sim
         self.name = name
         self.site = site
         self.rng = rngs.stream(f"hpc/{name}")
         self.nodes = Resource(sim, capacity=n_nodes)
         self.n_nodes = n_nodes
-        self.model_bias = model_bias
-        self.model_noise = model_noise
         self.stats = {"jobs": 0, "node_seconds": 0.0, "queue_wait": 0.0}
 
     def capability_descriptor(self) -> dict[str, Any]:
@@ -126,9 +124,9 @@ class HpcCluster:
             for k, v in truth.items():
                 scale = max(abs(v), 1e-9)
                 out[k] = float(
-                    v + err * self.model_bias * scale *
+                    v + err * self.MODEL_BIAS * scale *
                     np.sin(7.0 * sum(ord(c) for c in k))
-                    + self.rng.normal(0.0, err * self.model_noise * scale))
+                    + self.rng.normal(0.0, err * self.MODEL_NOISE * scale))
             return out
 
         result = yield from self.run_job(walltime, n_nodes,

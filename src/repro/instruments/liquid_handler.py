@@ -18,15 +18,15 @@ class LiquidHandler(Instrument):
 
     kind = "liquid-handler"
     operations = ("prepare",)
+    #: Relative pipetting error of each dispensed volume.
+    VOLUME_ERROR_FRACTION = 0.01
+    #: Mixtures the deck holds before the oldest is discarded.
+    deck_slots = 96
 
     def __init__(self, sim, name, site, rngs, *,
-                 time_per_transfer_s: float = 8.0,
-                 volume_error_fraction: float = 0.01,
-                 deck_slots: int = 96, **kw: Any) -> None:
+                 time_per_transfer_s: float = 8.0, **kw: Any) -> None:
         super().__init__(sim, name, site, rngs, **kw)
         self.time_per_transfer_s = time_per_transfer_s
-        self.volume_error_fraction = volume_error_fraction
-        self.deck_slots = deck_slots
         self.prepared: dict[str, dict[str, float]] = {}
 
     def operating_envelope(self) -> dict[str, tuple[float, float]]:
@@ -50,7 +50,7 @@ class LiquidHandler(Instrument):
         yield from self.operate(request, duration)
         actual = {
             reagent: float(vol * (1.0 + self.rng.normal(
-                0.0, self.volume_error_fraction)))
+                0.0, self.VOLUME_ERROR_FRACTION)))
             for reagent, vol in recipe.items()}
         self.prepared[mixture_id] = actual
         return Measurement(

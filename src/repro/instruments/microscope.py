@@ -21,14 +21,15 @@ class ElectronMicroscope(Instrument):
 
     kind = "electron-microscope"
     operations = ("measure", "image")
+    #: Measurement noise on uniformity.
+    UNIFORMITY_NOISE = 0.03
 
     def __init__(self, sim, name, site, rngs, *,
                  image_time_s: float = 300.0, image_px: int = 128,
-                 uniformity_noise: float = 0.03, **kw: Any) -> None:
+                 **kw: Any) -> None:
         super().__init__(sim, name, site, rngs, **kw)
         self.image_time_s = image_time_s
         self.image_px = image_px
-        self.uniformity_noise = uniformity_noise
 
     def operating_envelope(self) -> dict[str, tuple[float, float]]:
         return {"beam_kV": (0.5, 300.0), "magnification": (100.0, 2e6)}
@@ -63,7 +64,7 @@ class ElectronMicroscope(Instrument):
         else:
             uniformity = float(np.clip(next(iter(truth.values())), 0.0, 1.0))
         observed = float(np.clip(self.add_noise(
-            uniformity, self.uniformity_noise), 0.0, 1.0))
+            uniformity, self.UNIFORMITY_NOISE), 0.0, 1.0))
         img = self._micrograph(observed)
         grain_density = float((1.0 - observed) * 40 + 2)
         return Measurement(

@@ -21,22 +21,21 @@ class PLSpectrometer(Instrument):
 
     kind = "spectrometer"
     operations = ("measure",)
+    #: Measurement noise on PLQY (absolute) and emission peak (nm).
+    PLQY_NOISE = 0.015
+    WAVELENGTH_NOISE_NM = 0.8
+    #: Spectrum axis: range (nm) and channel count.
+    WAVELENGTH_RANGE = (350.0, 900.0)
+    N_CHANNELS = 1024
 
     def __init__(self, sim, name, site, rngs, *,
-                 scan_time_s: float = 45.0, plqy_noise: float = 0.015,
-                 wavelength_noise_nm: float = 0.8,
-                 wavelength_range: tuple[float, float] = (350.0, 900.0),
-                 n_channels: int = 1024, **kw: Any) -> None:
+                 scan_time_s: float = 45.0, **kw: Any) -> None:
         super().__init__(sim, name, site, rngs, **kw)
         self.scan_time_s = scan_time_s
-        self.plqy_noise = plqy_noise
-        self.wavelength_noise_nm = wavelength_noise_nm
-        self.wavelength_range = wavelength_range
-        self.n_channels = n_channels
         # The wavelength axis and its baseline are the same on every scan,
         # so they are built once per instrument.
-        lo, hi = wavelength_range
-        self._wavelengths = np.linspace(lo, hi, n_channels)
+        lo, hi = self.WAVELENGTH_RANGE
+        self._wavelengths = np.linspace(lo, hi, self.N_CHANNELS)
         self._baseline = 0.02 + 0.005 * np.sin(self._wavelengths / 120.0)
 
     def operating_envelope(self) -> dict[str, tuple[float, float]]:
@@ -59,15 +58,15 @@ class PLSpectrometer(Instrument):
         true_plqy = sample.true_property("plqy")
         true_nm = sample.true_property("emission_nm")
         obs_plqy = float(np.clip(
-            self.add_noise(true_plqy, self.plqy_noise), 0.0, 1.0))
-        obs_nm = float(true_nm + self.rng.normal(0.0, self.wavelength_noise_nm))
+            self.add_noise(true_plqy, self.PLQY_NOISE), 0.0, 1.0))
+        obs_nm = float(true_nm + self.rng.normal(0.0, self.WAVELENGTH_NOISE_NM))
         spectrum = self._synthesize_spectrum(obs_nm, max(obs_plqy, 1e-3))
         return Measurement(
             measurement_id=self.next_measurement_id(),
             instrument=self.name, kind="pl-spectrum",
             values={"plqy": obs_plqy, "emission_nm": obs_nm},
             raw={"spectrum": spectrum,
-                 "acq": {"channels": self.n_channels,
+                 "acq": {"channels": self.N_CHANNELS,
                          "integration_s": self.scan_time_s}},
             units={"plqy": "fraction", "emission_nm": "nm"},
             sample_id=sample.sample_id, site=self.site, time=self.sim.now,

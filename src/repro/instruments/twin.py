@@ -43,33 +43,31 @@ class DigitalTwin:
     instrument:
         The physical instrument being twinned.
     landscape:
-        Ground truth; the twin sees it only through ``twin_error``.
+        Ground truth; the twin sees it only through ``TWIN_ERROR``.
     rngs:
         RNG registry for the twin's model error.
     safety_envelope:
         Parameter bounds tighter than the hardware interlocks, encoding
         scientific/safety knowledge (e.g. solvent boiling points).
-    twin_error:
-        Fractional RMS error of twin predictions vs truth.
-    check_time_s:
-        Simulated cost of one validation (twins are cheap, not free).
     """
+
+    #: Fractional RMS error of twin predictions vs truth.
+    TWIN_ERROR = 0.10
+    #: Simulated cost of one validation (twins are cheap, not free).
+    CHECK_TIME_S = 2.0
 
     def __init__(self, instrument: Instrument,
                  landscape: Optional["Landscape"] = None,
                  rngs: Optional["RngRegistry"] = None,
                  safety_envelope: Optional[dict[str, tuple[float, float]]] = None,
                  forbidden_combinations: Optional[list[dict[str, Any]]] = None,
-                 twin_error: float = 0.10,
-                 check_time_s: float = 2.0) -> None:
+                 ) -> None:
         self.instrument = instrument
         self.landscape = landscape
         self.rng = (rngs.stream(f"twin/{instrument.name}")
                     if rngs is not None else np.random.default_rng(0))
         self.safety_envelope = safety_envelope or {}
         self.forbidden_combinations = forbidden_combinations or []
-        self.twin_error = twin_error
-        self.check_time_s = check_time_s
         self.stats = {"validations": 0, "rejections": 0, "predictions": 0}
 
     # -- static validation ----------------------------------------------------
@@ -134,7 +132,7 @@ class DigitalTwin:
             raise RuntimeError("twin has no landscape model")
         self.stats["predictions"] += 1
         truth = self.landscape.evaluate(params)
-        return {k: float(v * (1.0 + self.rng.normal(0.0, self.twin_error)))
+        return {k: float(v * (1.0 + self.rng.normal(0.0, self.TWIN_ERROR)))
                 for k, v in truth.items()}
 
     def validate(self, params: Mapping[str, Any],
@@ -147,7 +145,7 @@ class DigitalTwin:
         relative disagreement beyond ``tolerance`` flags the plan as
         scientifically ungrounded.
         """
-        yield self.instrument.sim.timeout(self.check_time_s)
+        yield self.instrument.sim.timeout(self.CHECK_TIME_S)
         verdict = self.check(params)
         if not verdict.ok or expected is None or self.landscape is None:
             return verdict

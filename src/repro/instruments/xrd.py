@@ -22,24 +22,24 @@ class XRayDiffractometer(Instrument):
 
     kind = "xrd"
     operations = ("measure",)
+    #: Scan range in degrees two-theta.
+    TWO_THETA_RANGE = (10.0, 80.0)
+    #: Measurement noise on crystallinity.
+    CRYSTALLINITY_NOISE = 0.02
 
     def __init__(self, sim, name, site, rngs, *,
-                 scan_time_s: float = 900.0,
-                 two_theta_range: tuple[float, float] = (10.0, 80.0),
-                 n_points: int = 2800, crystallinity_noise: float = 0.02,
+                 scan_time_s: float = 900.0, n_points: int = 2800,
                  **kw: Any) -> None:
         super().__init__(sim, name, site, rngs, **kw)
         self.scan_time_s = scan_time_s
-        self.two_theta_range = two_theta_range
         self.n_points = n_points
-        self.crystallinity_noise = crystallinity_noise
 
     def operating_envelope(self) -> dict[str, tuple[float, float]]:
         return {"tube_voltage_kV": (10.0, 60.0)}
 
     def _pattern(self, crystallinity: float,
                  seed_key: str) -> np.ndarray:
-        lo, hi = self.two_theta_range
+        lo, hi = self.TWO_THETA_RANGE
         tt = np.linspace(lo, hi, self.n_points)
         # Peak positions derived deterministically from the sample's
         # discrete chemistry so "the same phase" always diffracts alike.
@@ -69,7 +69,7 @@ class XRayDiffractometer(Instrument):
         objective = next(iter(truth.values()))
         crystallinity = float(np.clip(objective, 0.0, 1.0))
         observed = float(np.clip(self.add_noise(
-            crystallinity, self.crystallinity_noise), 0.0, 1.0))
+            crystallinity, self.CRYSTALLINITY_NOISE), 0.0, 1.0))
         chem_key = "|".join(str(v) for k, v in sorted(sample.params.items())
                             if isinstance(v, str))
         pattern = self._pattern(observed, chem_key)

@@ -414,13 +414,14 @@ class SyntheticLandscape(Landscape):
     in the continuous subspace, so the choice of chemistry genuinely
     matters: most combinations are mediocre, a few are good, and exactly
     one contains the global optimum.  Everything derives from
-    ``(seed, name)`` and is reproducible.
+    ``(seed, name)`` and is reproducible; ``name`` is a class attribute
+    each domain subclass sets.
 
     Parameters
     ----------
     space:
         The parameter space.
-    seed / name:
+    seed:
         Determinism root.
     n_peaks:
         Peaks per discrete combination.
@@ -430,13 +431,13 @@ class SyntheticLandscape(Landscape):
 
     properties = ("response",)
     objective = "response"
+    name = "synthetic"
 
     def __init__(self, space: ParameterSpace, seed: int = 0,
-                 name: str = "synthetic", n_peaks: int = 3,
+                 n_peaks: int = 3,
                  output_range: tuple[float, float] = (0.0, 1.0)) -> None:
         super().__init__(space)
         self.seed = seed
-        self.name = name
         self.n_peaks = n_peaks
         self.output_range = output_range
         self._rngs = RngRegistry(seed)

@@ -43,12 +43,14 @@ class PerovskiteLandscape(SyntheticLandscape):
 
     properties = ("plqy", "emission_nm", "quality")
     objective = "quality"
+    name = "perovskite"
+    #: Emission wavelength the quality objective rewards (nm).
+    TARGET_NM = 520.0
 
-    def __init__(self, seed: int = 0, target_nm: float = 520.0,
-                 site: str = "", calibration_scale: float = 0.0) -> None:
-        super().__init__(perovskite_space(), seed=seed, name="perovskite",
-                         n_peaks=3, output_range=(0.0, 0.95))
-        self.target_nm = target_nm
+    def __init__(self, seed: int = 0, site: str = "",
+                 calibration_scale: float = 0.0) -> None:
+        super().__init__(perovskite_space(), seed=seed, n_peaks=3,
+                         output_range=(0.0, 0.95))
         self.site = site
         # Per-site systematic offsets: small shifts in effective
         # temperature and halide incorporation.
@@ -82,7 +84,7 @@ class PerovskiteLandscape(SyntheticLandscape):
                     + self._CATION_SHIFT[str(eff["b_cation"])])
         # Quality: PLQY discounted by distance from the target wavelength
         # (30 nm tolerance scale).
-        wavelength_match = float(np.exp(-((emission - self.target_nm)
+        wavelength_match = float(np.exp(-((emission - self.TARGET_NM)
                                           / 30.0) ** 2))
         quality = plqy * (0.25 + 0.75 * wavelength_match)
         return {"plqy": plqy, "emission_nm": float(emission),

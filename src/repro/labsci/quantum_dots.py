@@ -56,13 +56,14 @@ class QuantumDotLandscape(SyntheticLandscape):
 
     properties = ("plqy", "emission_nm", "stability")
     objective = "plqy"
+    name = "qd"
 
     #: Base emission wavelength per dopant (nm).
     _BASE_NM = {d: 480.0 + 22.0 * i for i, d in enumerate(DOPANTS)}
 
     def __init__(self, seed: int = 0) -> None:
-        super().__init__(quantum_dot_space(), seed=seed, name="qd",
-                         n_peaks=4, output_range=(0.0, 1.0))
+        super().__init__(quantum_dot_space(), seed=seed, n_peaks=4,
+                         output_range=(0.0, 1.0))
 
     def evaluate(self, params: Mapping[str, Any]) -> dict[str, float]:
         base = super().evaluate(params)

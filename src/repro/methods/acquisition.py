@@ -56,15 +56,14 @@ ACQUISITIONS = {
 
 
 def score_candidates(name: str, gp, X: np.ndarray, best: float,
-                     rng: np.random.Generator, *, xi: float = 0.01,
-                     beta: float = 2.0) -> np.ndarray:
+                     rng: np.random.Generator) -> np.ndarray:
     """Dispatch an acquisition by name over a candidate matrix."""
     if name == "thompson":
         return thompson_sample(gp, X, rng)
     mean, std = gp.predict(X)
     if name == "ei":
-        return expected_improvement(mean, std, best, xi=xi)
+        return expected_improvement(mean, std, best)
     if name == "ucb":
-        return upper_confidence_bound(mean, std, beta=beta)
+        return upper_confidence_bound(mean, std)
     raise ValueError(f"unknown acquisition {name!r}; known: "
                      f"{sorted(ACQUISITIONS)}")

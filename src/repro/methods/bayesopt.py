@@ -9,9 +9,8 @@ discrete structure, prefer
 The surrogate is kept in sync *incrementally*: new observations (local
 tells and donated ``absorb``-ed points alike) reach the GP through
 :meth:`~repro.methods.gp.GaussianProcess.observe` — an O(n²) rank-1
-update — instead of an O(n³) refit per ask.  Hyperparameter grid refits
-(every ``refit_every`` asks) and a periodic ``full_refit_every`` knob
-rebuild the factorization from scratch for numerical hygiene.
+update — instead of an O(n³) refit per ask.  A hyperparameter grid refit
+every ``REFIT_EVERY`` asks rebuilds the factorization from scratch.
 
 The ask path is fully batched: candidate pools come from
 :meth:`ParameterSpace.sample_batch` as a raw ``(n, d)`` matrix, incumbent
@@ -53,31 +52,22 @@ class BayesianOptimizer(AskTellOptimizer):
         Random exploration before the surrogate switches on.
     n_candidates:
         Candidate pool size per ask.
-    refit_every:
-        Hyperparameter re-fit cadence (grid LML search is not free).
-    full_refit_every:
-        Every this many incremental surrogate updates, rebuild the
-        Cholesky factor from scratch instead of extending it — bounds
-        floating-point drift of the rank-1 chain.  The grid refit already
-        refactors, so this only matters when ``refit_every`` is large.
     """
+
+    #: Hyperparameter re-fit cadence in asks (grid LML search is not free).
+    REFIT_EVERY = 10
 
     def __init__(self, space: ParameterSpace, rng: np.random.Generator, *,
                  acquisition: str = "ei", n_init: int = 8,
-                 n_candidates: int = 512, noise: float = 0.02,
-                 refit_every: int = 10,
-                 full_refit_every: int = 50) -> None:
+                 n_candidates: int = 512, noise: float = 0.02) -> None:
         super().__init__(space)
         self.rng = rng
         self.acquisition = acquisition
         self.n_init = n_init
         self.n_candidates = n_candidates
-        self.refit_every = refit_every
-        self.full_refit_every = full_refit_every
         self.gp = GaussianProcess(kernel=Matern52(lengthscale=0.3),
                                   noise=noise)
         self._since_refit = 0
-        self._since_full_refit = 0
         #: Extra observations donated by other sites (transfer learning).
         self._external: list[tuple[dict[str, Any], float]] = []
         # Continuous-dim geometry for the batched incumbent jitter.
@@ -116,32 +106,22 @@ class BayesianOptimizer(AskTellOptimizer):
     def _sync_surrogate(self) -> None:
         """Bring the GP up to date with the newest observations.
 
-        Every ``refit_every`` asks the hyperparameter grid is searched
+        Every ``REFIT_EVERY`` asks the hyperparameter grid is searched
         again on all observations; between those refits, new points
-        stream in as rank-1 updates, with a scratch refactorization every
-        ``full_refit_every`` updates for numerical hygiene.
+        stream in as rank-1 updates.
         """
         self._since_refit += 1
-        if self._since_refit >= self.refit_every or self.gp.n_observations == 0:
+        if self._since_refit >= self.REFIT_EVERY or self.gp.n_observations == 0:
             X, y = self._encode_arrivals()
             self.gp.fit_hyperparameters(X, y)
             self._n_synced = len(self._arrivals)
             self._since_refit = 0
-            self._since_full_refit = 0
             return
         pending = self._arrivals[self._n_synced:]
-        if (self._since_full_refit + len(pending) >= self.full_refit_every
-                and pending):
-            X, y = self._encode_arrivals()
-            self.gp.fit(X, y)
-            self._n_synced = len(self._arrivals)
-            self._since_full_refit = 0
-            return
         X_new = self.space.encode_batch([p for p, _ in pending])
         for row, (_, value) in zip(X_new, pending):
             self.gp.observe(row, value)
         self._n_synced = len(self._arrivals)
-        self._since_full_refit += len(pending)
 
     # -- ask/tell ----------------------------------------------------------------------
 
@@ -178,17 +158,3 @@ class BayesianOptimizer(AskTellOptimizer):
                 out[:, self._cont_cols] + step * (spans * scales[:, None]),
                 self._cont_lows, self._cont_highs)
         return out
-
-    # -- introspection ---------------------------------------------------------------------
-
-    def posterior_at(self, params: Mapping[str, Any]) -> tuple[float, float]:
-        """Surrogate (mean, std) at a point — used by verification."""
-        if len(self._arrivals) < 2:
-            return 0.0, float("inf")
-        X, y = self._encode_arrivals()
-        self.gp.fit(X, y)
-        self._n_synced = len(self._arrivals)
-        self._since_full_refit = 0
-        mean, std = self.gp.predict(
-            self.space.encode(dict(params))[None, :])
-        return float(mean[0]), float(std[0])

@@ -42,35 +42,33 @@ class NestedBayesianOptimizer(AskTellOptimizer):
         Mixed parameter space; its discrete dims define the arms.
     rng:
         Random stream.
-    exploration:
-        UCB exploration weight on the outer bandit.
     arm_subset:
         Newly considered arms per round: the full cross product can be
         huge (8*8*4*5 = 1280 for quantum dots), so unvisited arms are
         sampled rather than enumerated.
-    inner_kwargs:
-        Passed to each per-combo :class:`BayesianOptimizer`.
-    switch_penalty:
-        Subtracted from the UCB score of arms other than the current one,
-        reflecting the hardware cost of switching chemistry.
+    acquisition:
+        Acquisition of each per-combo :class:`BayesianOptimizer`.
     """
 
+    #: UCB exploration weight on the outer bandit.
+    EXPLORATION = 0.4
+    #: Subtracted from the UCB score of arms other than the current one,
+    #: reflecting the hardware cost of switching chemistry.
+    SWITCH_PENALTY = 0.02
+    #: Random asks, and candidate pool size, of each inner optimizer.
+    INNER_N_INIT = 4
+    INNER_N_CANDIDATES = 256
+
     def __init__(self, space: ParameterSpace, rng: np.random.Generator, *,
-                 exploration: float = 0.4, arm_subset: int = 24,
-                 switch_penalty: float = 0.02,
-                 inner_kwargs: Optional[dict[str, Any]] = None) -> None:
+                 arm_subset: int = 24, acquisition: str = "ei") -> None:
         super().__init__(space)
         if not space.discrete:
             raise ValueError(
                 "NestedBayesianOptimizer needs at least one discrete dim; "
                 "use BayesianOptimizer for purely continuous spaces")
         self.rng = rng
-        self.exploration = exploration
         self.arm_subset = arm_subset
-        self.switch_penalty = switch_penalty
-        self._inner_kwargs = dict(inner_kwargs or {})
-        self._inner_kwargs.setdefault("n_init", 4)
-        self._inner_kwargs.setdefault("n_candidates", 256)
+        self.acquisition = acquisition
         self._arms: dict[tuple[str, ...], _ComboArm] = {}
         self._current_arm: Optional[tuple[str, ...]] = None
         # The continuous-only subspace shared by all inner optimizers.
@@ -82,7 +80,9 @@ class NestedBayesianOptimizer(AskTellOptimizer):
         arm = self._arms.get(key)
         if arm is None:
             inner = BayesianOptimizer(self._cont_space, self.rng,
-                                      **self._inner_kwargs)
+                                      acquisition=self.acquisition,
+                                      n_init=self.INNER_N_INIT,
+                                      n_candidates=self.INNER_N_CANDIDATES)
             arm = _ComboArm(inner)
             self._arms[key] = arm
         return arm
@@ -110,11 +110,11 @@ class NestedBayesianOptimizer(AskTellOptimizer):
                 # unvisited-but-vouched-for arm jumps the queue (M9).
                 return max(prior, arm.best_value)
             return prior
-        bonus = self.exploration * math.sqrt(
+        bonus = self.EXPLORATION * math.sqrt(
             math.log(max(total_pulls, 2)) / arm.pulls)
         score = arm.best_value + bonus
         if key != self._current_arm:
-            score -= self.switch_penalty
+            score -= self.SWITCH_PENALTY
         return score
 
     # -- ask/tell ---------------------------------------------------------------------

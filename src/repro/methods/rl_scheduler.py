@@ -24,24 +24,24 @@ class QLearningScheduler:
         The routing choices, e.g. ``("flow", "batch", "simulate")``.
     rng:
         Random stream for exploration.
-    alpha / gamma / epsilon:
-        Learning rate, discount, exploration rate; ``epsilon`` decays by
-        ``epsilon_decay`` per update.
+    alpha / epsilon:
+        Learning rate and initial exploration rate; ``epsilon`` decays by
+        ``EPSILON_DECAY`` per update, down to ``MIN_EPSILON``.
     """
 
+    #: Discount of the next state's value.
+    GAMMA = 0.9
+    EPSILON_DECAY = 0.995
+    MIN_EPSILON = 0.02
+
     def __init__(self, actions: Sequence[str], rng: np.random.Generator, *,
-                 alpha: float = 0.2, gamma: float = 0.9,
-                 epsilon: float = 0.3, epsilon_decay: float = 0.995,
-                 min_epsilon: float = 0.02) -> None:
+                 alpha: float = 0.2, epsilon: float = 0.3) -> None:
         if not actions:
             raise ValueError("need at least one action")
         self.actions = tuple(actions)
         self.rng = rng
         self.alpha = alpha
-        self.gamma = gamma
         self.epsilon = epsilon
-        self.epsilon_decay = epsilon_decay
-        self.min_epsilon = min_epsilon
         self._q: dict[tuple[Hashable, str], float] = {}
         self.stats = {"updates": 0, "explorations": 0}
 
@@ -70,9 +70,9 @@ class QLearningScheduler:
             future = max(self.q(next_state, a) for a in self.actions)
         old = self.q(state, action)
         self._q[(state, action)] = old + self.alpha * (
-            reward + self.gamma * future - old)
-        self.epsilon = max(self.min_epsilon,
-                           self.epsilon * self.epsilon_decay)
+            reward + self.GAMMA * future - old)
+        self.epsilon = max(self.MIN_EPSILON,
+                           self.epsilon * self.EPSILON_DECAY)
 
     def policy(self, state: Hashable) -> str:
         """Greedy action (no exploration) — for inspection and tests."""

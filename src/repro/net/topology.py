@@ -45,8 +45,6 @@ class Site:
         Unique site identifier, e.g. ``"ornl"``.
     institution:
         Human-readable institution name.
-    region:
-        Coarse geographic tag used by some latency heuristics.
     tags:
         Free-form attributes (e.g. ``{"kind": "user-facility"}``) consulted
         by ABAC policies and scheduling heuristics.
@@ -54,7 +52,6 @@ class Site:
 
     name: str
     institution: str = ""
-    region: str = ""
     tags: tuple[tuple[str, Any], ...] = ()
 
     def tag(self, key: str, default: Any = None) -> Any:
@@ -65,11 +62,10 @@ class Site:
         return default
 
     @staticmethod
-    def make(name: str, institution: str = "", region: str = "",
-             **tags: Any) -> "Site":
+    def make(name: str, institution: str = "", **tags: Any) -> "Site":
         """Convenience constructor accepting tags as keyword arguments."""
         return Site(name=name, institution=institution or name,
-                    region=region, tags=tuple(sorted(tags.items())))
+                    tags=tuple(sorted(tags.items())))
 
 
 @dataclass(frozen=True)
@@ -111,6 +107,9 @@ class Link:
 #: (loopback through the site LAN).
 LOCAL_LINK = Link(latency_s=0.0002, bandwidth_Bps=1.25e10, jitter_s=0.0,
                   loss_prob=0.0)
+
+#: Bandwidth of every :meth:`Topology.national_lab_testbed` link (10 Gb/s).
+TESTBED_BANDWIDTH_BPS = 1.25e9
 
 
 class NoPath(LookupError):
@@ -322,21 +321,21 @@ class Topology:
 
     @staticmethod
     def national_lab_testbed(n_sites: int = 5, *, latency_s: float = 0.02,
-                             bandwidth_Bps: float = 1.25e9,
                              jitter_s: float = 0.002,
                              loss_prob: float = 0.0) -> "Topology":
         """A ring-plus-chords topology approximating ESnet-style connectivity.
 
         Sites are named ``site-0 .. site-(n-1)``.  Each site connects to its
         ring neighbours, and every third pair gets a chord, giving path
-        diversity for failover experiments.
+        diversity for failover experiments.  Every link carries
+        ``TESTBED_BANDWIDTH_BPS``.
         """
         if n_sites < 2:
             raise ValueError("need at least 2 sites")
         topo = Topology()
         for i in range(n_sites):
             topo.add_site(Site.make(f"site-{i}", institution=f"Lab {i}"))
-        link = dict(latency_s=latency_s, bandwidth_Bps=bandwidth_Bps,
+        link = dict(latency_s=latency_s, bandwidth_Bps=TESTBED_BANDWIDTH_BPS,
                     jitter_s=jitter_s, loss_prob=loss_prob)
         for i in range(n_sites):
             j = (i + 1) % n_sites

@@ -100,10 +100,6 @@ class TraceSpillWriter:
 
 
 def metrics_snapshot(registry: "MetricsRegistry",
-                     site: Optional[str] = None, *,
-                     as_json: bool = False) -> "dict[str, Any] | str":
-    """Per-site (or global) metrics snapshot, optionally as JSON text."""
-    snap = registry.snapshot(site=site)
-    if as_json:
-        return json.dumps(snap, **_JSON_KW)
-    return snap
+                     site: Optional[str] = None) -> dict[str, Any]:
+    """Per-site (or global) metrics snapshot."""
+    return registry.snapshot(site=site)

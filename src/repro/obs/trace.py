@@ -7,9 +7,11 @@ traces (the determinism contract in DESIGN.md extends to observability).
 
 Spans nest: the orchestrator wraps each campaign, experiment, and
 plan/verify/execute/evaluate phase in one, and the export replays a
-campaign as a span tree.  The default tracer everywhere is the no-op
-:data:`NULL_TRACER`, so untraced runs pay only a handful of attribute
-checks.
+campaign as a span tree.  Each simulation process keeps its own stack of
+open spans (code outside any process shares one world-level stack), so
+campaigns running at once under one tracer each get a tree of their own.
+The default tracer everywhere is the no-op :data:`NULL_TRACER`, so
+untraced runs pay only a handful of attribute checks.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.export import TraceSpillWriter
     from repro.obs.metrics import MetricsRegistry
     from repro.sim.kernel import Simulator
+    from repro.sim.process import Process
 
 
 @dataclass(frozen=True)
@@ -62,13 +65,16 @@ class _Span:
     across ``yield from`` within the block lands in the span's duration.
     """
 
-    __slots__ = ("_tracer", "span_id", "name", "_t0")
+    __slots__ = ("_tracer", "span_id", "name", "_t0", "_owner")
 
-    def __init__(self, tracer: "Tracer", span_id: int, name: str) -> None:
+    def __init__(self, tracer: "Tracer", span_id: int, name: str,
+                 owner: "Optional[Process]") -> None:
         self._tracer = tracer
         self.span_id = span_id
         self.name = name
         self._t0 = 0.0
+        #: The process whose stack the span was opened on.
+        self._owner = owner
 
     def __enter__(self) -> "_Span":
         self._t0 = self._tracer.sim.now
@@ -130,11 +136,15 @@ class Tracer:
         self.metrics = metrics
         self._seq = 0
         self._next_span = 1
-        self._stack: list[int] = []
+        #: Open span ids per simulation process, innermost last; ``None``
+        #: keys the world-level stack.  A process's entry goes when its
+        #: last open span closes.
+        self._stacks: dict[Optional["Process"], list[int]] = {}
 
     @property
     def current_span(self) -> Optional[int]:
-        return self._stack[-1] if self._stack else None
+        stack = self._stacks.get(self.sim.active_process)
+        return stack[-1] if stack else None
 
     # -- emission ----------------------------------------------------------
 
@@ -160,25 +170,34 @@ class Tracer:
 
     def instant(self, name: str, /, **attrs: Any) -> TraceEvent:
         """Record a point event inside the current span (if any)."""
-        parent = self._stack[-2] if len(self._stack) > 1 else None
-        return self._emit("instant", name, self.current_span, parent, attrs)
+        stack = self._stacks.get(self.sim.active_process)
+        if not stack:
+            return self._emit("instant", name, None, None, attrs)
+        parent = stack[-2] if len(stack) > 1 else None
+        return self._emit("instant", name, stack[-1], parent, attrs)
 
     def span(self, name: str, /, **attrs: Any) -> _Span:
         """Open a nested span: ``with tracer.span("plan"): ...``."""
+        owner = self.sim.active_process
+        stack = self._stacks.setdefault(owner, [])
         span_id = self._next_span
         self._next_span += 1
-        self._emit("span-start", name, span_id, self.current_span, attrs)
-        self._stack.append(span_id)
-        return _Span(self, span_id, name)
+        self._emit("span-start", name, span_id, stack[-1] if stack else None,
+                   attrs)
+        stack.append(span_id)
+        return _Span(self, span_id, name, owner)
 
     def _end_span(self, span: _Span, attrs: dict[str, Any]) -> None:
+        stack = self._stacks.get(span._owner, [])
         # Close any dangling children first (a break/raise mid-span).
-        while self._stack and self._stack[-1] != span.span_id:
-            self._stack.pop()
-        if self._stack:
-            self._stack.pop()
-        self._emit("span-end", span.name, span.span_id, self.current_span,
-                   attrs)
+        while stack and stack[-1] != span.span_id:
+            stack.pop()
+        if stack:
+            stack.pop()
+        if not stack:
+            self._stacks.pop(span._owner, None)
+        self._emit("span-end", span.name, span.span_id,
+                   stack[-1] if stack else None, attrs)
 
     # -- spill management --------------------------------------------------
 

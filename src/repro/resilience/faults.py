@@ -125,14 +125,13 @@ class ChaosController:
         instrument.inject_fault()
 
     def instrument_fault_storm(self, instruments: Iterable[Any], *,
-                               rate_per_hour: float, until_s: float,
-                               stream: str = "chaos/instruments") -> int:
+                               rate_per_hour: float, until_s: float) -> int:
         """Schedule Poisson-process faults across a fleet; returns count.
 
         Inter-fault gaps are exponential draws from a *per-instrument*
-        named stream (``{stream}/{name}``), so the storm is a pure
-        function of the root seed and adding an instrument never perturbs
-        the schedule of the others.
+        named stream (``chaos/instruments/{name}``), so the storm is a
+        pure function of the root seed and adding an instrument never
+        perturbs the schedule of the others.
         """
         if rate_per_hour < 0:
             raise ValueError("rate_per_hour must be >= 0")
@@ -143,7 +142,7 @@ class ChaosController:
         mean_gap_s = 3600.0 / rate_per_hour
         scheduled = 0
         for inst in instruments:
-            rng = self.rngs.stream(f"{stream}/{inst.name}")
+            rng = self.rngs.stream(f"chaos/instruments/{inst.name}")
             t = self.sim.now
             while True:
                 t += float(rng.exponential(mean_gap_s))

@@ -140,19 +140,20 @@ class WorldBatch:
     def combined_hash(self) -> str:
         return combine_hashes(self.hashes)
 
-    def merged_metrics(self, key: str = "metrics_state") -> MetricsRegistry:
+    def merged_metrics(self) -> MetricsRegistry:
         """One registry merged from every world's per-shard metrics dump.
 
         Worlds that want their observability aggregated include a
-        ``MetricsRegistry.state()`` dump under ``key`` in their returned
-        dict (plain data, so it survives the process-pool pickle).
+        ``MetricsRegistry.state()`` dump under ``"metrics_state"`` in
+        their returned dict (plain data, so it survives the process-pool
+        pickle).
         Counters add, gauges sum, histograms merge bucket-wise — the
         same path :mod:`repro.service` tenants report through.
         """
         merged = MetricsRegistry()
         for result in self.results:
             if result.ok and isinstance(result.value, dict):
-                state = result.value.get(key)
+                state = result.value.get("metrics_state")
                 if state is not None:
                     merged.merge_state(state)
         return merged
@@ -219,18 +220,16 @@ class WorldRunner:
         (:class:`DeterminismError` on any mismatch).  Costs a full extra
         run; meant for CI and for flushing out nondeterminism, not for
         production sweeps.
-    strict:
-        Raise :class:`WorldFailure` on the first failed world (default).
-        When ``False`` the failures stay in the batch as data.
+
+    :meth:`run` raises :class:`WorldFailure` on the first failed world.
     """
 
     def __init__(self, workers: Optional[int] = None, *,
                  metrics: Optional[MetricsRegistry] = None,
-                 verify: bool = False, strict: bool = True) -> None:
+                 verify: bool = False) -> None:
         self.workers = resolve_workers(workers)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.verify = verify
-        self.strict = strict
 
     # -- execution ---------------------------------------------------------
 
@@ -253,9 +252,7 @@ class WorldRunner:
         self.metrics.counter("scale.worlds").inc(len(specs))
         self.metrics.counter("scale.batches").inc()
         self.metrics.gauge("scale.workers").set(used)
-        if self.strict:
-            batch.raise_on_failure()
-        return batch
+        return batch.raise_on_failure()
 
     def map(self, entrypoint: Entrypoint, seeds: Iterable[int],
             config: Optional[dict] = None) -> list:

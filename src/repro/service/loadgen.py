@@ -50,9 +50,10 @@ class TenantLoad:
         Open-loop: mean arrivals per sim-second.
     experiments:
         ``max_experiments`` per submitted campaign.
-    priority / deadline_s:
-        Per-submission priority and relative deadline (absolute
-        deadline = submit time + ``deadline_s``; ``None`` = none).
+    deadline_s:
+        Per-submission relative deadline (absolute deadline = submit
+        time + ``deadline_s``; ``None`` = none).  Every submission has
+        the default priority.
     """
 
     name: str
@@ -61,7 +62,6 @@ class TenantLoad:
     concurrency: int = 4
     arrival_rate_per_s: float = 0.0
     experiments: int = 8
-    priority: int = 0
     deadline_s: Optional[float] = None
     share: float = 1.0
     quota: Optional[TenantQuota] = None
@@ -124,7 +124,6 @@ class LoadGenerator:
         deadline = None if load.deadline_s is None \
             else self.service.sim.now + load.deadline_s
         handle = self.service.submit(load.name, self._spec(load, index),
-                                     priority=load.priority,
                                      deadline=deadline)
         self.handles[load.name].append(handle)
         return handle

@@ -7,8 +7,8 @@ the eligible backlogged tenant with the smallest virtual time, so
 long-run throughput converges to the share weights regardless of who
 floods the queue.  Within a tenant, entries are ordered by
 ``(-priority, deadline, submission order)`` — i.e. priority first, then
-earliest-deadline-first.  An optional *urgency window* lets a deadline
-preempt fair order across tenants when it is about to lapse.
+earliest-deadline-first.  Deadlines order entries only within a tenant;
+across tenants, fair order decides.
 
 Everything is sim-time only: ties break on the monotonically increasing
 submission sequence, never on wall time or object identity, so two
@@ -46,27 +46,14 @@ class QueueEntry:
 
 
 class FairShareScheduler:
-    """Deterministic weighted-fair-queuing + EDF campaign scheduler.
+    """Deterministic weighted-fair-queuing + EDF campaign scheduler."""
 
-    Parameters
-    ----------
-    deadline_urgency_s:
-        When > 0, an eligible head-of-queue entry whose deadline falls
-        within ``now + deadline_urgency_s`` is served ahead of fair
-        order (earliest such deadline first).  0 disables preemption —
-        deadlines then only order entries *within* a tenant.
-    """
-
-    def __init__(self, *, deadline_urgency_s: float = 0.0) -> None:
-        if deadline_urgency_s < 0:
-            raise ValueError("deadline_urgency_s must be >= 0")
-        self.deadline_urgency_s = deadline_urgency_s
+    def __init__(self) -> None:
         self._queues: dict[str, list[QueueEntry]] = {}
         self._vtime: dict[str, float] = {}
         self._shares: dict[str, float] = {}
         self._vfloor = 0.0
-        self.stats = {"dispatched": 0, "urgent_dispatches": 0,
-                      "cancelled": 0}
+        self.stats = {"dispatched": 0, "cancelled": 0}
 
     # -- registration ------------------------------------------------------
 
@@ -112,7 +99,7 @@ class FairShareScheduler:
 
     # -- dispatch ----------------------------------------------------------
 
-    def select(self, now: float,
+    def select(self,
                eligible: Callable[[str], bool]) -> Optional[QueueEntry]:
         """Pop the next entry to run, or ``None`` when nothing is runnable.
 
@@ -127,22 +114,10 @@ class FairShareScheduler:
         if not heads:
             return None
 
-        chosen = self._pick(now, heads)
-        return self._dispatch(chosen)
-
-    def _pick(self, now: float,
-              heads: list[tuple[str, QueueEntry]]) -> str:
-        """Fair-share choice with optional deadline-urgency preemption."""
-        if self.deadline_urgency_s > 0:
-            urgent = [(e.deadline, e.seq, t) for t, e in heads
-                      if e.deadline is not None
-                      and e.deadline <= now + self.deadline_urgency_s]
-            if urgent:
-                self.stats["urgent_dispatches"] += 1
-                return min(urgent)[2]
         # Heads come in registration order and min keeps the first of
         # equal keys, so a virtual-time tie goes to the earliest tenant.
-        return min(heads, key=lambda te: self._vtime[te[0]])[0]
+        chosen = min(heads, key=lambda te: self._vtime[te[0]])[0]
+        return self._dispatch(chosen)
 
     def _dispatch(self, tenant: str) -> QueueEntry:
         entry = heapq.heappop(self._queues[tenant])

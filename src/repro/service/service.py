@@ -8,7 +8,7 @@ fixed pool of :class:`FacilitySlot` workers, entirely on simulated time:
   :class:`~repro.service.handle.CampaignHandle` — or raises an explicit
   :class:`~repro.service.errors.AdmissionError`; nothing is ever
   silently dropped.
-- A fair-share + deadline scheduler (pluggable; see
+- A fair-share + deadline scheduler (see
   :mod:`repro.service.scheduler`) decides which tenant's campaign each
   freed slot serves next.
 - Every campaign's outcome is a canonical
@@ -125,9 +125,6 @@ class CampaignService:
         per slot at construction.
     slots:
         The facility capacity. More slots = more campaigns in flight.
-    scheduler:
-        Cross-tenant dispatch policy; defaults to a fresh
-        :class:`~repro.service.scheduler.FairShareScheduler`.
     metrics:
         Registry for ``service.*`` metrics (private one by default).
     default_quota:
@@ -138,15 +135,13 @@ class CampaignService:
     """
 
     def __init__(self, sim: Simulator, slots: "list[FacilitySlot]", *,
-                 scheduler: Optional[FairShareScheduler] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  default_quota: Optional[TenantQuota] = None) -> None:
         if not slots:
             raise ValueError("need at least one facility slot")
         self.sim = sim
         self.slots = list(slots)
-        self.scheduler = scheduler if scheduler is not None \
-            else FairShareScheduler()
+        self.scheduler = FairShareScheduler()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.default_quota = default_quota
         self._tenants: dict[str, TenantState] = {}
@@ -262,7 +257,7 @@ class CampaignService:
         """
         # detlint: ignore[C003] slot supervision loop: each pass serves a new campaign; a runner failure fails that campaign only
         while True:
-            entry = self.scheduler.select(self.sim.now, self._eligible)
+            entry = self.scheduler.select(self._eligible)
             if entry is None:
                 wake = self.sim.event()
                 self._idle.append(wake)

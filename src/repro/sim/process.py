@@ -100,15 +100,14 @@ class Process(Event):
             except ValueError:  # pragma: no cover - defensive
                 pass
         self._target = None
-        self._step(event)
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
         """Deliver ``event`` and drive the generator to its next yield.
 
-        This is the callback the kernel invokes once per process wakeup,
-        so the body lives here directly (no ``_resume`` -> ``_step``
-        double call) and the generator's ``send``/``throw`` are bound
-        once per wakeup instead of re-read from ``self`` per iteration.
+        This is the callback the kernel invokes once per process wakeup;
+        the generator's ``send``/``throw`` are bound once per wakeup
+        instead of re-read from ``self`` per iteration.
         """
         self._target = None
         sim = self.sim
@@ -154,10 +153,6 @@ class Process(Event):
                 event = target
         finally:
             sim._active_process = prev
-
-    # Historical name for the resumption body; kept so callers (and the
-    # interrupt path above) that address ``_step`` keep working.
-    _step = _resume
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.is_alive else "finished"

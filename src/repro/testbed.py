@@ -160,9 +160,6 @@ class Testbed:
         (minimum 2) when omitted.
     objective_key:
         The measured property campaigns optimize.
-    sim:
-        Optional externally owned :class:`~repro.sim.kernel.Simulator`
-        (``Testbed(sim=sim)``); one is created when omitted.
 
     The federation toggles (:meth:`with_mesh`, :meth:`with_knowledge`,
     :meth:`with_metrics`, :meth:`with_tracing`) are methods of this class only, so a one-expression chain sets them
@@ -172,43 +169,41 @@ class Testbed:
     __test__ = False  # not a pytest test class, despite the name
 
     def __init__(self, seed: int = 0, *, n_sites: Optional[int] = None,
-                 objective_key: str = "plqy",
-                 sim: Optional[Simulator] = None) -> None:
+                 objective_key: str = "plqy") -> None:
         self._seed = seed
         self._n_sites = n_sites
         self._objective_key = objective_key
-        self._sim = sim
         self._with_mesh = False
-        self._knowledge_policy: Optional[str] = None
+        self._with_knowledge = False
         self._metrics: Optional[MetricsRegistry] = None
-        self._tracer: Optional[Tracer] = None
+        self._with_tracing = False
         self._sites: list[_SiteConfig] = []
 
     # -- federation-level toggles -----------------------------------------
 
-    def with_mesh(self, enabled: bool = True) -> "Testbed":
+    def with_mesh(self) -> "Testbed":
         """Attach a federated data-mesh node to every lab."""
-        self._with_mesh = enabled
+        self._with_mesh = True
         return self
 
-    def with_knowledge(self, policy: str = "corrected") -> "Testbed":
-        """Share a knowledge base (M9) across all non-isolated sites."""
-        self._knowledge_policy = policy
+    def with_knowledge(self) -> "Testbed":
+        """Share a knowledge base (M9, ``"corrected"`` policy) across all
+        non-isolated sites."""
+        self._with_knowledge = True
         return self
 
-    def with_metrics(self,
-                     registry: Optional[MetricsRegistry] = None) -> "Testbed":
+    def with_metrics(self) -> "Testbed":
         """Collect all counters/histograms in one shared registry."""
-        self._metrics = registry if registry is not None else MetricsRegistry()
+        self._metrics = MetricsRegistry()
         return self
 
-    def with_tracing(self, tracer: Optional[Tracer] = None) -> "Testbed":
+    def with_tracing(self) -> "Testbed":
         """Trace every campaign as a span tree (see :mod:`repro.obs`).
 
-        When ``tracer`` is omitted one is created at :meth:`build` time,
-        bound to the built simulator, and exposed as ``built.tracer``.
+        The tracer is created at :meth:`build` time, bound to the built
+        simulator, and exposed as ``built.tracer``.
         """
-        self._tracer = tracer if tracer is not None else _DEFERRED_TRACER
+        self._with_tracing = True
         return self
 
     # -- sites -------------------------------------------------------------
@@ -236,13 +231,11 @@ class Testbed:
         n_sites = self._n_sites
         if n_sites is None:
             n_sites = max(2, len(self._sites))
-        tracer = self._tracer
         fed = FederationManager(
             seed=self._seed, n_sites=n_sites,
             objective_key=self._objective_key, with_mesh=self._with_mesh,
-            metrics=self._metrics, sim=self._sim,
-            tracer=None if tracer is _DEFERRED_TRACER else tracer)
-        if tracer is _DEFERRED_TRACER:
+            metrics=self._metrics)
+        if self._with_tracing:
             fed.tracer = Tracer(fed.sim, run_id=f"testbed-{self._seed}")
 
         for cfg in self._sites:
@@ -255,8 +248,8 @@ class Testbed:
                         repair_time_s=cfg.repair_time_s)
 
         knowledge: Optional[KnowledgeBase] = None
-        if self._knowledge_policy is not None:
-            knowledge = fed.make_knowledge_base(policy=self._knowledge_policy)
+        if self._with_knowledge:
+            knowledge = fed.make_knowledge_base()
 
         orchestrators: dict[str, HierarchicalOrchestrator] = {}
         for cfg in self._sites:
@@ -268,10 +261,6 @@ class Testbed:
                 fault_tolerant=cfg.fault_tolerant,
                 alternates=alternates or None)
         return BuiltTestbed(fed, orchestrators, knowledge)
-
-
-#: Sentinel: "create a Tracer at build() time, bound to the built sim".
-_DEFERRED_TRACER: Tracer = object()  # type: ignore[assignment]
 
 
 class BuiltTestbed:
@@ -323,8 +312,7 @@ class BuiltTestbed:
         proc = self.sim.process(orch.run_campaign(spec))
         return self.sim.run(until=proc)
 
-    def run_report(self, spec: CampaignSpec,
-                   site: Optional[str] = None) -> "CampaignReport":
+    def run_report(self, spec: CampaignSpec) -> "CampaignReport":
         """Run a campaign and return its canonical
         :class:`~repro.core.report.CampaignReport`.
 
@@ -336,7 +324,7 @@ class BuiltTestbed:
         returns, so single-site runs, scale-out worlds, and multi-tenant
         service runs all speak one result type.
         """
-        result = self.run(spec, site)
+        result = self.run(spec)
         return CampaignReport.from_result(result,
                                           sim_seconds=float(self.sim.now),
                                           target=spec.target)

@@ -5,8 +5,14 @@ import pytest
 from repro.agents import Agent, AgentState, Supervisor
 
 
+def make_agent(sim, heartbeat_interval_s):
+    a = Agent(sim, "a1", "site-0")
+    a.heartbeat_interval_s = heartbeat_interval_s
+    return a
+
+
 def test_agent_starts_and_heartbeats(sim):
-    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=2.0)
+    a = make_agent(sim, 2.0)
     a.start()
     sim.run(until=7.0)
     assert a.alive
@@ -20,7 +26,7 @@ def test_double_start_rejected(sim):
 
 
 def test_crash_stops_heartbeats(sim):
-    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=1.0).start()
+    a = make_agent(sim, 1.0).start()
     sim.run(until=3.5)
     a.crash()
     hb_at_crash = a.last_heartbeat
@@ -31,7 +37,7 @@ def test_crash_stops_heartbeats(sim):
 
 
 def test_restart_resumes_processing(sim):
-    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=1.0).start()
+    a = make_agent(sim, 1.0).start()
     a.crash()
     a.restart()
     sim.run(until=5.0)
@@ -43,7 +49,7 @@ def test_restart_resumes_processing(sim):
 # -- supervisor -----------------------------------------------------------------
 
 def test_supervisor_detects_and_restarts_crashed_agent(sim):
-    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=1.0).start()
+    a = make_agent(sim, 1.0).start()
     sup = Supervisor(sim, check_interval_s=1.0, restart_delay_s=5.0)
     sup.watch(a)
     sup.start()
@@ -61,9 +67,8 @@ def test_supervisor_detects_and_restarts_crashed_agent(sim):
 
 
 def test_supervisor_detects_hung_agent_via_heartbeat_silence(sim):
-    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=1.0).start()
-    sup = Supervisor(sim, check_interval_s=1.0, timeout_multiplier=3.0,
-                     restart_delay_s=2.0)
+    a = make_agent(sim, 1.0).start()
+    sup = Supervisor(sim, check_interval_s=1.0, restart_delay_s=2.0)
     sup.watch(a)
     sup.start()
 
@@ -81,8 +86,9 @@ def test_supervisor_detects_hung_agent_via_heartbeat_silence(sim):
 
 
 def test_supervisor_without_autorestart_only_detects(sim):
-    a = Agent(sim, "a1", "site-0", heartbeat_interval_s=1.0).start()
-    sup = Supervisor(sim, check_interval_s=1.0, auto_restart=False)
+    a = make_agent(sim, 1.0).start()
+    sup = Supervisor(sim, check_interval_s=1.0)
+    sup.auto_restart = False
     sup.watch(a)
     sup.start()
     a.crash()

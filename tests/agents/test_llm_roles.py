@@ -103,7 +103,8 @@ def test_llm_hallucinations_are_detectably_wrong(sim, rngs, qd_landscape):
 
 
 def test_llm_tool_selection_mostly_right(sim, rngs):
-    llm = SimulatedLLM(sim, rngs.stream("llm6"), tool_error_rate=0.05)
+    llm = SimulatedLLM(sim, rngs.stream("llm6"))
+    llm.tool_error_rate = 0.05
     picks = []
 
     def proc():
@@ -138,8 +139,8 @@ def trio(sim, rngs, qd_landscape):
     planner = PlannerAgent(sim, "planner", "site-0", optimizer, llm)
     executor = ExecutorAgent(sim, "executor", "site-0", hal, "reactor", spec,
                              objective_key="plqy")
-    evaluator = EvaluatorAgent(sim, "evaluator", "site-0", planner,
-                               target=0.95, patience=5)
+    evaluator = EvaluatorAgent(sim, "evaluator", "site-0", planner)
+    evaluator.target, evaluator.patience = 0.95, 5
     return planner, executor, evaluator
 
 

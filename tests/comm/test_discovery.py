@@ -146,7 +146,7 @@ def test_keepalive_sustains_lease(sim, setup):
 
     sim.process(proc())
     sim.run()
-    sim.process(d.keepalive("svc-1", interval_s=10.0))
+    sim.process(d.keepalive("svc-1"))
     sim.run(until=100.0)
     assert registry.get("svc-1") is not None
 

@@ -223,17 +223,34 @@ def _failover_world(n_replicas, schedule):
     return sim, replicas, RpcClient(sim, network, site="site-0")
 
 
-_schedules = st.integers(2, 4).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.sampled_from((0.05, 0.1, 0.2, 0.5)),
-    st.integers(1, 3),
-    st.lists(st.tuples(st.floats(0.0, 30.0, allow_nan=False),
-                       st.integers(0, n - 1)),
-             max_size=16)))
+def _toggles(n, interval):
+    """Kill/revive toggles, each a small multiple of the heartbeat interval
+    after the one before and aimed at the replica toggled last or at the
+    next one in failover order, so outages chase promotions: a replica
+    often dies again within a probe or two of being promoted back."""
+    step = st.tuples(st.sampled_from((1, 2, 2.5, 3, 4, 12)),
+                     st.sampled_from((0, 1, 1)))
+
+    def schedule(steps):
+        out, at, idx = [], 0.0, 0
+        for i, (intervals, hop) in enumerate(steps):
+            at += intervals * interval
+            idx = (idx + hop) % n if i else 0
+            out.append((at, idx))
+        return out
+
+    return st.lists(step, min_size=4, max_size=16).map(schedule)
+
+
+_schedules = st.integers(2, 4).flatmap(
+    lambda n: st.sampled_from((0.05, 0.1, 0.2, 0.5)).flatmap(
+        lambda interval: st.tuples(st.just(n), st.just(interval),
+                                   st.integers(1, 3),
+                                   _toggles(n, interval))))
 
 
 @given(_schedules)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=300, deadline=None)
 # broker-0 trips, revives and is promoted back once broker-1 trips; it
 # dies again before its first probe, so one miss (its breaker aged into
 # half-open) must take the group to all-down.

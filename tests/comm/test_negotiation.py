@@ -79,28 +79,6 @@ def test_intersection_symmetric_in_protocol_choice():
 
 # -- over-RPC protocol ------------------------------------------------------------
 
-def test_negotiate_with_registry_hint_one_round(sim, network):
-    server = RpcServer(sim, "inst", site="b")
-    responder = Negotiator(sim, offer(protocols={"grpc": [2, 1]}))
-    responder.serve(server)
-    initiator = Negotiator(sim, offer(protocols={"grpc": [3, 2], "amqp": [1]}))
-    client = RpcClient(sim, network, site="a")
-    out = {}
-
-    def proc():
-        ag = yield from initiator.negotiate(
-            client, server,
-            responder_offer_hint=offer(protocols={"grpc": [2, 1]}))
-        out["ag"] = ag
-
-    sim.process(proc())
-    sim.run()
-    assert out["ag"].protocol == "grpc"
-    assert out["ag"].version == 2
-    assert out["ag"].rounds == 1
-    assert responder.agreements == [out["ag"]]
-
-
 def test_negotiate_without_hint_uses_counter_round(sim, network):
     server = RpcServer(sim, "inst", site="b")
     responder = Negotiator(sim, offer(protocols={"grpc": [1]}))

@@ -69,8 +69,7 @@ def test_physics_rejects_impossible_claim(physics, qd_landscape):
 def twin_verifier(sim, rngs, qd_landscape):
     reactor = FluidicReactor(sim, "r", "site-0", rngs, qd_landscape)
     twin = DigitalTwin(reactor, landscape=qd_landscape, rngs=rngs,
-                       safety_envelope={"temperature": (60.0, 200.0)},
-                       check_time_s=2.0)
+                       safety_envelope={"temperature": (60.0, 200.0)})
     return TwinVerifier(twin, objective_key="plqy")
 
 

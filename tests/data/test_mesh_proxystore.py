@@ -95,14 +95,6 @@ def test_fetch_unknown_record(mesh, sim):
     sim.run()
 
 
-def test_discovery_query_predicate(mesh, sim):
-    mesh.nodes["site-0"].ingest(rec(values={"plqy": 0.9}))
-    mesh.nodes["site-0"].ingest(rec(values={"gfa": 0.2}))
-    sim.run(until=1.0)
-    entries = mesh.index.query(predicate=lambda e: "plqy" in e["keys"])
-    assert len(entries) == 1
-
-
 def test_duplicate_node_rejected(mesh, sim):
     with pytest.raises(ValueError):
         mesh.make_node("site-0", institution="other")

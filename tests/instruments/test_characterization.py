@@ -81,8 +81,8 @@ class _PerScanAxisSpectrometer(PLSpectrometer):
     ``linspace`` axis and ``sin`` baseline on every scan."""
 
     def _synthesize_spectrum(self, center_nm, intensity):
-        lo, hi = self.wavelength_range
-        wl = np.linspace(lo, hi, self.n_channels)
+        lo, hi = self.WAVELENGTH_RANGE
+        wl = np.linspace(lo, hi, self.N_CHANNELS)
         width = 18.0 + 6.0 * self.rng.random()
         signal = intensity * np.exp(-((wl - center_nm) / width) ** 2)
         baseline = 0.02 + 0.005 * np.sin(wl / 120.0)
@@ -90,8 +90,8 @@ class _PerScanAxisSpectrometer(PLSpectrometer):
         return np.vstack([wl, signal + baseline + noise])
 
 
-@pytest.mark.parametrize("kw", [{}, {"wavelength_range": (400.0, 700.5),
-                                     "n_channels": 333}])
+@pytest.mark.parametrize("kw", [{}, {"WAVELENGTH_RANGE": (400.0, 700.5),
+                                     "N_CHANNELS": 333}])
 def test_spectrometer_cached_axis_matches_per_scan_axis(bright_sample, kw):
     """Two successive spectra equal, bit for bit, the per-scan expression
     on a same-seed twin, and a later scan leaves an earlier one intact."""
@@ -99,7 +99,9 @@ def test_spectrometer_cached_axis_matches_per_scan_axis(bright_sample, kw):
     for cls, out in ((PLSpectrometer, got),
                      (_PerScanAxisSpectrometer, want)):
         sim = Simulator()
-        spec = cls(sim, "spec-1", "ornl", RngRegistry(7), **kw)
+        # A subclass stands in for a spectrometer with another axis.
+        spec = type(cls.__name__, (cls,), kw)(sim, "spec-1", "ornl",
+                                              RngRegistry(7))
         for _ in range(2):
             m = run(sim, spec.measure(bright_sample))
             spectrum = m.raw["spectrum"]
@@ -160,8 +162,8 @@ def test_liquid_handler_prepare(sim, rngs):
 
 
 def test_liquid_handler_deck_eviction(sim, rngs):
-    lh = LiquidHandler(sim, "lh-1", "ornl", rngs, deck_slots=2,
-                       time_per_transfer_s=1.0)
+    lh = LiquidHandler(sim, "lh-1", "ornl", rngs, time_per_transfer_s=1.0)
+    lh.deck_slots = 2
 
     def proc():
         for i in range(3):

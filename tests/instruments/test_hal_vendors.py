@@ -245,8 +245,7 @@ def test_hpc_oversized_job_rejected(sim, rngs):
 
 
 def test_hpc_simulate_fidelity_tradeoff(sim, rngs, qd_landscape, qd_params):
-    hpc = HpcCluster(sim, "hpc", "ornl", rngs, n_nodes=16,
-                     model_bias=0.05, model_noise=0.02)
+    hpc = HpcCluster(sim, "hpc", "ornl", rngs, n_nodes=16)
     truth = qd_landscape.evaluate(qd_params)["plqy"]
 
     def errs(fidelity, n=10):
@@ -281,8 +280,7 @@ def twin(sim, rngs, qd_landscape):
         robot, landscape=qd_landscape, rngs=rngs,
         safety_envelope={"temperature": (60.0, 220.0)},
         forbidden_combinations=[{"solvent": "DMF",
-                                 "temperature": (160.0, None)}],
-        twin_error=0.05, check_time_s=1.0)
+                                 "temperature": (160.0, None)}])
 
 
 def test_twin_accepts_safe_params(twin, qd_params):
@@ -330,4 +328,4 @@ def test_twin_validate_flags_ungrounded_claims(sim, twin, qd_params):
     sim.run()
     assert not out["bogus"].ok
     assert out["honest"].ok
-    assert sim.now == pytest.approx(2.0)  # two checks at 1 s each
+    assert sim.now == pytest.approx(2 * twin.CHECK_TIME_S)  # two checks

@@ -13,7 +13,7 @@ from repro.methods import BayesianOptimizer
 
 def test_perovskite_emission_targeting():
     """Optimize 'quality' (PLQY x wavelength match) toward 520 nm."""
-    land = PerovskiteLandscape(seed=5, target_nm=520.0)
+    land = PerovskiteLandscape(seed=5)
     bo = BayesianOptimizer(land.space, np.random.default_rng(4), n_init=10)
     for _ in range(60):
         p = bo.ask()

@@ -47,7 +47,7 @@ def test_qd_deterministic(qd):
 # -- perovskite -----------------------------------------------------------------
 
 def test_perovskite_quality_peaks_near_target_wavelength():
-    land = PerovskiteLandscape(seed=5, target_nm=520.0)
+    land = PerovskiteLandscape(seed=5)
     rng = np.random.default_rng(0)
     # Find the halide ratio giving ~520 nm for a fixed recipe; quality must
     # dominate a recipe of equal PLQY far from target.

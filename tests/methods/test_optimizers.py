@@ -175,16 +175,6 @@ def test_bo_acquisition_variants_run(cont_space):
         assert bo.best is not None
 
 
-def test_bo_posterior_at(cont_space):
-    land = SyntheticLandscape(cont_space, seed=5)
-    bo = BayesianOptimizer(cont_space, np.random.default_rng(0), n_init=4)
-    mean, std = bo.posterior_at({"x": 0.5, "y": 0.5})
-    assert std == float("inf")  # no data yet
-    optimize(bo, land, 15)
-    mean, std = bo.posterior_at({"x": 0.5, "y": 0.5})
-    assert np.isfinite(mean) and np.isfinite(std)
-
-
 # -- nested BO -------------------------------------------------------------------------
 
 def test_nested_requires_discrete(cont_space):

@@ -197,11 +197,12 @@ def test_q_learning_state_dependent_policy():
 
 def test_epsilon_decays():
     sched = QLearningScheduler(("a", "b"), np.random.default_rng(0),
-                               epsilon=0.5, epsilon_decay=0.9,
-                               min_epsilon=0.05)
-    for _ in range(100):
+                               epsilon=0.5)
+    sched.update("s", "a", 1.0)
+    assert sched.epsilon == pytest.approx(0.5 * sched.EPSILON_DECAY)
+    for _ in range(1000):
         sched.update("s", "a", 1.0)
-    assert sched.epsilon == pytest.approx(0.05)
+    assert sched.epsilon == pytest.approx(sched.MIN_EPSILON)
 
 
 def test_choose_respects_available_subset():

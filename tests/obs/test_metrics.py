@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import MetricsRegistry, metrics_snapshot
+from repro.obs import MetricsRegistry
 from repro.obs.metrics import Histogram, render_name
 
 
@@ -88,15 +88,6 @@ def test_registry_snapshot_filters_by_site():
     assert snap0["histograms"] == {}
     full = reg.snapshot()
     assert set(full["counters"]) == {"c{site=s0}", "c{site=s1}"}
-
-
-def test_metrics_snapshot_json_is_deterministic():
-    reg = MetricsRegistry()
-    reg.counter("b").inc()
-    reg.counter("a").inc(2)
-    text = metrics_snapshot(reg, as_json=True)
-    assert json.loads(text)["counters"] == {"a": 2, "b": 1}
-    assert text == metrics_snapshot(reg, as_json=True)
 
 
 def test_render_name():

@@ -102,15 +102,6 @@ def test_metrics_and_tracer_shared_across_sites():
     assert built.tracer.sim is built.sim
 
 
-def test_external_simulator_is_used():
-    from repro.sim import Simulator
-    sim = Simulator()
-    built = (Testbed(seed=5, sim=sim)
-             .site("site-0", landscape=QuantumDotLandscape(seed=7))
-             .build())
-    assert built.sim is sim
-
-
 def test_run_report_is_canonical():
     spec = CampaignSpec(name="rep", objective_key="plqy", max_experiments=5)
     built = (Testbed(seed=6)

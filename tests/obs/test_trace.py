@@ -1,5 +1,8 @@
 """Tests for deterministic tracing: spans, kernel hooks, JSONL export."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import CampaignSpec
 from repro.labsci import QuantumDotLandscape
 from repro.obs import (NULL_TRACER, Tracer, load_jsonl, to_jsonl,
@@ -117,6 +120,103 @@ def test_campaign_trace_has_expected_span_shape():
     assert len(experiments) == 6
     phases = [c["name"] for c in experiments[0]["children"]]
     assert phases == ["plan", "verify", "execute", "evaluate"]
+
+
+def test_concurrent_campaigns_trace_one_tree_each():
+    """Two sites run six-experiment campaigns at once under one tracer:
+    each campaign is its own root, with its own experiments below it."""
+    built = (Testbed(seed=4)
+             .with_tracing()
+             .site("site-0", landscape=QuantumDotLandscape(seed=7))
+             .site("site-1", landscape=QuantumDotLandscape(seed=7))
+             .build())
+    spec = CampaignSpec(name="c", objective_key="plqy", max_experiments=6)
+    for site in ("site-0", "site-1"):
+        built.sim.process(built.orchestrator(site).run_campaign(spec))
+    built.sim.run()
+    roots = built.tracer.span_tree()
+    assert [r["name"] for r in roots] == ["campaign", "campaign"]
+    assert [r["attrs"]["site"] for r in roots] == ["site-0", "site-1"]
+    for root in roots:
+        experiments = [c for c in root["children"]
+                       if c["name"] == "experiment"]
+        assert len(experiments) == 6
+        for experiment in experiments:
+            phases = [c["name"] for c in experiment["children"]]
+            assert phases[-2:] == ["execute", "evaluate"]
+
+
+# A process's trace program: sleeps, instants and nested spans.
+_program = st.recursive(
+    st.lists(st.one_of(
+        st.tuples(st.just("sleep"), st.sampled_from((0.0, 0.5, 1.0, 2.5))),
+        st.tuples(st.just("instant"), st.sampled_from(("i", "j")))),
+        max_size=3),
+    lambda inner: st.lists(st.one_of(
+        st.tuples(st.just("sleep"), st.sampled_from((0.0, 0.5, 1.0, 2.5))),
+        st.tuples(st.just("span"), st.sampled_from(("a", "b")), inner)),
+        max_size=3),
+    max_leaves=12)
+
+
+def _play(sim, tracer, prefix, items):
+    for item in items:
+        if item[0] == "sleep":
+            yield sim.timeout(item[1])
+        elif item[0] == "instant":
+            tracer.instant(f"{prefix}{item[1]}")
+        else:
+            with tracer.span(f"{prefix}{item[1]}"):
+                yield from _play(sim, tracer, prefix, item[2])
+
+
+def _traced(programs):
+    """Run (start offset, program) pairs as processes under one tracer;
+    returns the span forest and the instants, with span ids replaced by
+    span paths so two runs compare by value."""
+    sim = Simulator()
+    tracer = Tracer(sim)
+
+    def proc(i, offset, items):
+        yield sim.timeout(offset)
+        yield from _play(sim, tracer, f"p{i}/", items)
+
+    for i, offset, items in programs:
+        sim.process(proc(i, offset, items))
+    sim.run()
+    paths = {None: ()}
+
+    def norm(node, path):
+        here = path + (node["name"],)
+        paths[node["span"]] = here
+        return (node["name"], node["start"], node["end"], node["duration"],
+                tuple(norm(c, here) for c in node["children"]))
+
+    forest = tuple(norm(root, ()) for root in tracer.span_tree())
+    instants = tuple((e.name, e.t, paths[e.span],
+                      paths[e.parent]) for e in tracer.events
+                     if e.kind == "instant")
+    return forest, instants
+
+
+@given(programs=st.lists(
+    st.tuples(st.sampled_from((0.0, 0.5, 1.0)), _program),
+    min_size=2, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_property_span_tree_per_process_matches_process_alone(programs):
+    """N processes open and close nested spans across sleeps under one
+    tracer: the forest holds each process's own trees, equal in names,
+    nesting and times to that process traced alone."""
+    numbered = [(i, offset, items) for i, (offset, items)
+                in enumerate(programs)]
+    forest, instants = _traced(numbered)
+    for i, offset, items in numbered:
+        alone_forest, alone_instants = _traced([(i, offset, items)])
+        prefix = f"p{i}/"
+        assert tuple(t for t in forest
+                     if t[0].startswith(prefix)) == alone_forest
+        assert tuple(e for e in instants
+                     if e[0].startswith(prefix)) == alone_instants
 
 
 # -- bounded ring + spill (PR 7) --------------------------------------------

